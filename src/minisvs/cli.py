@@ -81,8 +81,10 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--unlabeled-ratio", type=float, default=0.0)
-    p.add_argument("--prior", choices=("data", "standard"), default="data")
-    p.add_argument("--target", choices=("z0", "zq"), default="z0")
+    p.add_argument("--prior", choices=("data", "standard"),
+                   help="default: data, or the resumed checkpoint's")
+    p.add_argument("--target", choices=("z0", "zq"),
+                   help="default: z0, or the resumed checkpoint's")
     p.add_argument("--no-enhanced-ce", action="store_true")
     p.add_argument("--resume")
     _add_config(p)
@@ -95,7 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", choices=("z0", "zq"), default="z0")
+    p.add_argument("--target", choices=("z0", "zq"),
+                   help="default: the latent checkpoint's training target")
     _add_config(p)  # sampler knobs only; the architecture follows the checkpoints
 
     p = sub.add_parser("evaluate", help="objective metrics between two inputs")

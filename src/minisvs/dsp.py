@@ -214,8 +214,14 @@ def estimate_f0(
         return PitchTrack(np.zeros(n), np.zeros(n))
 
     nfft = 1 << int(math.ceil(math.log2(2 * win)))
+    taus = np.arange(lag_lo, lag_hi + 1)
+    # keep only the searched lags, and free the (frames, nfft) spectra before
+    # the energy terms below: they are the largest arrays evaluation holds
     spec = np.fft.rfft(frames, n=nfft, axis=1)
-    raw = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=1)[:, : win]
+    power = spec * np.conj(spec)
+    del spec
+    raw = np.fft.irfft(power, n=nfft, axis=1)[:, taus]
+    del power
 
     # normalized cross-correlation: r(tau) / sqrt(e0(tau) * e1(tau))
     sq = frames * frames
@@ -224,11 +230,10 @@ def estimate_f0(
     n = frames.shape[0]
     f0 = np.zeros(n)
     periodicity = np.zeros(n)
-    taus = np.arange(lag_lo, lag_hi + 1)
     e_head = csum[:, win - taus] - csum[:, 0:1]  # energy of x[0 : win-tau]
     e_tail = total - csum[:, taus]  # energy of x[tau : win]
     with np.errstate(invalid="ignore", divide="ignore"):
-        nac = raw[:, taus] / np.sqrt(e_head * e_tail)
+        nac = raw / np.sqrt(e_head * e_tail)
     nac = np.where(np.isfinite(nac), nac, 0.0)
 
     for i in range(n):

@@ -1,10 +1,16 @@
 """Composite training losses.
 
-Reconstruction L1, LSGAN pair, feature matching, CTC (log-space forward
-DP, with an autodiff variant whose backward is the classic alpha-beta
-posterior), frame-wise contrastive InfoNCE over paired representation
-streams, and the two weighted totals. Functions accept numpy arrays or
-autodiff Tensors wherever a gradient path makes sense.
+Reconstruction L1, LSGAN pair, feature matching, CTC, frame-wise
+contrastive InfoNCE over paired representation streams, and the two
+weighted totals. Functions accept numpy arrays or autodiff Tensors
+wherever a gradient path makes sense.
+
+CTC runs one log-space alpha/beta lattice over a batch of windows: the
+extended labels are padded to a common length, padding and illegal skips
+are masked with an additive -inf, and alpha and beta advance in the same
+frame loop. `ctc_loss_graph` takes a whole (B, W, C) head and scatters
+the state posterior straight back into it; `ctc_loss` is the one-window
+case on a numpy array.
 """
 from __future__ import annotations
 
@@ -93,81 +99,144 @@ def _min_frames(ext) -> int:
     return int(labels.size + repeats)
 
 
-def _ctc_alpha_beta(logp: np.ndarray, ext: np.ndarray):
-    """Log-space forward/backward lattices and the total log-likelihood."""
-    t_len, _ = logp.shape
-    s_len = ext.size
+def _pad_targets(targets, n_frames: int):
+    """Extended labels padded with blanks to a common S, and the true lengths."""
+    exts = [_extend_labels(t.labels) for t in targets]
+    for i, ext in enumerate(exts):
+        if n_frames < _min_frames(ext):
+            raise ValueError(
+                f"window {i}: target needs at least {_min_frames(ext)} frames, got {n_frames}"
+            )
+    lengths = np.array([ext.size for ext in exts], dtype=np.int64)
+    padded = np.zeros((len(exts), int(lengths.max())), dtype=np.int64)
+    for i, ext in enumerate(exts):
+        padded[i, : ext.size] = ext
+    return padded, lengths
+
+
+def _ctc_lattice(logp: np.ndarray, ext: np.ndarray, lengths: np.ndarray):
+    """Log-space forward/backward lattices of N windows at once.
+
+    logp is (N, T, C); ext (N, S) holds blank-padded extended labels whose
+    first lengths[n] states are real. Padding states and illegal skips are
+    masked with an additive -inf, so they add exactly nothing to any
+    logaddexp. Returns alpha and beta as (N, T, S), -inf on padding, and
+    log Z as (N,).
+    """
+    n, t_len, _ = logp.shape
+    s_len = ext.shape[1]
     neg = -np.inf
-    logp_ext = logp[:, ext]  # (T, S)
-    skip_ok = np.zeros(s_len, dtype=bool)
-    skip_ok[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
-    skip_idx = np.flatnonzero(skip_ok)
+    real = np.arange(s_len) < lengths[:, None]
+    emit = np.where(real[:, None, :], np.take_along_axis(logp, ext[:, None, :], axis=2), neg)
+    skip = np.zeros((n, s_len), dtype=bool)
+    skip[:, 2:] = real[:, 2:] & (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
 
-    alpha = np.full((t_len, s_len), neg)
-    alpha[0, 0] = logp_ext[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = logp_ext[0, 1]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        merged = prev.copy()
-        merged[1:] = np.logaddexp(merged[1:], prev[:-1])
-        if skip_idx.size:
-            merged[skip_idx] = np.logaddexp(merged[skip_idx], prev[skip_idx - 2])
-        alpha[t] = merged + logp_ext[t]
-    log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if s_len > 1 else neg)
+    # Columns [0, n) advance alpha; columns [n, 2n) advance beta with the
+    # states reversed, so both recursions pull from lower states and one
+    # update per frame moves both (S is odd, so a reversed label is still
+    # at an odd state). Rows are an -inf guard standing for state -1, then
+    # the L labels, then the L + 1 blanks, which keeps every operand below
+    # a contiguous block. x[k] holds alpha_k and beta_{T-1-k}, each plus
+    # its emission; m[k] holds the values before emission, so m[k, :, n:]
+    # is beta_{T-1-k} itself.
+    n_lab = s_len // 2
+    row = np.empty(s_len, dtype=np.int64)
+    row[np.r_[1:s_len:2, 0:s_len:2]] = np.arange(1, s_len + 1)
+    emit_all = np.full((t_len, 1 + s_len, 2 * n), neg)
+    emit_all[:, row, :n] = emit.transpose(1, 2, 0)
+    emit_all[:, row, n:] = emit[:, ::-1, ::-1].transpose(1, 2, 0)
+    # reversed state r pulls from r - 2 iff the forward skip into S + 1 - r is legal
+    skip_to = np.zeros((2 * n, s_len), dtype=bool)
+    skip_to[:n] = skip
+    skip_to[n:, 2:] = skip[:, :1:-1]
+    skip_add = np.where(skip_to[:, 1::2].T, 0.0, neg)  # (L, 2n), by label
+    x = np.empty_like(emit_all)
+    m = np.full_like(emit_all, neg)
+    m[0, row[:2], :n] = 0.0  # alpha starts in the leading blank or the first label
+    windows = np.arange(n)
+    two = lengths > 1
+    # beta ends in the trailing blank (reversed state S - L) or the last label
+    m[0, row[s_len - lengths], n + windows] = 0.0
+    m[0, row[s_len + 1 - lengths[two]], n + windows[two]] = 0.0
+    np.add(m[0], emit_all[0], out=x[0])
+    # per frame: a blank pulls from the label before it, a label from the
+    # blank before it and then, by skip, from the label before that
+    skip_src = np.empty_like(skip_add)
+    for blank, lab_prev, lab, blank_prev, lab_skip, m_blank, m_lab, m_k, emit_k, x_k in zip(
+        x[:-1, 1 + n_lab :], x[:-1, : 1 + n_lab], x[:-1, 1 : 1 + n_lab], x[:-1, 1 + n_lab : -1],
+        x[:-1, :n_lab], m[1:, 1 + n_lab :], m[1:, 1 : 1 + n_lab], m[1:], emit_all[1:], x[1:],
+    ):
+        np.logaddexp(blank, lab_prev, out=m_blank)
+        np.logaddexp(lab, blank_prev, out=m_lab)
+        np.add(lab_skip, skip_add, out=skip_src)
+        np.logaddexp(m_lab, skip_src, out=m_lab)
+        np.add(m_k, emit_k, out=x_k)
 
-    beta = np.full((t_len, s_len), neg)
-    beta[-1, -1] = 0.0
-    if s_len > 1:
-        beta[-1, -2] = 0.0
-    for t in range(t_len - 2, -1, -1):
-        emit = beta[t + 1] + logp_ext[t + 1]
-        merged = emit.copy()
-        merged[:-1] = np.logaddexp(merged[:-1], emit[1:])
-        if skip_idx.size:
-            merged[skip_idx - 2] = np.logaddexp(merged[skip_idx - 2], emit[skip_idx])
-        beta[t] = merged
-    return alpha, beta, float(log_z)
+    alpha = x[:, row, :n].transpose(2, 0, 1)
+    beta = m[::-1, row[::-1], n:].transpose(2, 0, 1)
+    last = alpha[windows, -1, lengths - 1]
+    before = np.where(two, alpha[windows, -1, np.maximum(lengths - 2, 0)], neg)
+    return alpha, beta, np.logaddexp(last, before)
+
+
+def _check_log_probs(shape, targets) -> None:
+    alphabets = {t.alphabet for t in targets}
+    if len(alphabets) != 1 or shape[-1] != alphabets.pop() + 1:
+        raise ValueError(
+            f"log_probs must end in one axis of alphabet + 1 symbols shared by every "
+            f"target; got {shape} for alphabets {sorted(t.alphabet for t in targets)}"
+        )
 
 
 def ctc_loss(log_probs: np.ndarray, target: CtcTarget) -> float:
-    """Negative log marginal over all monotonic blank alignments."""
+    """Negative log marginal over all monotonic blank alignments of one window."""
     logp = np.asarray(log_probs, dtype=np.float64)
-    if logp.ndim != 2 or logp.shape[1] != target.alphabet + 1:
-        raise ValueError(
-            f"log_probs must be frames x {target.alphabet + 1}, got {logp.shape}"
-        )
-    ext = _extend_labels(target.labels)
-    if logp.shape[0] < _min_frames(ext):
-        raise ValueError(
-            f"target needs at least {_min_frames(ext)} frames, got {logp.shape[0]}"
-        )
-    _, _, log_z = _ctc_alpha_beta(logp, ext)
-    return -log_z
+    if logp.ndim != 2:
+        raise ValueError(f"log_probs must be frames x {target.alphabet + 1}, got {logp.shape}")
+    _check_log_probs(logp.shape, [target])
+    ext, lengths = _pad_targets([target], logp.shape[0])
+    _, _, log_z = _ctc_lattice(logp[None], ext, lengths)
+    return -float(log_z[0])
 
 
-def ctc_loss_graph(log_probs: Tensor, target: CtcTarget) -> Tensor:
-    """Differentiable CTC; gradient is minus the state posterior per symbol."""
+def ctc_loss_graph(log_probs: Tensor, targets) -> Tensor:
+    """Differentiable CTC summed over a batch of windows.
+
+    log_probs is a (B, W, C) log-softmax Tensor and targets holds one
+    CtcTarget per window. One lattice runs over every window; the gradient
+    is minus the state posterior, scattered straight into (B, W, C).
+    """
     logp = log_probs.data.astype(np.float64)
-    if logp.ndim != 2 or logp.shape[1] != target.alphabet + 1:
+    targets = list(targets)
+    if logp.ndim != 3 or logp.shape[0] != len(targets):
         raise ValueError(
-            f"log_probs must be frames x {target.alphabet + 1}, got {logp.shape}"
+            f"log_probs must be windows x frames x symbols with one target per window; "
+            f"got {logp.shape} for {len(targets)} targets"
         )
-    ext = _extend_labels(target.labels)
-    if logp.shape[0] < _min_frames(ext):
-        raise ValueError(
-            f"target needs at least {_min_frames(ext)} frames, got {logp.shape[0]}"
-        )
-    alpha, beta, log_z = _ctc_alpha_beta(logp, ext)
-    with np.errstate(invalid="ignore"):
-        posterior = np.exp(alpha + beta - log_z)  # (T, S)
+    _check_log_probs(logp.shape, targets)
+    ext, lengths = _pad_targets(targets, logp.shape[1])
+    alpha, beta, log_z = _ctc_lattice(logp, ext, lengths)
+    # in window order, as a chain of per-window terms would add up
+    nll = (-log_z).astype(log_probs.data.dtype)
+    total = nll[0]
+    for term in nll[1:]:
+        total = total + term
 
     def grad_fn(g):
-        acc = np.zeros_like(logp)
-        np.add.at(acc.T, ext, posterior.T)
-        return ((-float(g) * acc).astype(log_probs.data.dtype),)
+        with np.errstate(invalid="ignore"):
+            posterior = np.exp(alpha + beta - log_z[:, None, None])  # (B, W, S)
+        # states by frames, so each state's posterior is one contiguous row
+        posterior = np.ascontiguousarray(posterior.transpose(0, 2, 1))
+        acc = np.zeros((logp.shape[0], logp.shape[2], logp.shape[1]))  # (B, C, W)
+        windows = np.arange(len(targets))
+        # one state at a time, so repeated symbols accumulate in state order
+        for s in range(ext.shape[1]):
+            acc[windows, ext[:, s]] += posterior[:, s]
+        grad = np.empty(logp.shape, dtype=log_probs.data.dtype)
+        np.multiply(acc.transpose(0, 2, 1), -float(g), out=grad, casting="same_kind")
+        return (grad,)
 
-    return custom(np.asarray(-log_z, dtype=log_probs.data.dtype), (log_probs,), grad_fn, "ctc")
+    return custom(np.asarray(total), (log_probs,), grad_fn, "ctc")
 
 
 # -- contrastive ---------------------------------------------------------------

@@ -223,32 +223,35 @@ def init_codebooks(coder: RvqCoder, samples: np.ndarray, seed: int) -> RvqCoder:
 
 def ema_update(
     coder: RvqCoder,
-    batch: np.ndarray,
+    residuals: np.ndarray,
+    ids: np.ndarray,
     decay: float = EMA_DECAY,
     rng=None,
     dead_threshold: float = DEAD_CODE_THRESHOLD,
 ) -> RvqCoder:
-    """One EMA codebook update from a batch of latent frames (in place).
+    """One EMA codebook update from an encoded batch (in place).
 
-    Per stage: counts and sums decay toward the batch assignment statistics
-    and entries become sums / max(counts, eps). Entries that received no
-    assignment in this batch and whose EMA count sits under dead_threshold
-    are reseeded from random batch frames when an rng is supplied. Residuals
-    propagate through the pre-update entries.
+    residuals (C, frames, D) and ids (C, frames) are the stage inputs and the
+    chosen entries from `encode_detailed` on the current, pre-update
+    codebooks. Per stage: counts and sums decay toward the batch assignment
+    statistics and entries become sums / max(counts, eps). Entries that
+    received no assignment in this batch and whose EMA count sits under
+    dead_threshold are reseeded from random frames of the stage's residual
+    when an rng is supplied.
     """
     if not (0.0 <= decay < 1.0):
         raise ValueError("decay must lie in [0, 1)")
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != coder.dim:
-        raise ValueError(f"batch must be frames x {coder.dim}")
-    r = batch.copy()
-    for cb in coder.codebooks:
-        old_entries = cb.entries.astype(np.float64)
-        ids = _nearest(old_entries, r)
+    residuals = np.asarray(residuals, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if residuals.ndim != 3 or residuals.shape[::2] != (coder.n_quantizers, coder.dim):
+        raise ValueError(f"residuals must be {coder.n_quantizers} x frames x {coder.dim}")
+    if ids.shape != residuals.shape[:2]:
+        raise ValueError(f"ids must be {residuals.shape[:2]}, got {ids.shape}")
+    for cb, r, stage_ids in zip(coder.codebooks, residuals, ids):
         k = cb.size
-        counts = np.bincount(ids, minlength=k).astype(np.float64)
+        counts = np.bincount(stage_ids, minlength=k).astype(np.float64)
         sums = np.zeros((k, cb.dim))
-        np.add.at(sums, ids, r)
+        np.add.at(sums, stage_ids, r)
         cb.ema_counts = (decay * cb.ema_counts + (1.0 - decay) * counts).astype(np.float32)
         cb.ema_sums = (decay * cb.ema_sums + (1.0 - decay) * sums).astype(np.float32)
         new_entries = cb.ema_sums / np.maximum(cb.ema_counts, COUNT_EPS)[:, None]
@@ -266,7 +269,6 @@ def ema_update(
         if coder.pin_zero:
             cb.entries[0] = 0.0
             cb.ema_sums[0] = 0.0
-        r = r - old_entries[ids]
     return coder
 
 

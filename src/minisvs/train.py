@@ -143,10 +143,19 @@ def load_latent_checkpoint(path):
     return models, cfg, meta, stats
 
 
-def _write_log(path, header: list[str], rows: list[list]) -> None:
+def _write_log(path, header: list[str], rows: list[list], start_step: int) -> None:
+    """Write the loss CSV. A run resumed at start_step > 0 keeps the rows an
+    earlier run logged in the same file for the steps before start_step."""
+    kept = []
+    if start_step > 0 and os.path.exists(path):
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) == header:
+                kept = [row for row in reader if int(float(row[0])) < start_step]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        writer.writerows(kept)
         writer.writerows(rows)
 
 
@@ -264,7 +273,7 @@ def train_codec(
     }
     save_checkpoint(ckpt_path, arrays, meta)
     log_path = os.path.join(out_dir, "codec_losses.csv")
-    _write_log(log_path, CODEC_LOG_HEADER, rows)
+    _write_log(log_path, CODEC_LOG_HEADER, rows, start_step)
     return ckpt_path, log_path
 
 
@@ -278,8 +287,8 @@ def _codec_step(cfg, models, songs, win, picks_rng, step, weights, opt, disc_opt
     x = np.stack([songs[s].logmel[o : o + win] for s, o in picks])  # (B, W, M)
     z = models.encoder(x)  # (B, W, D)
     flat = z.data.reshape(-1, cfg.latent_dim)
-    _, zq, _, selected = rvq.encode_detailed(models.coder, flat)
-    rvq.ema_update(models.coder, flat, cfg.ema_decay, rng=data_rng)
+    codes, zq, residuals, selected = rvq.encode_detailed(models.coder, flat)
+    rvq.ema_update(models.coder, residuals, codes.indices, cfg.ema_decay, rng=data_rng)
     zq_t = straight_through(z, zq.reshape(z.data.shape))
 
     x_hat = models.decoder(zq_t)
@@ -288,20 +297,17 @@ def _codec_step(cfg, models, songs, win, picks_rng, step, weights, opt, disc_opt
 
     lyr_ls = log_softmax(models.lyrics_head(zq_t), axis=-1)
     note_ls = log_softmax(models.note_head(zq_t), axis=-1)
-    l_lyrics = None
-    l_note = None
-    for b, (s, o) in enumerate(picks):
+    lyr_targets, note_targets = [], []
+    for s, o in picks:
         grid = songs[s].grid
-        lyr_t = losses.CtcTarget(
-            _collapse_labels(grid.phoneme[o : o + win]), models.alphabet_size
+        lyr_targets.append(
+            losses.CtcTarget(_collapse_labels(grid.phoneme[o : o + win]), models.alphabet_size)
         )
-        note_t = losses.CtcTarget(_collapse_labels(grid.midi[o : o + win]), NOTE_ALPHABET)
-        cl = losses.ctc_loss_graph(lyr_ls[b], lyr_t)
-        cn = losses.ctc_loss_graph(note_ls[b], note_t)
-        l_lyrics = cl if l_lyrics is None else l_lyrics + cl
-        l_note = cn if l_note is None else l_note + cn
-    l_lyrics = l_lyrics / float(cfg.batch)
-    l_note = l_note / float(cfg.batch)
+        note_targets.append(
+            losses.CtcTarget(_collapse_labels(grid.midi[o : o + win]), NOTE_ALPHABET)
+        )
+    l_lyrics = losses.ctc_loss_graph(lyr_ls, lyr_targets) / float(cfg.batch)
+    l_note = losses.ctc_loss_graph(note_ls, note_targets) / float(cfg.batch)
 
     parts = {"recon": l_recon, "emb": l_emb, "lyrics": l_lyrics, "note": l_note}
     adv_val = fm_val = 0.0
@@ -376,21 +382,40 @@ def train_latent(
     steps: int | None = None,
     seed: int | None = None,
     unlabeled_ratio: float = 0.0,
-    prior_mode: str = "data",
-    target_kind: str = "z0",
+    prior_mode: str | None = None,
+    target_kind: str | None = None,
     enhanced: bool = True,
     resume=None,
 ):
-    """Train condition + score networks on frozen-codec latents."""
-    if prior_mode not in ("data", "standard"):
+    """Train condition + score networks on frozen-codec latents.
+
+    prior_mode ("data" or "standard") and target_kind ("z0" or "zq") default
+    to "data" and "z0", or to the resumed checkpoint's; a value that
+    contradicts the resumed checkpoint raises ConfigError.
+    """
+    if prior_mode not in (None, "data", "standard"):
         raise ConfigError(f"unknown prior mode '{prior_mode}'")
-    if target_kind not in ("z0", "zq"):
+    if target_kind not in (None, "z0", "zq"):
         raise ConfigError(f"unknown latent target '{target_kind}'")
     if not (0.0 <= unlabeled_ratio <= 1.0):
         raise ConfigError("unlabeled ratio must lie in [0, 1]")
     os.makedirs(out_dir, exist_ok=True)
     steps = cfg.latent_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
+
+    if resume is not None:
+        arrays, meta = load_checkpoint(resume)
+        if meta.get("kind") != "latent":
+            raise ConfigError(f"{resume}: not a latent checkpoint")
+        for name, given in (("prior_mode", prior_mode), ("target_kind", target_kind)):
+            if given not in (None, meta[name]):
+                raise ConfigError(
+                    f"{resume}: checkpoint was trained with {name}={meta[name]!r}, "
+                    f"cannot resume with {given!r}"
+                )
+        prior_mode, target_kind = meta["prior_mode"], meta["target_kind"]
+    prior_mode = prior_mode or "data"
+    target_kind = target_kind or "z0"
 
     codec_models, codec_cfg, codec_meta = load_codec_checkpoint(codec_ckpt)
     _check_codec_compat(cfg, codec_cfg)
@@ -419,9 +444,6 @@ def train_latent(
     start_step = 0
 
     if resume is not None:
-        arrays, meta = load_checkpoint(resume)
-        if meta.get("kind") != "latent":
-            raise ConfigError(f"{resume}: not a latent checkpoint")
         set_params(named, arrays)
         opt.load_state_arrays([n for n, _ in named], arrays, meta["step"])
         data_rng.bit_generator.state = meta["rng_state"]
@@ -538,7 +560,7 @@ def train_latent(
     }
     save_checkpoint(ckpt_path, arrays, meta)
     log_path = os.path.join(out_dir, "latent_losses.csv")
-    _write_log(log_path, LATENT_LOG_HEADER, rows)
+    _write_log(log_path, LATENT_LOG_HEADER, rows, start_step)
     return ckpt_path, log_path
 
 
@@ -604,7 +626,10 @@ def sample_score(
     seed: int = 0,
     target_kind: str | None = None,
 ):
-    """Score JSON -> condition -> reverse diffusion -> decoded mel + report."""
+    """Score JSON -> condition -> reverse diffusion -> decoded mel + report.
+
+    target_kind defaults to the latent checkpoint's training target.
+    """
     os.makedirs(out_dir, exist_ok=True)
     codec_models, codec_cfg, _ = load_codec_checkpoint(codec_ckpt)
     latent_models, cfg, meta, (mean, std) = load_latent_checkpoint(latent_ckpt)
@@ -619,7 +644,7 @@ def sample_score(
     steps = cfg.steps if steps is None else steps
     tau = cfg.tau if tau is None else tau
     if target_kind is None:
-        target_kind = "z0"
+        target_kind = meta["target_kind"]
 
     enhanced = bool(meta.get("enhanced", True))
     fc = latent_models.cond.condition(grid, enhanced)

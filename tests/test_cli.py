@@ -57,6 +57,15 @@ class TestExitCodes:
                          "--wav", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--prior", "standard"], ["--target", "zq"]])
+    def test_resume_with_contradicting_mode_is_2(self, workdir, tmp_path, flag):
+        code = cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "r"), "--steps", "30",
+                         "--resume", str(workdir / "latent" / "latent.ckpt"),
+                         "--config", str(workdir / "cfg.json")] + flag)
+        assert code == 2
+
 
 class TestCodecRoundtrip:
     def test_encode_decode_via_cli(self, workdir, tmp_path):
@@ -103,6 +112,18 @@ class TestSampleAndEvaluate:
         report = json.loads((out / "report.json").read_text())
         assert report["tau"] == 1.5 and report["steps"] == 6
         assert (out / "latent.f32").exists() and (out / "mel.f32").exists()
+
+    def test_sample_target_defaults_to_the_checkpoint_target(self, workdir, tmp_path):
+        assert cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "zq"), "--steps", "3", "--seed", "0",
+                         "--target", "zq", "--config", str(workdir / "cfg.json")]) == 0
+        out = tmp_path / "samp"
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--latent", str(tmp_path / "zq" / "latent.ckpt"),
+                         "--out", str(out), "--steps", "4"]) == 0
+        assert json.loads((out / "report.json").read_text())["target"] == "zq"
 
     def test_evaluate_self_is_perfect(self, workdir, tmp_path):
         out = tmp_path / "report.json"

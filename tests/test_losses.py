@@ -111,19 +111,19 @@ class TestCtc:
 
     def test_graph_value_matches_plain(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((7, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 7, 4)), requires_grad=True)
         target = losses.CtcTarget((1, 3, 2), 3)
         ls = log_softmax(x, axis=-1)
-        a = float(losses.ctc_loss_graph(ls, target).data)
-        b = losses.ctc_loss(ls.data, target)
+        a = float(losses.ctc_loss_graph(ls, [target]).data)
+        b = losses.ctc_loss(ls.data[0], target)
         assert abs(a - b) < 1e-12
 
     def test_graph_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 6, 4)), requires_grad=True)
         target = losses.CtcTarget((2, 2), 3)
         err = gradient_check(
-            lambda: losses.ctc_loss_graph(log_softmax(x, axis=-1), target),
+            lambda: losses.ctc_loss_graph(log_softmax(x, axis=-1), [target]),
             [x],
             n_points=12,
             rng=np.random.default_rng(5),
@@ -135,6 +135,128 @@ class TestCtc:
             losses.CtcTarget((0,), 3)
         with pytest.raises(ValueError):
             losses.CtcTarget((4,), 3)
+
+
+def _reference_alpha_beta(logp, labels):
+    """Per-window log-space lattices, one window at a time: the reference."""
+    ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+    ext[1::2] = labels
+    t_len, s_len = logp.shape[0], ext.size
+    logp_ext = logp[:, ext]
+    skip_ok = np.zeros(s_len, dtype=bool)
+    skip_ok[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
+    skip_idx = np.flatnonzero(skip_ok)
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, : min(2, s_len)] = logp_ext[0, : min(2, s_len)]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        merged = prev.copy()
+        merged[1:] = np.logaddexp(merged[1:], prev[:-1])
+        merged[skip_idx] = np.logaddexp(merged[skip_idx], prev[skip_idx - 2])
+        alpha[t] = merged + logp_ext[t]
+    log_z = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if s_len > 1 else -np.inf)
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[-1, max(0, s_len - 2) :] = 0.0
+    for t in range(t_len - 2, -1, -1):
+        emit = beta[t + 1] + logp_ext[t + 1]
+        merged = emit.copy()
+        merged[:-1] = np.logaddexp(merged[:-1], emit[1:])
+        merged[skip_idx - 2] = np.logaddexp(merged[skip_idx - 2], emit[skip_idx])
+        beta[t] = merged
+    return ext, alpha, beta, float(log_z)
+
+
+def _reference_loss_and_grad(logp, targets):
+    """Summed per-window CTC and its gradient, minus the state posterior."""
+    total = 0.0
+    grad = np.zeros_like(logp)
+    for b, target in enumerate(targets):
+        ext, alpha, beta, log_z = _reference_alpha_beta(logp[b], target.labels)
+        total += -log_z
+        with np.errstate(invalid="ignore"):
+            posterior = np.exp(alpha + beta - log_z)
+        np.add.at(grad[b].T, ext, -posterior.T)
+    return total, grad
+
+
+def _log_softmax_np(logits):
+    return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+
+
+# windows of a codec batch: lengths 3-8, a repeated label, one label, all rest
+BATCH_LABELS = {
+    14: [(3, 7, 7, 2, 9, 1, 4, 4), (5,), (), (1, 2, 3), (6, 11, 6, 13, 2)],
+    127: [(60, 62, 64), (69,), (), (67, 67, 65, 64, 64, 62, 60), (57, 59, 60, 62)],
+}
+
+
+class TestBatchedCtc:
+    @pytest.mark.parametrize("alphabet", sorted(BATCH_LABELS))
+    def test_lattice_bit_identical_to_per_window_reference(self, alphabet):
+        rng = np.random.default_rng(alphabet)
+        targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
+        logp = _log_softmax_np(rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0)
+        ext, lengths = losses._pad_targets(targets, 128)
+        alpha, beta, log_z = losses._ctc_lattice(logp, ext, lengths)
+        for b, target in enumerate(targets):
+            _, ref_alpha, ref_beta, ref_log_z = _reference_alpha_beta(logp[b], target.labels)
+            s_len = ref_alpha.shape[1]
+            assert np.array_equal(alpha[b, :, :s_len], ref_alpha)
+            assert np.array_equal(beta[b, :, :s_len], ref_beta)
+            assert np.all(np.isneginf(alpha[b, :, s_len:]))
+            assert np.all(np.isneginf(beta[b, :, s_len:]))
+            assert log_z[b] == ref_log_z
+
+    @pytest.mark.parametrize("alphabet", sorted(BATCH_LABELS))
+    def test_loss_and_gradient_match_reference(self, alphabet):
+        rng = np.random.default_rng(alphabet + 1)
+        targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
+        logp = _log_softmax_np(rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0)
+        lp = Tensor(logp.copy(), requires_grad=True)
+        loss = losses.ctc_loss_graph(lp, targets)
+        loss.backward()
+        ref_loss, ref_grad = _reference_loss_and_grad(logp, targets)
+        assert abs(float(loss.data) - ref_loss) < 1e-12
+        assert lp.grad.shape == logp.shape
+        assert np.abs(lp.grad - ref_grad).max() < 1e-12
+
+    def test_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((4, 7, 4)), requires_grad=True)
+        targets = [losses.CtcTarget(labels, 3) for labels in ((1, 3, 2), (2, 2), (), (3,))]
+        err = gradient_check(
+            lambda: losses.ctc_loss_graph(log_softmax(x, axis=-1), targets),
+            [x],
+            n_points=24,
+            rng=np.random.default_rng(7),
+        )
+        assert err < 1e-4
+
+    def test_plain_loss_is_the_one_window_case(self):
+        rng = np.random.default_rng(8)
+        logp = _log_softmax_np(rng.standard_normal((3, 9, 5)))
+        targets = [losses.CtcTarget(labels, 4) for labels in ((1, 1, 2), (4,), ())]
+        per_window = [losses.ctc_loss(logp[b], t) for b, t in enumerate(targets)]
+        for b, target in enumerate(targets):
+            one = losses.ctc_loss_graph(Tensor(logp[b : b + 1]), [target])
+            assert float(one.data) == per_window[b]
+        total = float(losses.ctc_loss_graph(Tensor(logp), targets).data)
+        assert total == (per_window[0] + per_window[1]) + per_window[2]
+
+    def test_infeasible_window_named(self):
+        logp = _log_softmax_np(np.zeros((3, 3, 3)))
+        targets = [losses.CtcTarget(labels, 2) for labels in ((1,), (2, 1), (1, 1, 2))]
+        with pytest.raises(ValueError, match="window 2"):
+            losses.ctc_loss_graph(Tensor(logp), targets)
+
+    def test_shape_and_alphabet_mismatches_rejected(self):
+        logp = Tensor(_log_softmax_np(np.zeros((2, 4, 3))))
+        with pytest.raises(ValueError):
+            losses.ctc_loss_graph(logp, [losses.CtcTarget((1,), 2)])  # 2 windows, 1 target
+        with pytest.raises(ValueError):
+            losses.ctc_loss_graph(logp, [losses.CtcTarget((1,), 2), losses.CtcTarget((1,), 3)])
+        with pytest.raises(ValueError):
+            losses.ctc_loss_graph(Tensor(logp.data[0]), [losses.CtcTarget((1,), 2)])
 
 
 class TestContrastive:

@@ -180,19 +180,83 @@ class TestInitCodebooks:
             rvq.init_codebooks(coder, np.zeros((4, 4)), seed=0)
 
 
+def _ema(coder, batch, **kwargs):
+    """Encode a batch, then update the codebooks from that encode."""
+    codes, _, residuals, _ = rvq.encode_detailed(coder, batch)
+    return rvq.ema_update(coder, residuals, codes.indices, **kwargs)
+
+
+def _reference_ema_from_batch(coder, batch, decay, rng=None):
+    """EMA update that searches every stage again from a raw batch: the reference."""
+    r = np.asarray(batch, dtype=np.float64).copy()
+    for cb in coder.codebooks:
+        old_entries = cb.entries.astype(np.float64)
+        d = (r * r).sum(axis=1, keepdims=True) - 2.0 * (r @ old_entries.T) + (
+            old_entries * old_entries
+        ).sum(axis=1)
+        ids = np.argmin(d, axis=1)
+        counts = np.bincount(ids, minlength=cb.size).astype(np.float64)
+        sums = np.zeros((cb.size, cb.dim))
+        np.add.at(sums, ids, r)
+        cb.ema_counts = (decay * cb.ema_counts + (1.0 - decay) * counts).astype(np.float32)
+        cb.ema_sums = (decay * cb.ema_sums + (1.0 - decay) * sums).astype(np.float32)
+        new_entries = cb.ema_sums / np.maximum(cb.ema_counts, rvq.COUNT_EPS)[:, None]
+        if rng is not None:
+            dead = (counts == 0) & (cb.ema_counts < rvq.DEAD_CODE_THRESHOLD)
+            if coder.pin_zero:
+                dead[0] = False
+            if dead.any():
+                new_entries[dead] = r[rng.integers(0, r.shape[0], size=int(dead.sum()))]
+                cb.ema_counts[dead] = 1.0
+                cb.ema_sums[dead] = new_entries[dead]
+        cb.entries = new_entries.astype(np.float32)
+        if coder.pin_zero:
+            cb.entries[0] = 0.0
+            cb.ema_sums[0] = 0.0
+        r = r - old_entries[ids]
+
+
 class TestEmaUpdate:
+    @pytest.mark.parametrize("pin_zero", [False, True])
+    def test_byte_identical_to_searching_the_batch_again(self, pin_zero):
+        rng = np.random.default_rng(15)
+        books = [rng.standard_normal((16, 4)).astype(np.float32) * 0.5**c for c in range(3)]
+        ours = _coder_from_entries(*books, pin_zero=pin_zero)
+        ref = _coder_from_entries(*books, pin_zero=pin_zero)
+        ours_rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
+        for step in range(6):
+            batch = np.random.default_rng(100 + step).standard_normal((64, 4)) * (1.0 + step)
+            _ema(ours, batch, decay=0.9, rng=ours_rng)
+            _reference_ema_from_batch(ref, batch, 0.9, rng=ref_rng)
+            for a, b in zip(ours.codebooks, ref.codebooks):
+                for name in ("entries", "ema_counts", "ema_sums"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (step, name)
+        # dead entries were reseeded, from the same draws
+        assert ours_rng.bit_generator.state != np.random.default_rng(16).bit_generator.state
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_residual_and_id_shapes_checked(self):
+        coder = _coder_from_entries(BOOK1, BOOK2)
+        codes, _, residuals, _ = rvq.encode_detailed(coder, np.zeros((5, 2)))
+        with pytest.raises(ValueError):
+            rvq.ema_update(coder, residuals[:1], codes.indices[:1])  # one stage of two
+        with pytest.raises(ValueError):
+            rvq.ema_update(coder, residuals, codes.indices[:, :4])  # frames differ
+        with pytest.raises(ValueError):
+            rvq.ema_update(coder, residuals[0], codes.indices[0])  # not stage-major
+
     def test_fixed_point_when_batch_equals_entries(self):
         rng = np.random.default_rng(8)
         entries = rng.standard_normal((8, 3)).astype(np.float32)
         coder = _coder_from_entries(entries.copy())
-        rvq.ema_update(coder, entries.astype(np.float64), decay=0.99)
+        _ema(coder, entries.astype(np.float64), decay=0.99)
         assert np.abs(coder.codebooks[0].entries - entries).max() < 1e-6
 
     def test_decay_zero_gives_batch_mean(self):
         coder = _coder_from_entries([[0.0, 0.0], [100.0, 100.0]])
         rng = np.random.default_rng(9)
         batch = rng.standard_normal((30, 2)) * 0.1
-        rvq.ema_update(coder, batch, decay=0.0)
+        _ema(coder, batch, decay=0.0)
         assert np.abs(coder.codebooks[0].entries[0] - batch.mean(axis=0)).max() < 1e-6
 
     def test_distortion_drops_over_repeated_updates(self):
@@ -206,7 +270,7 @@ class TestEmaUpdate:
             zq = rvq.quantize(coder, holdout)
             errs.append(float(((holdout - zq) ** 2).mean()))
             batch = data_rng.standard_normal((256, 4))  # stationary source
-            rvq.ema_update(coder, batch, decay=0.9, rng=data_rng)
+            _ema(coder, batch, decay=0.9, rng=data_rng)
         assert errs[-1] < 0.5 * errs[0]
         # held-out distortion curve: monotone within 5% noise tolerance
         running = np.minimum.accumulate(errs)
@@ -216,10 +280,10 @@ class TestEmaUpdate:
         far = np.full((1, 2), 50.0, dtype=np.float32)
         coder = _coder_from_entries(np.vstack([np.zeros((1, 2), dtype=np.float32), far]))
         batch = np.random.default_rng(12).standard_normal((20, 2)) * 0.1
-        rvq.ema_update(coder, batch, decay=0.5)  # no rng: entry drifts but stays far
+        _ema(coder, batch, decay=0.5)  # no rng: entry drifts but stays far
         assert np.abs(coder.codebooks[0].entries[1]).max() > 10
         coder2 = _coder_from_entries(np.vstack([np.zeros((1, 2), dtype=np.float32), far]))
-        rvq.ema_update(coder2, batch, decay=0.5, rng=np.random.default_rng(13))
+        _ema(coder2, batch, decay=0.5, rng=np.random.default_rng(13))
         assert np.abs(coder2.codebooks[0].entries[1]).max() < 5  # reseeded from batch
 
     def test_pin_zero_entry_survives_updates(self):
@@ -227,13 +291,13 @@ class TestEmaUpdate:
         entries = rng.standard_normal((8, 3)).astype(np.float32)
         coder = rvq.RvqCoder([rvq.Codebook(entries)], pin_zero=True)
         for _ in range(5):
-            rvq.ema_update(coder, rng.standard_normal((64, 3)), rng=rng)
+            _ema(coder, rng.standard_normal((64, 3)), rng=rng)
         assert np.all(coder.codebooks[0].entries[0] == 0.0)
 
     def test_bad_decay_rejected(self):
         coder = _coder_from_entries(BOOK1)
         with pytest.raises(ValueError):
-            rvq.ema_update(coder, np.zeros((4, 2)), decay=1.0)
+            _ema(coder, np.zeros((4, 2)), decay=1.0)
 
 
 class TestDistortionMonotonicity:

@@ -88,6 +88,14 @@ class TestCodecTraining:
         for name in a:
             assert np.array_equal(a[name], b[name]), name
 
+    def test_resume_into_same_directory_keeps_earlier_log_rows(self, cfg, corpus_dir, tmp_path):
+        _, log_full = train.train_codec(cfg, corpus_dir, tmp_path / "full", steps=9, seed=7)
+        run = tmp_path / "run"
+        ck_six, _ = train.train_codec(cfg, corpus_dir, run, steps=6, seed=7)
+        _, log = train.train_codec(cfg, corpus_dir, run, steps=9, seed=7, resume=ck_six)
+        assert train.read_loss_log(log)["step"].tolist() == list(range(9))
+        assert open(log, "rb").read() == open(log_full, "rb").read()
+
     def test_same_seed_bit_identical_checkpoints(self, cfg, corpus_dir, tmp_path):
         ck1, _ = train.train_codec(cfg, corpus_dir, tmp_path / "r1", steps=5, seed=4)
         ck2, _ = train.train_codec(cfg, corpus_dir, tmp_path / "r2", steps=5, seed=4)
@@ -187,6 +195,42 @@ class TestLatentTraining:
         b, _ = fileio.load_checkpoint(ck_res)
         for name in a:
             assert np.array_equal(a[name], b[name]), name
+
+    def test_resume_into_same_directory_keeps_earlier_log_rows(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        _, log_full = train.train_latent(
+            cfg, corpus_dir, codec_ckpt, tmp_path / "full", steps=7, seed=7
+        )
+        run = tmp_path / "run"
+        ck_four, _ = train.train_latent(cfg, corpus_dir, codec_ckpt, run, steps=4, seed=7)
+        _, log = train.train_latent(
+            cfg, corpus_dir, codec_ckpt, run, steps=7, seed=7, resume=ck_four
+        )
+        assert train.read_loss_log(log)["step"].tolist() == list(range(7))
+        assert open(log, "rb").read() == open(log_full, "rb").read()
+
+    def test_resume_refuses_modes_that_contradict_the_checkpoint(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        ckpt, _ = train.train_latent(
+            cfg, corpus_dir, codec_ckpt, tmp_path / "a", steps=2, seed=8, prior_mode="standard"
+        )
+        with pytest.raises(ConfigError, match="prior_mode"):
+            train.train_latent(
+                cfg, corpus_dir, codec_ckpt, tmp_path / "b", steps=3, resume=ckpt, prior_mode="data"
+            )
+        with pytest.raises(ConfigError, match="target_kind"):
+            train.train_latent(
+                cfg, corpus_dir, codec_ckpt, tmp_path / "b", steps=3, resume=ckpt, target_kind="zq"
+            )
+        # modes left out, or given as saved, follow the checkpoint
+        for kwargs in ({}, {"prior_mode": "standard", "target_kind": "z0"}):
+            resumed, _ = train.train_latent(
+                cfg, corpus_dir, codec_ckpt, tmp_path / "c", steps=3, resume=ckpt, **kwargs
+            )
+            _, _, meta, _ = train.load_latent_checkpoint(resumed)
+            assert (meta["prior_mode"], meta["target_kind"]) == ("standard", "z0")
 
     def test_incompatible_config_rejected(self, corpus_dir, codec_ckpt, tmp_path):
         bad = config_from_dict(dict(FAST, latent_dim=6))
@@ -293,6 +337,20 @@ class TestSampling:
         z, _ = fileio.load_matrix(lat)
         # latent file holds the raw sampled z0; decode used its projection
         assert z.shape[1] == ccfg.latent_dim
+
+    def test_target_defaults_to_the_checkpoint_target(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        zq_ckpt, _ = train.train_latent(
+            cfg, corpus_dir, codec_ckpt, tmp_path / "zq", steps=3, seed=9, target_kind="zq"
+        )
+        score = str(corpus_dir / "song000.score.json")
+        _, _, rep = train.sample_score(score, codec_ckpt, zq_ckpt, tmp_path / "s", steps=4)
+        assert json.loads(open(rep).read())["target"] == "zq"
+        _, _, rep = train.sample_score(
+            score, codec_ckpt, zq_ckpt, tmp_path / "t", steps=4, target_kind="z0"
+        )
+        assert json.loads(open(rep).read())["target"] == "z0"
 
     def test_frame_overflow_rejected(self, corpus_dir, codec_ckpt, latent_ckpt, tmp_path):
         table = json.loads(open(corpus_dir / "phonemes.json").read())
