@@ -80,12 +80,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--unlabeled-ratio", type=float, default=0.0)
+    p.add_argument("--unlabeled-ratio", type=float,
+                   help="default: 0, or the resumed checkpoint's")
     p.add_argument("--prior", choices=("data", "standard"),
                    help="default: data, or the resumed checkpoint's")
     p.add_argument("--target", choices=("z0", "zq"),
                    help="default: z0, or the resumed checkpoint's")
-    p.add_argument("--no-enhanced-ce", action="store_true")
+    p.add_argument("--no-enhanced-ce", action="store_true",
+                   help="default: enhanced, or the resumed checkpoint's")
     p.add_argument("--resume")
     _add_config(p)
 
@@ -162,7 +164,7 @@ def _dispatch(args) -> int:
             unlabeled_ratio=args.unlabeled_ratio,
             prior_mode=args.prior,
             target_kind=args.target,
-            enhanced=not args.no_enhanced_ce,
+            enhanced=False if args.no_enhanced_ce else None,
             resume=args.resume,
         )
         print(f"checkpoint: {ckpt}\nloss log: {log}")

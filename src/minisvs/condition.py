@@ -271,16 +271,6 @@ class ConditionNet:
         return self.feat_proj.params(prefix + ".feat_proj") + self.f0_emb.params(prefix + ".f0")
 
 
-def build_condition(net: ConditionNet, grid: FrameGrid, enhanced: bool = True) -> FrameCondition:
-    return net.condition(grid, enhanced)
-
-
-def build_unsupervised_condition(
-    net: ConditionNet, frame_features, quantized_f0, enhanced: bool = True
-) -> FrameCondition:
-    return net.condition_unsupervised(frame_features, quantized_f0, enhanced)
-
-
 # -- score files ----------------------------------------------------------------
 
 

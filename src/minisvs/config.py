@@ -19,9 +19,13 @@ class LossConfig:
     fm: float = 2.0
     lyrics: float = 1.0
     note: float = 1.0
-    prior: float = 1.0
     tau_cont: float = 0.5
     n_neg: int = 10
+
+    def __post_init__(self):
+        for name in ("recon", "emb", "fm", "lyrics", "note"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"loss weight '{name}' must be >= 0")
 
 
 @dataclass

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NumericalError, Tensor
+from .autodiff import NumericalError
+from .losses import _check_shapes, _values_of
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -63,7 +64,7 @@ def transition(sched: NoiseSchedule, z0_prime, mu_hat, t: float) -> TransitionPa
     rho_t = (1 - e^{-1/2 int beta}) mu + e^{-1/2 int beta} z0'
     lam_t = 1 - e^{-int beta}
     """
-    _require_same_frames(z0_prime, mu_hat)
+    _check_shapes(z0_prime, mu_hat)
     ib = integral_beta(sched, 0.0, t)
     a = math.exp(-0.5 * ib)
     lam = 1.0 - math.exp(-ib)
@@ -116,10 +117,10 @@ def diffusion_loss(
     if t_values is None:
         t_values = [float(rng.uniform(t_min, sched.horizon)) for _ in batch]
     if noises is None:
-        noises = [rng.standard_normal(np.shape(_values(z))) for z, _, _ in batch]
+        noises = [rng.standard_normal(np.shape(_values_of(z))) for z, _, _ in batch]
     total = None
     for (z0p, mu, h_cond), t, eps in zip(batch, t_values, noises):
-        eps = np.asarray(eps, dtype=_values(z0p).dtype)
+        eps = np.asarray(eps, dtype=_values_of(z0p).dtype)
         z_t, target = forward_sample(sched, z0p, mu, t, eps)
         s = score_fn(z_t, mu, h_cond, t)
         diff = s - target
@@ -200,13 +201,3 @@ def _check_stats(mean, std):
     if np.any(std <= 0):
         raise ValueError("std must be positive in every dimension")
     return mean, std
-
-
-def _values(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def _require_same_frames(a, b):
-    va, vb = _values(a), _values(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"shape mismatch: {va.shape} vs {vb.shape}")

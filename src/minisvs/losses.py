@@ -19,21 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, custom
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    recon: float = 45.0
-    emb: float = 0.02
-    fm: float = 2.0
-    lyrics: float = 1.0
-    note: float = 1.0
-    prior: float = 1.0
-
-    def __post_init__(self):
-        for name in ("recon", "emb", "fm", "lyrics", "note", "prior"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight '{name}' must be >= 0")
+from .config import LossConfig
 
 
 @dataclass(frozen=True)
@@ -293,7 +279,7 @@ def _row_cos(a, b):
 # -- totals --------------------------------------------------------------------
 
 
-def generator_total(parts: dict, weights: LossWeights):
+def generator_total(parts: dict, weights: LossConfig):
     """Weighted audio-autoencoder objective.
 
     parts maps {adv, recon, emb, fm, lyrics, note} to loss values; missing

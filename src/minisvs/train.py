@@ -4,10 +4,10 @@ Codec training: toy mel autoencoder around the RVQ bottleneck with the
 weighted generator objective (reconstruction, commitment, CTC heads,
 optional LSGAN + feature matching). Latent training: condition network +
 score network over frozen-codec latents with the lambda-weighted
-score-matching loss, prior NLL and optional contrastive terms. Both loops
-are bit-reproducible given config + seed, log CSV rows per step, and
-checkpoint enough state (params, optimizer moments, rng) to resume
-exactly.
+score-matching loss, prior NLL and optional contrastive terms. Both run
+one step function inside the same loop, which is bit-reproducible given
+config + seed, logs CSV rows per step, and checkpoints enough state
+(params, optimizer moments, rng) to resume exactly.
 """
 from __future__ import annotations
 
@@ -120,10 +120,16 @@ def _restore_rvq(coder: rvq.RvqCoder, arrays: dict[str, np.ndarray]) -> None:
         cb.ema_sums = arrays[f"rvq.{i}.ema_sums"].astype(np.float32).reshape(cb.ema_sums.shape)
 
 
-def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
+def _load_kind(path, kind: str):
+    """load_checkpoint, refusing a checkpoint of another kind."""
     arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "codec":
-        raise ConfigError(f"{path}: not a codec checkpoint")
+    if meta.get("kind") != kind:
+        raise ConfigError(f"{path}: not a {kind} checkpoint")
+    return arrays, meta
+
+
+def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
+    arrays, meta = _load_kind(path, "codec")
     cfg = config_from_dict(meta["config"])
     models = build_codec_models(cfg, int(meta["alphabet_size"]), np.random.default_rng(0))
     set_params(models.gen_named_params(), arrays)
@@ -133,9 +139,7 @@ def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
 
 
 def load_latent_checkpoint(path):
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "latent":
-        raise ConfigError(f"{path}: not a latent checkpoint")
+    arrays, meta = _load_kind(path, "latent")
     cfg = config_from_dict(meta["config"])
     models = build_latent_models(cfg, int(meta["alphabet_size"]), np.random.default_rng(0))
     set_params(models.named_params(), arrays)
@@ -157,6 +161,52 @@ def _write_log(path, header: list[str], rows: list[list], start_step: int) -> No
         writer.writerow(header)
         writer.writerows(kept)
         writer.writerows(rows)
+
+
+def _train_loop(kind, out_dir, steps, step_fn, resumed, groups, data_rng, extra_arrays,
+                meta, header):
+    """The loop both trainers share; returns (checkpoint_path, log_path).
+
+    groups holds (named_params, optimizer, meta step key) per optimizer. A
+    resumed (arrays, meta) pair restores their params and moments and the
+    data rng, and training continues at its step. step_fn(step) runs one
+    step and returns its log row. The loss CSV is written however the loop
+    ends, so a diverging run leaves the rows of the steps before the
+    failing one; the checkpoint (params, extra_arrays(), optimizer moments)
+    is written only when every step ran.
+    """
+    start_step = 0
+    if resumed is not None:
+        arrays, saved = resumed
+        for named, opt, key in groups:
+            set_params(named, arrays)
+            opt.load_state_arrays([n for n, _ in named], arrays, saved[key])
+        data_rng.bit_generator.state = saved["rng_state"]
+        start_step = int(saved["step"])
+    rows = []
+    log_path = os.path.join(out_dir, f"{kind}_losses.csv")
+    try:
+        for step in range(start_step, steps):
+            try:
+                rows.append(step_fn(step))
+            except NumericalError as exc:
+                raise NumericalError(f"{kind} training diverged at step {step}: {exc}") from None
+    finally:
+        _write_log(log_path, header, rows, start_step)
+
+    arrays = {name: p.data for named, _, _ in groups for name, p in named}
+    arrays.update(extra_arrays())
+    for named, opt, _ in groups:
+        arrays.update(opt.state_arrays([n for n, _ in named]))
+    meta = {
+        "kind": kind,
+        **meta,
+        **{key: opt.step_count for _, opt, key in groups},
+        "rng_state": data_rng.bit_generator.state,
+    }
+    ckpt_path = os.path.join(out_dir, f"{kind}.ckpt")
+    save_checkpoint(ckpt_path, arrays, meta)
+    return ckpt_path, log_path
 
 
 def read_loss_log(path) -> dict[str, np.ndarray]:
@@ -205,6 +255,7 @@ def train_codec(
     os.makedirs(out_dir, exist_ok=True)
     steps = cfg.codec_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
+    resumed = None if resume is None else _load_kind(resume, "codec")
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
@@ -216,19 +267,9 @@ def train_codec(
     disc_named = models.disc_named_params()
     disc_opt = AdamW([p for _, p in disc_named], cfg.lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
     data_rng = np.random.default_rng(seed + 1)
-    start_step = 0
 
-    if resume is not None:
-        arrays, meta = load_checkpoint(resume)
-        if meta.get("kind") != "codec":
-            raise ConfigError(f"{resume}: not a codec checkpoint")
-        set_params(gen_named, arrays)
-        set_params(disc_named, arrays)
-        _restore_rvq(models.coder, arrays)
-        opt.load_state_arrays([n for n, _ in gen_named], arrays, meta["step"])
-        disc_opt.load_state_arrays([n for n, _ in disc_named], arrays, meta["disc_step"])
-        data_rng.bit_generator.state = meta["rng_state"]
-        start_step = int(meta["step"])
+    if resumed is not None:
+        _restore_rvq(models.coder, resumed[0])
     else:
         # seed the codebooks from the untrained encoder's latents
         sample = np.concatenate([s.logmel for s in songs])[: max(4 * cfg.codebook_size, 512)]
@@ -237,49 +278,21 @@ def train_codec(
             rvq.RvqCoder(models.coder.codebooks, pin_zero=cfg.pin_zero_entry), z0, seed
         )
 
-    weights = losses.LossWeights(
-        recon=cfg.loss.recon,
-        emb=cfg.loss.emb,
-        fm=cfg.loss.fm,
-        lyrics=cfg.loss.lyrics,
-        note=cfg.loss.note,
-        prior=cfg.loss.prior,
+    return _train_loop(
+        "codec", out_dir, steps,
+        lambda step: _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt,
+                                 gen_params, adversarial),
+        resumed,
+        groups=[(gen_named, opt, "step"), (disc_named, disc_opt, "disc_step")],
+        data_rng=data_rng,
+        extra_arrays=lambda: _rvq_arrays(models.coder),
+        meta={"config": cfg.to_dict(), "alphabet_size": alphabet_size, "phoneme_table": table},
+        header=CODEC_LOG_HEADER,
     )
-    rows = []
-    for step in range(start_step, steps):
-        try:
-            rows.append(
-                _codec_step(cfg, models, songs, win, picks_rng=data_rng, step=step,
-                            weights=weights, opt=opt, disc_opt=disc_opt,
-                            gen_params=gen_params, adversarial=adversarial)
-            )
-        except NumericalError as exc:
-            raise NumericalError(f"codec training diverged at step {step}: {exc}") from None
-
-    ckpt_path = os.path.join(out_dir, "codec.ckpt")
-    arrays = {name: p.data for name, p in gen_named}
-    arrays.update({name: p.data for name, p in disc_named})
-    arrays.update(_rvq_arrays(models.coder))
-    arrays.update(opt.state_arrays([n for n, _ in gen_named]))
-    arrays.update(disc_opt.state_arrays([n for n, _ in disc_named]))
-    meta = {
-        "kind": "codec",
-        "config": cfg.to_dict(),
-        "alphabet_size": alphabet_size,
-        "step": steps,
-        "disc_step": disc_opt.step_count,
-        "rng_state": data_rng.bit_generator.state,
-        "phoneme_table": table,
-    }
-    save_checkpoint(ckpt_path, arrays, meta)
-    log_path = os.path.join(out_dir, "codec_losses.csv")
-    _write_log(log_path, CODEC_LOG_HEADER, rows, start_step)
-    return ckpt_path, log_path
 
 
-def _codec_step(cfg, models, songs, win, picks_rng, step, weights, opt, disc_opt,
-                gen_params, adversarial):
-    data_rng = picks_rng
+def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, gen_params,
+                adversarial):
     picks = []
     for _ in range(cfg.batch):
         s = int(data_rng.integers(0, len(songs)))
@@ -319,7 +332,7 @@ def _codec_step(cfg, models, songs, win, picks_rng, step, weights, opt, disc_opt
         adv_val = float(parts["adv"].data)
         fm_val = float(parts["fm"].data)
 
-    total = losses.generator_total(parts, weights)
+    total = losses.generator_total(parts, cfg.loss)
     opt.zero_grad()
     disc_opt.zero_grad()
     total.backward()
@@ -381,59 +394,67 @@ def train_latent(
     out_dir,
     steps: int | None = None,
     seed: int | None = None,
-    unlabeled_ratio: float = 0.0,
+    unlabeled_ratio: float | None = None,
     prior_mode: str | None = None,
     target_kind: str | None = None,
-    enhanced: bool = True,
+    enhanced: bool | None = None,
     resume=None,
 ):
     """Train condition + score networks on frozen-codec latents.
 
-    prior_mode ("data" or "standard") and target_kind ("z0" or "zq") default
-    to "data" and "z0", or to the resumed checkpoint's; a value that
-    contradicts the resumed checkpoint raises ConfigError.
+    unlabeled_ratio, prior_mode ("data" or "standard"), target_kind ("z0"
+    or "zq") and enhanced default to 0.0, "data", "z0" and True, or to the
+    resumed checkpoint's; a value that contradicts the resumed checkpoint
+    raises ConfigError.
     """
     if prior_mode not in (None, "data", "standard"):
         raise ConfigError(f"unknown prior mode '{prior_mode}'")
     if target_kind not in (None, "z0", "zq"):
         raise ConfigError(f"unknown latent target '{target_kind}'")
-    if not (0.0 <= unlabeled_ratio <= 1.0):
+    if unlabeled_ratio is not None and not (0.0 <= unlabeled_ratio <= 1.0):
         raise ConfigError("unlabeled ratio must lie in [0, 1]")
     os.makedirs(out_dir, exist_ok=True)
     steps = cfg.latent_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
 
-    if resume is not None:
-        arrays, meta = load_checkpoint(resume)
-        if meta.get("kind") != "latent":
-            raise ConfigError(f"{resume}: not a latent checkpoint")
-        for name, given in (("prior_mode", prior_mode), ("target_kind", target_kind)):
-            if given not in (None, meta[name]):
+    modes = {"unlabeled_ratio": unlabeled_ratio, "prior_mode": prior_mode,
+             "target_kind": target_kind, "enhanced": enhanced}
+    resumed = None if resume is None else _load_kind(resume, "latent")
+    if resumed is not None:
+        saved = resumed[1]
+        for name, given in modes.items():
+            if name not in saved:
+                raise ConfigError(f"{resume}: checkpoint does not record {name}")
+            if given not in (None, saved[name]):
                 raise ConfigError(
-                    f"{resume}: checkpoint was trained with {name}={meta[name]!r}, "
+                    f"{resume}: checkpoint was trained with {name}={saved[name]!r}, "
                     f"cannot resume with {given!r}"
                 )
-        prior_mode, target_kind = meta["prior_mode"], meta["target_kind"]
-    prior_mode = prior_mode or "data"
-    target_kind = target_kind or "z0"
+            modes[name] = saved[name]
+    defaults = {"unlabeled_ratio": 0.0, "prior_mode": "data", "target_kind": "z0", "enhanced": True}
+    modes = {name: defaults[name] if v is None else v for name, v in modes.items()}
 
-    codec_models, codec_cfg, codec_meta = load_codec_checkpoint(codec_ckpt)
+    codec_models, codec_cfg, _ = load_codec_checkpoint(codec_ckpt)
     _check_codec_compat(cfg, codec_cfg)
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
 
-    z_all = _frozen_latents(codec_models, songs, cfg, target_kind)
-    mean, std = diffusion.latent_stats(np.concatenate(z_all))
-    # canonical f32 stats: the checkpoint stores f32, and resume must see
-    # bit-identical normalized latents
-    mean = mean.astype(np.float32).astype(np.float64)
-    std = std.astype(np.float32).astype(np.float64)
+    z_all = _frozen_latents(codec_models, songs, cfg, modes["target_kind"])
+    if resumed is None:
+        mean, std = diffusion.latent_stats(np.concatenate(z_all))
+        # canonical f32 stats: the checkpoint stores f32, and resume must see
+        # bit-identical normalized latents
+        mean = mean.astype(np.float32).astype(np.float64)
+        std = std.astype(np.float32).astype(np.float64)
+        split_rng = np.random.default_rng(seed + 17)
+        n_unlabeled = int(round(modes["unlabeled_ratio"] * len(songs)))
+        unlabeled = set(split_rng.permutation(len(songs))[:n_unlabeled].tolist())
+    else:
+        mean = resumed[0]["latent_stats.mean"].reshape(-1).astype(np.float64)
+        std = resumed[0]["latent_stats.std"].reshape(-1).astype(np.float64)
+        unlabeled = set(resumed[1]["unlabeled_songs"])
     z_norm = [diffusion.normalize_latent(z, mean, std).astype(np.float32) for z in z_all]
-
-    split_rng = np.random.default_rng(seed + 17)
-    n_unlabeled = int(round(unlabeled_ratio * len(songs)))
-    unlabeled = set(split_rng.permutation(len(songs))[:n_unlabeled].tolist())
 
     models = build_latent_models(cfg, alphabet_size, np.random.default_rng(seed))
     named = models.named_params()
@@ -441,127 +462,107 @@ def train_latent(
     opt = AdamW(params, cfg.latent_lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
     data_rng = np.random.default_rng(seed + 2)
     sched = diffusion.NoiseSchedule(cfg.beta0, cfg.betaT)
-    start_step = 0
 
-    if resume is not None:
-        set_params(named, arrays)
-        opt.load_state_arrays([n for n, _ in named], arrays, meta["step"])
-        data_rng.bit_generator.state = meta["rng_state"]
-        mean = arrays["latent_stats.mean"].reshape(-1).astype(np.float64)
-        std = arrays["latent_stats.std"].reshape(-1).astype(np.float64)
-        z_norm = [
-            diffusion.normalize_latent(z, mean, std).astype(np.float32) for z in z_all
-        ]
-        unlabeled = set(meta["unlabeled_songs"])
-        start_step = int(meta["step"])
+    return _train_loop(
+        "latent", out_dir, steps,
+        lambda step: _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched,
+                                  data_rng, step, opt, params),
+        resumed,
+        groups=[(named, opt, "step")],
+        data_rng=data_rng,
+        extra_arrays=lambda: {"latent_stats.mean": mean.reshape(1, -1),
+                              "latent_stats.std": std.reshape(1, -1)},
+        meta={
+            "config": cfg.to_dict(),
+            "alphabet_size": alphabet_size,
+            "phoneme_table": table,
+            **modes,
+            "unlabeled_songs": sorted(unlabeled),
+            "codec_checkpoint": str(codec_ckpt),
+        },
+        header=LATENT_LOG_HEADER,
+    )
 
-    use_contrastive = unlabeled_ratio > 0.0
-    score_fn = lambda zt, m, h, t: models.score(zt, m, h, t)  # noqa: E731
-    rows = []
-    for step in range(start_step, steps):
-        # windows are grouped by supervision kind so each group runs the
-        # nets once on a stacked (B, W, ...) batch; t is drawn per group
-        sup_picks, unsup_picks = [], []
-        for _ in range(cfg.batch):
-            s = int(data_rng.integers(0, len(songs)))
-            o = int(data_rng.integers(0, songs[s].frames - win + 1))
-            (unsup_picks if s in unlabeled else sup_picks).append((s, o))
 
-        try:
-            l_diff = None
-            l_prior = None
-            cont_lyr = cont_mel = None
-            for picks, unsup in ((sup_picks, False), (unsup_picks, True)):
-                if not picks:
-                    continue
-                z0p = np.stack([z_norm[s][o : o + win] for s, o in picks])
-                if unsup:
-                    feats = np.stack([songs[s].features[o : o + win] for s, o in picks])
-                    f0 = np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
-                    fc = models.cond.condition_unsupervised(feats, f0, enhanced)
-                else:
-                    grid_b = _stack_grids([(songs[s].grid, o, win) for s, o in picks])
-                    fc = models.cond.condition(grid_b, enhanced)
-                    if use_contrastive:
-                        h_lyr = models.cond.lyrics_repr(grid_b)
-                        h_mel = models.cond.melody_repr(grid_b)
-                        h_lyr_u = models.cond.lyrics_u_repr(
-                            np.stack([songs[s].features[o : o + win] for s, o in picks])
-                        )
-                        h_mel_u = models.cond.melody_u_repr(
-                            np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
-                        )
-                        for b in range(len(picks)):
-                            cl = losses.contrastive_loss(
-                                h_lyr[b], h_lyr_u[b], cfg.loss.tau_cont, cfg.loss.n_neg, data_rng
-                            )
-                            cm = losses.contrastive_loss(
-                                h_mel[b], h_mel_u[b], cfg.loss.tau_cont, cfg.loss.n_neg, data_rng
-                            )
-                            cont_lyr = cl if cont_lyr is None else cont_lyr + cl
-                            cont_mel = cm if cont_mel is None else cont_mel + cm
-                mu = fc.mu_hat if prior_mode == "data" else np.zeros_like(z0p)
-                weight = len(picks) / float(cfg.batch)
-                part = diffusion.diffusion_loss(
-                    score_fn, [(z0p, mu, fc.h_cond)], sched, data_rng, t_min=cfg.t_min
+def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_rng, step, opt,
+                 params):
+    # windows are grouped by supervision kind so each group runs the
+    # nets once on a stacked (B, W, ...) batch; t is drawn per group
+    sup_picks, unsup_picks = [], []
+    for _ in range(cfg.batch):
+        s = int(data_rng.integers(0, len(songs)))
+        o = int(data_rng.integers(0, songs[s].frames - win + 1))
+        (unsup_picks if s in unlabeled else sup_picks).append((s, o))
+
+    data_prior = modes["prior_mode"] == "data"
+    enhanced = modes["enhanced"]
+    l_diff = None
+    l_prior = None
+    cont_lyr = cont_mel = None
+    for picks, unsup in ((sup_picks, False), (unsup_picks, True)):
+        if not picks:
+            continue
+        z0p = np.stack([z_norm[s][o : o + win] for s, o in picks])
+        if unsup:
+            feats = np.stack([songs[s].features[o : o + win] for s, o in picks])
+            f0 = np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
+            fc = models.cond.condition_unsupervised(feats, f0, enhanced)
+        else:
+            grid_b = _stack_grids([(songs[s].grid, o, win) for s, o in picks])
+            fc = models.cond.condition(grid_b, enhanced)
+            if modes["unlabeled_ratio"] > 0.0:
+                h_lyr = models.cond.lyrics_repr(grid_b)
+                h_mel = models.cond.melody_repr(grid_b)
+                h_lyr_u = models.cond.lyrics_u_repr(
+                    np.stack([songs[s].features[o : o + win] for s, o in picks])
                 )
-                l_diff = part * weight if l_diff is None else l_diff + part * weight
-                if prior_mode == "data":
-                    p_part = diffusion.prior_loss(z0p, mu) * weight
-                    l_prior = p_part if l_prior is None else l_prior + p_part
-
-            lam_prior = cfg.lambda_prior if prior_mode == "data" else 0.0
-            l_prior = 0.0 if l_prior is None else l_prior
-            cont_terms = []
-            if cont_lyr is not None:
-                n_sup = float(len(sup_picks))
-                cont_terms = [cont_lyr / n_sup, cont_mel / n_sup]
-            total = losses.latent_generator_total(l_diff, l_prior, lam_prior, cont_terms)
-
-            opt.zero_grad()
-            total.backward()
-            gnorm = grad_norm(params)
-            g_sup = grad_norm([p for _, p in models.cond.supervised_params("cond")])
-            g_unsup = grad_norm([p for _, p in models.cond.unsupervised_params("cond")])
-            opt.step()
-        except NumericalError as exc:
-            raise NumericalError(f"latent training diverged at step {step}: {exc}") from None
-        rows.append(
-            [
-                step,
-                float(l_diff.data),
-                float(l_prior.data) if isinstance(l_prior, Tensor) else float(l_prior),
-                float(cont_terms[0].data) if cont_terms else 0.0,
-                float(cont_terms[1].data) if cont_terms else 0.0,
-                float(total.data),
-                gnorm,
-                g_sup,
-                g_unsup,
-            ]
+                h_mel_u = models.cond.melody_u_repr(
+                    np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
+                )
+                for b in range(len(picks)):
+                    cl = losses.contrastive_loss(
+                        h_lyr[b], h_lyr_u[b], cfg.loss.tau_cont, cfg.loss.n_neg, data_rng
+                    )
+                    cm = losses.contrastive_loss(
+                        h_mel[b], h_mel_u[b], cfg.loss.tau_cont, cfg.loss.n_neg, data_rng
+                    )
+                    cont_lyr = cl if cont_lyr is None else cont_lyr + cl
+                    cont_mel = cm if cont_mel is None else cont_mel + cm
+        mu = fc.mu_hat if data_prior else np.zeros_like(z0p)
+        weight = len(picks) / float(cfg.batch)
+        part = diffusion.diffusion_loss(
+            models.score, [(z0p, mu, fc.h_cond)], sched, data_rng, t_min=cfg.t_min
         )
+        l_diff = part * weight if l_diff is None else l_diff + part * weight
+        if data_prior:
+            p_part = diffusion.prior_loss(z0p, mu) * weight
+            l_prior = p_part if l_prior is None else l_prior + p_part
 
-    ckpt_path = os.path.join(out_dir, "latent.ckpt")
-    arrays = {name: p.data for name, p in named}
-    arrays["latent_stats.mean"] = mean.reshape(1, -1)
-    arrays["latent_stats.std"] = std.reshape(1, -1)
-    arrays.update(opt.state_arrays([n for n, _ in named]))
-    meta = {
-        "kind": "latent",
-        "config": cfg.to_dict(),
-        "alphabet_size": alphabet_size,
-        "step": steps,
-        "rng_state": data_rng.bit_generator.state,
-        "phoneme_table": table,
-        "prior_mode": prior_mode,
-        "target_kind": target_kind,
-        "enhanced": enhanced,
-        "unlabeled_songs": sorted(unlabeled),
-        "codec_checkpoint": str(codec_ckpt),
-    }
-    save_checkpoint(ckpt_path, arrays, meta)
-    log_path = os.path.join(out_dir, "latent_losses.csv")
-    _write_log(log_path, LATENT_LOG_HEADER, rows, start_step)
-    return ckpt_path, log_path
+    lam_prior = cfg.lambda_prior if data_prior else 0.0
+    l_prior = 0.0 if l_prior is None else l_prior
+    cont_terms = []
+    if cont_lyr is not None:
+        n_sup = float(len(sup_picks))
+        cont_terms = [cont_lyr / n_sup, cont_mel / n_sup]
+    total = losses.latent_generator_total(l_diff, l_prior, lam_prior, cont_terms)
+
+    opt.zero_grad()
+    total.backward()
+    gnorm = grad_norm(params)
+    g_sup = grad_norm([p for _, p in models.cond.supervised_params("cond")])
+    g_unsup = grad_norm([p for _, p in models.cond.unsupervised_params("cond")])
+    opt.step()
+    return [
+        step,
+        float(l_diff.data),
+        float(l_prior.data) if isinstance(l_prior, Tensor) else float(l_prior),
+        float(cont_terms[0].data) if cont_terms else 0.0,
+        float(cont_terms[1].data) if cont_terms else 0.0,
+        float(total.data),
+        gnorm,
+        g_sup,
+        g_unsup,
+    ]
 
 
 def _stack_grids(windows) -> cond_mod.FrameGrid:
@@ -575,20 +576,6 @@ def _stack_grids(windows) -> cond_mod.FrameGrid:
         tempo.append(grid.tempo_token[sl])
     return cond_mod.FrameGrid(
         np.stack(phon), np.stack(midi), np.stack(dur), np.stack(tempo), [], []
-    )
-
-
-def _slice_grid(grid: cond_mod.FrameGrid, start: int, length: int) -> cond_mod.FrameGrid:
-    sl = slice(start, start + length)
-    spans = []
-    midis = []
-    for (a, b), m in zip(grid.note_spans, grid.note_midi):
-        lo, hi = max(a, start), min(b, start + length)
-        if lo < hi:
-            spans.append((lo - start, hi - start))
-            midis.append(m)
-    return cond_mod.FrameGrid(
-        grid.phoneme[sl], grid.midi[sl], grid.dur_token[sl], grid.tempo_token[sl], spans, midis
     )
 
 

@@ -52,12 +52,20 @@ class TestExitCodes:
         code = cli.main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("loss", [{"recon": -1.0}, {"prior": 1.0}])
+    def test_bad_loss_config_is_2(self, tmp_path, loss):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"loss": loss}))
+        code = cli.main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(bad)])
+        assert code == 2
+
     def test_missing_file_is_2(self, tmp_path):
         code = cli.main(["codec", "encode", "--checkpoint", str(tmp_path / "nope.ckpt"),
                          "--wav", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [["--prior", "standard"], ["--target", "zq"]])
+    @pytest.mark.parametrize("flag", [["--prior", "standard"], ["--target", "zq"],
+                                      ["--no-enhanced-ce"], ["--unlabeled-ratio", "0.5"]])
     def test_resume_with_contradicting_mode_is_2(self, workdir, tmp_path, flag):
         code = cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
                          "--codec", str(workdir / "codec" / "codec.ckpt"),

@@ -29,6 +29,13 @@ class TestConfig:
             config_from_dict({"tau": 0.2})
         with pytest.raises(ConfigError):
             config_from_dict({"window": 0})
+        with pytest.raises(ConfigError, match="loss weight 'recon'"):
+            config_from_dict({"loss": {"recon": -1.0}})
+
+    def test_loss_prior_is_unknown(self):
+        # the prior NLL is weighted by lambda_prior
+        with pytest.raises(ConfigError, match="unknown loss config keys"):
+            config_from_dict({"loss": {"prior": 1.0}})
 
     def test_json_roundtrip(self, tmp_path):
         cfg = config_from_dict({"seed": 7, "loss": {"recon": 10.0}})

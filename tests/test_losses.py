@@ -6,6 +6,7 @@ import pytest
 
 from minisvs import losses
 from minisvs.autodiff import Tensor, gradient_check, log_softmax
+from minisvs.config import ConfigError, LossConfig
 
 
 class TestReconL1:
@@ -334,15 +335,15 @@ def test_losses_nonnegative_and_finite_on_valid_inputs():
 class TestTotals:
     def test_generator_total_worked_example(self):
         parts = dict(adv=1.0, recon=1.0, emb=1.0, fm=1.0, lyrics=1.0, note=1.0)
-        total = losses.generator_total(parts, losses.LossWeights())
+        total = losses.generator_total(parts, LossConfig())
         assert abs(total - 50.02) < 1e-12
 
     def test_all_zero_parts(self):
         parts = dict(adv=0.0, recon=0.0, emb=0.0, fm=0.0, lyrics=0.0, note=0.0)
-        assert losses.generator_total(parts, losses.LossWeights()) == 0.0
+        assert losses.generator_total(parts, LossConfig()) == 0.0
 
     def test_doubling_one_part_adds_its_weight(self):
-        w = losses.LossWeights()
+        w = LossConfig()
         base = dict(adv=1.0, recon=1.0, emb=1.0, fm=1.0, lyrics=1.0, note=1.0)
         for name in ("recon", "emb", "fm", "lyrics", "note"):
             bumped = dict(base)
@@ -355,5 +356,5 @@ class TestTotals:
         assert losses.latent_generator_total(1.0, 2.0, 0.5, [0.25, 0.5]) == 2.75
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            losses.LossWeights(recon=-1.0)
+        with pytest.raises(ConfigError):
+            LossConfig(recon=-1.0)

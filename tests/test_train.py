@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ class TestCodecTraining:
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="step"):
             train.train_codec(cfg, corpus_dir, tmp_path, steps=60, seed=6)
 
+    def test_divergence_keeps_the_log_and_writes_no_checkpoint(self, corpus_dir, tmp_path):
+        cfg = config_from_dict(dict(FAST, lr=1e8))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as exc:
+            train.train_codec(cfg, corpus_dir, tmp_path, steps=60, seed=6)
+        _assert_divergence_left_log_only(str(exc.value), tmp_path, "codec")
+
+
+def _assert_divergence_left_log_only(message, out_dir, kind):
+    """The run logged every step before the failing one and wrote no checkpoint."""
+    match = re.search(rf"{kind} training diverged at step (\d+): .*in op '\w+'", message)
+    assert match, message
+    failed = int(match.group(1))
+    assert failed > 0
+    log = train.read_loss_log(out_dir / f"{kind}_losses.csv")
+    assert log["step"].tolist() == list(range(failed))
+    assert sorted(p.name for p in out_dir.iterdir()) == [f"{kind}_losses.csv"]
+
 
 class TestLatentTraining:
     def test_log_schema(self, cfg, corpus_dir, codec_ckpt, tmp_path):
@@ -177,13 +195,15 @@ class TestLatentTraining:
         assert open(codec_ckpt, "rb").read() == before
         assert open(str(codec_ckpt) + ".json", "rb").read() == before_manifest
 
-    def test_resume_bit_exact(self, cfg, corpus_dir, codec_ckpt, tmp_path):
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_resume_bit_exact(self, cfg, corpus_dir, codec_ckpt, tmp_path, ratio):
         ck_full, log_full = train.train_latent(
-            cfg, corpus_dir, codec_ckpt, tmp_path / "f", steps=8, seed=6
+            cfg, corpus_dir, codec_ckpt, tmp_path / "f", steps=8, seed=6, unlabeled_ratio=ratio
         )
         ck_half, _ = train.train_latent(
-            cfg, corpus_dir, codec_ckpt, tmp_path / "h", steps=4, seed=6
+            cfg, corpus_dir, codec_ckpt, tmp_path / "h", steps=4, seed=6, unlabeled_ratio=ratio
         )
+        # the split, the ratio and the contrastive draws all come from the checkpoint
         ck_res, log_res = train.train_latent(
             cfg, corpus_dir, codec_ckpt, tmp_path / "r", steps=8, seed=6, resume=ck_half
         )
@@ -191,8 +211,11 @@ class TestLatentTraining:
         res = train.read_loss_log(log_res)
         for name in train.LATENT_LOG_HEADER:
             assert np.array_equal(full[name][4:], res[name])
-        a, _ = fileio.load_checkpoint(ck_full)
-        b, _ = fileio.load_checkpoint(ck_res)
+        if ratio > 0:
+            assert (res["cont_lyrics"] != 0.0).any() and (res["grad_norm_unsup"] > 0).any()
+        a, meta_a = fileio.load_checkpoint(ck_full)
+        b, meta_b = fileio.load_checkpoint(ck_res)
+        assert meta_a == meta_b
         for name in a:
             assert np.array_equal(a[name], b[name]), name
 
@@ -231,6 +254,49 @@ class TestLatentTraining:
             )
             _, _, meta, _ = train.load_latent_checkpoint(resumed)
             assert (meta["prior_mode"], meta["target_kind"]) == ("standard", "z0")
+
+    def test_resume_refuses_enhanced_or_ratio_that_contradict_the_checkpoint(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        ckpt, _ = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path / "a", steps=2, seed=8)
+        with pytest.raises(ConfigError, match="enhanced"):
+            train.train_latent(
+                cfg, corpus_dir, codec_ckpt, tmp_path / "b", steps=3, resume=ckpt, enhanced=False
+            )
+        with pytest.raises(ConfigError, match="unlabeled_ratio"):
+            train.train_latent(
+                cfg, corpus_dir, codec_ckpt, tmp_path / "b", steps=3, resume=ckpt,
+                unlabeled_ratio=0.5,
+            )
+        assert not (tmp_path / "b" / "latent.ckpt").exists()
+        # left out, or given as saved, they follow the checkpoint
+        for kwargs in ({}, {"enhanced": True, "unlabeled_ratio": 0.0}):
+            resumed, _ = train.train_latent(
+                cfg, corpus_dir, codec_ckpt, tmp_path / "c", steps=3, resume=ckpt, **kwargs
+            )
+            _, _, meta, _ = train.load_latent_checkpoint(resumed)
+            assert (meta["enhanced"], meta["unlabeled_ratio"]) == (True, 0.0)
+
+    def test_unlabeled_ratio_is_kept_even_when_no_song_is_unlabeled(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        # 0.2 of 2 songs rounds to no unlabeled song but turns on the contrastive terms
+        ckpt, _ = train.train_latent(
+            cfg, corpus_dir, codec_ckpt, tmp_path / "a", steps=2, seed=9, unlabeled_ratio=0.2
+        )
+        _, _, meta, _ = train.load_latent_checkpoint(ckpt)
+        assert meta["unlabeled_songs"] == [] and meta["unlabeled_ratio"] == 0.2
+        _, log = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path / "a", steps=4,
+                                    resume=ckpt)
+        assert np.all(train.read_loss_log(log)["cont_lyrics"] != 0.0)
+
+    def test_divergence_keeps_the_log_and_writes_no_checkpoint(
+        self, corpus_dir, codec_ckpt, tmp_path
+    ):
+        cfg = config_from_dict(dict(FAST, latent_lr=1e6))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as exc:
+            train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=20, seed=1)
+        _assert_divergence_left_log_only(str(exc.value), tmp_path, "latent")
 
     def test_incompatible_config_rejected(self, corpus_dir, codec_ckpt, tmp_path):
         bad = config_from_dict(dict(FAST, latent_dim=6))
