@@ -228,10 +228,16 @@ class Tensor:
         out = _node(self.data[idx], (self,), "getitem")
         if out._grad_fn is not _NOGRAD:
             a = self
+            # a basic index reads each element at most once, so its gradient
+            # is a plain write; an advanced index may repeat elements
+            basic = _is_basic_index(idx)
 
             def grad_fn(g):
                 acc = np.zeros_like(a.data)
-                np.add.at(acc, idx, g)
+                if basic:
+                    acc[idx] = g
+                else:
+                    np.add.at(acc, idx, g)
                 return (acc,)
 
             out._grad_fn = grad_fn
@@ -350,6 +356,16 @@ class Tensor:
 _NOGRAD = object()
 
 
+def _is_basic_index(idx) -> bool:
+    """True for ints, slices, Ellipsis and None (alone or in a tuple)."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        i is None or i is Ellipsis or isinstance(i, slice)
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+        for i in items
+    )
+
+
 def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:
     """Build an op-output Tensor; tapes it only if some parent needs grad."""
     rg = any(p.requires_grad for p in parents)
@@ -386,7 +402,7 @@ def custom(data: np.ndarray, parents: tuple, grad_fn, op: str) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup table[ids]; gradients scatter-add back into the table."""
+    """Row lookup table[ids]; gradients sum back into the table's rows."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError(
@@ -397,9 +413,14 @@ def embedding(table: Tensor, ids) -> Tensor:
     if out._grad_fn is not _NOGRAD:
 
         def grad_fn(g):
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, ids, g)
-            return (acc,)
+            # a scatter-add into the flattened table takes numpy's fast 1-D
+            # path, several times faster than one by rows; each entry still
+            # adds its terms in id order, so the sums are the same bits
+            width = table.data[0].size
+            flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            acc = np.zeros(table.data.size, dtype=table.data.dtype)
+            np.add.at(acc, flat, g.reshape(-1))
+            return (acc.reshape(table.data.shape),)
 
         out._grad_fn = grad_fn
     return out

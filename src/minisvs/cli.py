@@ -58,7 +58,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--adversarial", action="store_true")
+    p.add_argument("--adversarial", action="store_true",
+                   help="default: off, or the resumed checkpoint's")
     p.add_argument("--resume")
     _add_config(p)
 
@@ -140,7 +141,7 @@ def _dispatch(args) -> int:
             args.out,
             steps=args.steps,
             seed=args.seed,
-            adversarial=args.adversarial,
+            adversarial=True if args.adversarial else None,
             resume=args.resume,
         )
         print(f"checkpoint: {ckpt}\nloss log: {log}")
@@ -274,6 +275,19 @@ def _suite_gradient_checks():
         worst,
         gradient_check(
             cond_loss, [p for _, p in net.params()], n_points=4, rng=np.random.default_rng(4)
+        ),
+    )
+    # the contrastive loss has a hand-written backward; two windows, float64
+    h = Tensor(rng.standard_normal((2, 6, 5)), requires_grad=True)
+    h_tilde = Tensor(rng.standard_normal((2, 6, 5)), requires_grad=True)
+    negatives = np.stack([losses.draw_negatives(6, 3, rng) for _ in range(2)])
+    worst = max(
+        worst,
+        gradient_check(
+            lambda: losses.contrastive_loss(h, h_tilde, negatives, 0.5),
+            [h, h_tilde],
+            n_points=8,
+            rng=np.random.default_rng(6),
         ),
     )
     ok = worst < 1e-4

@@ -5,6 +5,10 @@ contrastive InfoNCE over paired representation streams, and the two
 weighted totals. Functions accept numpy arrays or autodiff Tensors
 wherever a gradient path makes sense.
 
+The contrastive loss is one op over a batch of windows: every cosine it
+needs comes from one n x n similarity matrix per stream and window, and
+its backward is written by hand.
+
 CTC runs one log-space alpha/beta lattice over a batch of windows: the
 extended labels are padded to a common length, padding and illegal skips
 are masked with an additive -inf, and alpha and beta advance in the same
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, custom
+from .autodiff import Tensor, as_tensor, custom
 from .config import LossConfig
 
 
@@ -228,52 +232,97 @@ def ctc_loss_graph(log_probs: Tensor, targets) -> Tensor:
 # -- contrastive ---------------------------------------------------------------
 
 
-def contrastive_loss(h, h_tilde, tau_cont: float = 0.5, n_negatives: int = 10, rng=None):
+def draw_negatives(n: int, n_negatives: int, rng) -> np.ndarray:
+    """(n, n_negatives) frame indices of one window, none equal to its row.
+
+    One draw of n x n_negatives integers. It gives the same indices, and
+    leaves rng in the same state, as n draws of n_negatives each.
+    """
+    idx = rng.integers(0, n - 1, size=(n, n_negatives))
+    return idx + (idx >= np.arange(n)[:, None])  # skip the anchor's own frame
+
+
+def contrastive_loss(h, h_tilde, negatives, tau_cont: float = 0.5):
     """Symmetric frame-wise InfoNCE over two paired representation streams.
 
-    For each frame t and each direction, -log of exp(cos(anchor_t,
-    positive_t)/tau) over the sum of exp(cos(anchor_t, neg_k)/tau) with
-    n_negatives random unmatched frames drawn from the anchor's own stream;
-    terms are summed over frames and the two directions added. The value can
-    be negative. Invariant to positive per-row rescaling and to swapping the
-    streams.
+    h and h_tilde are one (n, D) window or a (B, n, D) batch of windows,
+    as arrays or Tensors, and negatives holds K frame indices per frame,
+    (n, K) or (B, n, K), as draw_negatives gives them. For each frame t
+    and each direction, -log of exp(cos(anchor_t, positive_t)/tau) over
+    the sum of exp(cos(anchor_t, neg_k)/tau) over the anchor's negatives,
+    taken from its own stream; terms are summed over frames, windows and
+    the two directions. The value can be negative. Invariant to positive
+    per-row rescaling and to swapping the streams.
+
+    Every cosine comes from one (B, n, n) similarity matrix per stream;
+    the backward scatters each stream's softmax weights into a dense
+    (B, n, n) matrix with one bincount. The arithmetic runs in float64;
+    the value and the gradients come back in the input dtype.
     """
     if tau_cont <= 0:
         raise ValueError("tau_cont must be positive")
-    ha, hb = _values_of(h), _values_of(h_tilde)
-    if ha.shape != hb.shape:
-        raise ValueError(f"paired streams differ in shape: {ha.shape} vs {hb.shape}")
-    n = ha.shape[0]
+    h, h_tilde = as_tensor(h), as_tensor(h_tilde)
+    if h.shape != h_tilde.shape:
+        raise ValueError(f"paired streams differ in shape: {h.shape} vs {h_tilde.shape}")
+    if h.data.ndim not in (2, 3):
+        raise ValueError(f"streams must be frames x dim or windows x frames x dim, got {h.shape}")
+    single = h.data.ndim == 2
+    a = h.data[None] if single else h.data
+    b = h_tilde.data[None] if single else h_tilde.data
+    n_win, n = a.shape[:2]
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 frames")
-    if np.any(np.linalg.norm(ha, axis=1) < 1e-12) or np.any(np.linalg.norm(hb, axis=1) < 1e-12):
-        raise ValueError("zero rows make cosine similarity undefined")
-    rng = np.random.default_rng(0) if rng is None else rng
-    # unmatched frame indices per anchor, shared by both directions
-    neg_idx = np.empty((n, n_negatives), dtype=np.int64)
-    for t in range(n):
-        pool = rng.integers(0, n - 1, size=n_negatives)
-        pool = pool + (pool >= t)  # skip the anchor's own frame
-        neg_idx[t] = pool
+    unit_a, norm_a = _unit_rows(a)
+    unit_b, norm_b = _unit_rows(b)
+    neg = np.asarray(negatives, dtype=np.int64)
+    neg = neg[None] if single and neg.ndim == 2 else neg
+    if neg.ndim != 3 or neg.shape[:2] != (n_win, n) or neg.size == 0 or not (
+        0 <= neg.min() and neg.max() < n
+    ):
+        raise ValueError(f"negatives must be {(n_win, n)} x K indices in [0, {n}), K >= 1")
 
-    def direction(anchor, positive):
-        pos = _row_cos(anchor, positive) * (1.0 / tau_cont)
-        flat = neg_idx.reshape(-1)
-        anchor_rep = anchor[np.repeat(np.arange(n), n_negatives)]
-        negs = _row_cos(anchor_rep, anchor[flat]) * (1.0 / tau_cont)
-        neg_exp = negs.exp() if isinstance(negs, Tensor) else np.exp(negs)
-        denom = neg_exp.reshape(n, n_negatives).sum(axis=1)
-        log_denom = denom.log() if isinstance(denom, Tensor) else np.log(denom)
-        return (log_denom - pos).sum()
+    inv_tau = 1.0 / tau_cont
+    pos = np.einsum("bnd,bnd->bn", unit_a, unit_b) * inv_tau
+    # per direction: log-sum-exp over the anchor's negatives, and its softmax
+    terms, weights = [], []
+    for unit in (unit_a, unit_b):
+        logits = np.take_along_axis(unit @ unit.transpose(0, 2, 1), neg, axis=2) * inv_tau
+        top = logits.max(axis=2, keepdims=True)
+        e = np.exp(logits - top)
+        denom = e.sum(axis=2, keepdims=True)
+        terms.append(np.log(denom[..., 0]) + top[..., 0])
+        weights.append(e / denom)
+    value = (terms[0] - pos).sum() + (terms[1] - pos).sum()
 
-    return direction(h, h_tilde) + direction(h_tilde, h)
+    def grad_fn(g):
+        # dS[b, t, j] sums the softmax weight of every draw of j by anchor t
+        flat = (np.arange(n_win * n) * n).reshape(n_win, n, 1) + neg
+        grads = []
+        for tensor, unit, norm, other, w in (
+            (h, unit_a, norm_a, unit_b, weights[0]),
+            (h_tilde, unit_b, norm_b, unit_a, weights[1]),
+        ):
+            if not tensor.requires_grad:
+                grads.append(None)
+                continue
+            ds = np.bincount(flat.ravel(), weights=w.ravel(), minlength=n_win * n * n)
+            ds = ds.reshape(n_win, n, n)
+            d_unit = ((ds + ds.transpose(0, 2, 1)) @ unit - 2.0 * other) * (float(g) * inv_tau)
+            # through the row normalisation u = x / |x|
+            d_x = (d_unit - unit * (unit * d_unit).sum(axis=2, keepdims=True)) / norm
+            grads.append(d_x.reshape(tensor.shape).astype(tensor.dtype, copy=False))
+        return tuple(grads)
+
+    return custom(np.asarray(value, dtype=h.dtype), (h, h_tilde), grad_fn, "contrastive")
 
 
-def _row_cos(a, b):
-    dot = (a * b).sum(axis=-1)
-    na = (a * a).sum(axis=-1) ** 0.5
-    nb = (b * b).sum(axis=-1) ** 0.5
-    return dot / (na * nb)
+def _unit_rows(x: np.ndarray):
+    """Rows scaled to unit length, and the lengths; a zero row names its window."""
+    norm = np.sqrt((x.astype(np.float64) ** 2).sum(axis=2, keepdims=True))
+    zero = np.flatnonzero((norm < 1e-12).any(axis=(1, 2)))
+    if zero.size:
+        raise ValueError(f"window {zero[0]}: zero rows make cosine similarity undefined")
+    return x / norm, norm
 
 
 # -- totals --------------------------------------------------------------------

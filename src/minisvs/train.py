@@ -128,6 +128,18 @@ def _load_kind(path, kind: str):
     return arrays, meta
 
 
+def _resumed_mode(path, saved_meta: dict, name: str, given):
+    """The mode a checkpoint was trained with; a given value must agree."""
+    if name not in saved_meta:
+        raise ConfigError(f"{path}: checkpoint does not record {name}")
+    if given not in (None, saved_meta[name]):
+        raise ConfigError(
+            f"{path}: checkpoint was trained with {name}={saved_meta[name]!r}, "
+            f"cannot resume with {given!r}"
+        )
+    return saved_meta[name]
+
+
 def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
     arrays, meta = _load_kind(path, "codec")
     cfg = config_from_dict(meta["config"])
@@ -248,14 +260,29 @@ def train_codec(
     out_dir,
     steps: int | None = None,
     seed: int | None = None,
-    adversarial: bool = False,
+    adversarial: bool | None = None,
     resume=None,
 ):
-    """Train the toy codec; returns (checkpoint_path, log_path)."""
+    """Train the toy codec; returns (checkpoint_path, log_path).
+
+    adversarial defaults to False, or to the resumed checkpoint's. A value
+    or a config that contradicts the resumed checkpoint raises ConfigError;
+    only codec_steps, the default run length, may differ.
+    """
     os.makedirs(out_dir, exist_ok=True)
     steps = cfg.codec_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
     resumed = None if resume is None else _load_kind(resume, "codec")
+    if resumed is not None:
+        adversarial = _resumed_mode(resume, resumed[1], "adversarial", adversarial)
+        given, saved = cfg.to_dict(), resumed[1]["config"]
+        for key in sorted(given.keys() - {"codec_steps"}):
+            if given[key] != saved.get(key):
+                raise ConfigError(
+                    f"{resume}: checkpoint was trained with config {key}={saved.get(key)!r}, "
+                    f"cannot resume with {given[key]!r}"
+                )
+    adversarial = bool(adversarial)
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
@@ -286,7 +313,8 @@ def train_codec(
         groups=[(gen_named, opt, "step"), (disc_named, disc_opt, "disc_step")],
         data_rng=data_rng,
         extra_arrays=lambda: _rvq_arrays(models.coder),
-        meta={"config": cfg.to_dict(), "alphabet_size": alphabet_size, "phoneme_table": table},
+        meta={"config": cfg.to_dict(), "alphabet_size": alphabet_size, "phoneme_table": table,
+              "adversarial": adversarial},
         header=CODEC_LOG_HEADER,
     )
 
@@ -421,16 +449,8 @@ def train_latent(
              "target_kind": target_kind, "enhanced": enhanced}
     resumed = None if resume is None else _load_kind(resume, "latent")
     if resumed is not None:
-        saved = resumed[1]
-        for name, given in modes.items():
-            if name not in saved:
-                raise ConfigError(f"{resume}: checkpoint does not record {name}")
-            if given not in (None, saved[name]):
-                raise ConfigError(
-                    f"{resume}: checkpoint was trained with {name}={saved[name]!r}, "
-                    f"cannot resume with {given!r}"
-                )
-            modes[name] = saved[name]
+        modes = {name: _resumed_mode(resume, resumed[1], name, given)
+                 for name, given in modes.items()}
     defaults = {"unlabeled_ratio": 0.0, "prior_mode": "data", "target_kind": "z0", "enhanced": True}
     modes = {name: defaults[name] if v is None else v for name, v in modes.items()}
 
@@ -519,15 +539,15 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
                 h_mel_u = models.cond.melody_u_repr(
                     np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
                 )
-                for b in range(len(picks)):
-                    cl = losses.contrastive_loss(
-                        h_lyr[b], h_lyr_u[b], cfg.loss.tau_cont, cfg.loss.n_neg, data_rng
-                    )
-                    cm = losses.contrastive_loss(
-                        h_mel[b], h_mel_u[b], cfg.loss.tau_cont, cfg.loss.n_neg, data_rng
-                    )
-                    cont_lyr = cl if cont_lyr is None else cont_lyr + cl
-                    cont_mel = cm if cont_mel is None else cont_mel + cm
+                # window by window: its lyrics negatives, then its melody negatives
+                negs = [losses.draw_negatives(win, cfg.loss.n_neg, data_rng)
+                        for _ in range(2 * len(picks))]
+                cont_lyr = losses.contrastive_loss(
+                    h_lyr, h_lyr_u, np.stack(negs[0::2]), cfg.loss.tau_cont
+                )
+                cont_mel = losses.contrastive_loss(
+                    h_mel, h_mel_u, np.stack(negs[1::2]), cfg.loss.tau_cont
+                )
         mu = fc.mu_hat if data_prior else np.zeros_like(z0p)
         weight = len(picks) / float(cfg.batch)
         part = diffusion.diffusion_loss(

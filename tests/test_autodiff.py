@@ -92,12 +92,54 @@ def test_per_op_gradients_match_finite_differences(seed):
         "log_softmax": lambda: (ad.log_softmax(x @ w, axis=-1) * probe).mean(),
         "sum_axis": lambda: ((x * x).sum(axis=-1) ** 2.0).mean(),
         "getitem": lambda: (x[np.array([0, 2, 2])] * 1.7).sum(),
+        "getitem_basic": lambda: (x[1:3, None, ::2] * 1.7).sum() + x[-1, 2] * x[0, ...].sum(),
         "reshape": lambda: (x.reshape(2, 10) ** 2.0).mean(axis=-1).sum(),
     }
     tensors = [x, w, b, cw, cb, table]
     for name, f in cases.items():
         err = ad.gradient_check(f, tensors, n_points=6, rng=np.random.default_rng(seed + 10))
         assert err < 1e-4, f"{name}: rel err {err:.2e}"
+
+
+def _scatter_reference(shape, idx, g):
+    acc = np.zeros(shape, dtype=g.dtype)
+    np.add.at(acc, idx, g)
+    return acc
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_embedding_backward_matches_scatter_add(dtype):
+    rng = np.random.default_rng(4)
+    table = ad.Tensor(rng.standard_normal((7, 5)).astype(dtype), requires_grad=True)
+    ids = rng.integers(0, 4, size=(3, 40))  # every used row repeats, rows 4-6 unused
+    g = rng.standard_normal((3, 40, 5)).astype(dtype)
+    (ad.embedding(table, ids) * g).sum().backward()
+    assert table.grad.dtype == dtype
+    # the same bits as a row-wise scatter-add, in float32 too
+    assert np.array_equal(table.grad, _scatter_reference(table.shape, ids, g))
+    assert np.all(table.grad[4:] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [1, -1, slice(1, 3), (slice(None), 2), (Ellipsis, slice(0, 4, 2)), (None, 0),
+     (np.int64(2), slice(None, None, -1)), np.array([0, 2, 2]), ([1, 1], [0, 3]),
+     np.array([True, False, True])],
+)
+def test_getitem_backward_matches_scatter_add(idx):
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    picked = x[idx]
+    g = rng.standard_normal(picked.shape)
+    (picked * g).sum().backward()
+    assert np.array_equal(x.grad, _scatter_reference(x.shape, idx, g))
+
+
+def test_basic_index_detection():
+    assert ad._is_basic_index((1, slice(None), Ellipsis, None, np.int32(0)))
+    assert not ad._is_basic_index(True)  # a bool index adds an axis and masks
+    assert not ad._is_basic_index((0, np.array([1])))
+    assert not ad._is_basic_index([0, 1])
 
 
 def test_gradient_accumulates_over_shared_subexpression():

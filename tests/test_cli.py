@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from minisvs import cli
+from minisvs import cli, losses
 from minisvs.config import save_config, config_from_dict
 
 FAST = {
@@ -73,6 +73,22 @@ class TestExitCodes:
                          "--resume", str(workdir / "latent" / "latent.ckpt"),
                          "--config", str(workdir / "cfg.json")] + flag)
         assert code == 2
+
+
+    @pytest.mark.parametrize("contradicts", ["adversarial", "config"])
+    def test_codec_resume_with_contradicting_flag_or_config_is_2(
+        self, workdir, tmp_path, contradicts
+    ):
+        cfg_path, flag = workdir / "cfg.json", ["--adversarial"]
+        if contradicts == "config":
+            cfg_path, flag = tmp_path / "other.json", []
+            save_config(cfg_path, config_from_dict(dict(FAST, lr=5e-3)))
+        code = cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
+                         "--out", str(tmp_path / "r"), "--steps", "30",
+                         "--resume", str(workdir / "codec" / "codec.ckpt"),
+                         "--config", str(cfg_path)] + flag)
+        assert code == 2
+        assert not (tmp_path / "r" / "codec.ckpt").exists()
 
 
 class TestCodecRoundtrip:
@@ -161,6 +177,23 @@ class TestSelfcheckSuites:
         results = cli.run_selfcheck(
             sabotage="flip-drift", only=("gaussian-reverse-sampler",), verbose=False
         )
+        assert not results[0][1]
+
+    def test_gradient_suite_passes_clean(self):
+        results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
+        assert results[0][1], results[0][2]
+
+    def test_wrong_contrastive_backward_fails_gradient_suite(self, monkeypatch):
+        real = losses.contrastive_loss
+
+        def skewed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            grad_fn = out._grad_fn
+            out._grad_fn = lambda g: tuple(None if x is None else 1.01 * x for x in grad_fn(g))
+            return out
+
+        monkeypatch.setattr(losses, "contrastive_loss", skewed)
+        results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
         assert not results[0][1]
 
     def test_fast_suites_pass(self):

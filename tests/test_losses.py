@@ -260,11 +260,53 @@ class TestBatchedCtc:
             losses.ctc_loss_graph(Tensor(logp.data[0]), [losses.CtcTarget((1,), 2)])
 
 
+def _reference_negatives(n, n_negatives, rng):
+    """One draw per frame, as the per-frame loop drew them: the reference."""
+    neg_idx = np.empty((n, n_negatives), dtype=np.int64)
+    for t in range(n):
+        pool = rng.integers(0, n - 1, size=n_negatives)
+        neg_idx[t] = pool + (pool >= t)  # skip the anchor's own frame
+    return neg_idx
+
+
+def _row_cos(a, b):
+    dot = (a * b).sum(axis=-1)
+    na = (a * a).sum(axis=-1) ** 0.5
+    nb = (b * b).sum(axis=-1) ** 0.5
+    return dot / (na * nb)
+
+
+def _reference_contrastive(h, h_tilde, tau_cont, neg_idx):
+    """One (n, D) window as a graph of Tensor ops, gathering every negative row."""
+    n, n_negatives = neg_idx.shape
+
+    def direction(anchor, positive):
+        pos = _row_cos(anchor, positive) * (1.0 / tau_cont)
+        anchor_rep = anchor[np.repeat(np.arange(n), n_negatives)]
+        negs = _row_cos(anchor_rep, anchor[neg_idx.reshape(-1)]) * (1.0 / tau_cont)
+        denom = negs.exp().reshape(n, n_negatives).sum(axis=1)
+        return (denom.log() - pos).sum()
+
+    return direction(h, h_tilde) + direction(h_tilde, h)
+
+
+def _negatives(shape, n_negatives, rng):
+    """draw_negatives for every window of streams of this shape, in window order."""
+    *windows, n, _ = shape
+    draws = [losses.draw_negatives(n, n_negatives, rng) for _ in range(int(np.prod(windows)))]
+    return np.stack(draws).reshape(*windows, n, n_negatives)
+
+
+def _contrastive(h, h_tilde, tau_cont, n_negatives, rng) -> float:
+    neg = _negatives(np.shape(h), n_negatives, rng)
+    return float(losses.contrastive_loss(h, h_tilde, neg, tau_cont).data)
+
+
 class TestContrastive:
     def test_orthogonal_negatives_worked_example(self):
         n = 6
         h = np.eye(n, 16)  # every frame orthogonal to every other
-        val = losses.contrastive_loss(
+        val = _contrastive(
             h, h.copy(), tau_cont=1.0, n_negatives=2, rng=np.random.default_rng(6)
         )
         expect = 2 * n * (math.log(2.0) - 1.0)
@@ -274,8 +316,8 @@ class TestContrastive:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((8, 5))
         ht = rng.standard_normal((8, 5))
-        a = losses.contrastive_loss(h, ht, 0.3, 4, np.random.default_rng(8))
-        b = losses.contrastive_loss(ht, h, 0.3, 4, np.random.default_rng(8))
+        a = _contrastive(h, ht, 0.3, 4, np.random.default_rng(8))
+        b = _contrastive(ht, h, 0.3, 4, np.random.default_rng(8))
         assert abs(a - b) < 1e-12
 
     def test_row_scale_invariance(self):
@@ -283,30 +325,113 @@ class TestContrastive:
         h = rng.standard_normal((8, 5))
         ht = rng.standard_normal((8, 5))
         scales = rng.uniform(0.1, 5.0, size=(8, 1))
-        a = losses.contrastive_loss(h, ht, 0.5, 3, np.random.default_rng(10))
-        b = losses.contrastive_loss(h * scales, ht * 2.0, 0.5, 3, np.random.default_rng(10))
+        a = _contrastive(h, ht, 0.5, 3, np.random.default_rng(10))
+        b = _contrastive(h * scales, ht * 2.0, 0.5, 3, np.random.default_rng(10))
         assert abs(a - b) < 1e-9
 
     def test_zero_rows_rejected(self):
         h = np.zeros((4, 3))
         with pytest.raises(ValueError):
-            losses.contrastive_loss(h, h, 0.5, 2, np.random.default_rng(0))
+            _contrastive(h, h, 0.5, 2, np.random.default_rng(0))
 
     def test_too_few_frames_rejected(self):
-        with pytest.raises(ValueError):
-            losses.contrastive_loss(np.ones((1, 3)), np.ones((1, 3)), 0.5, 2)
+        with pytest.raises(ValueError, match="2 frames"):
+            losses.contrastive_loss(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 2)), 0.5)
 
     def test_gradients_flow_to_both_streams(self):
         rng = np.random.default_rng(11)
         h = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
         ht = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        neg = _negatives(h.shape, 3, np.random.default_rng(12))
         err = gradient_check(
-            lambda: losses.contrastive_loss(h, ht, 0.5, 3, np.random.default_rng(12)),
+            lambda: losses.contrastive_loss(h, ht, neg, 0.5),
             [h, ht],
             n_points=8,
             rng=np.random.default_rng(13),
         )
         assert err < 1e-4
+
+
+class TestBatchedContrastive:
+    @pytest.mark.parametrize("n_negatives", [3, 10])
+    def test_batch_is_the_sum_of_per_window_references(self, n_negatives):
+        rng = np.random.default_rng(30 + n_negatives)
+        h = rng.standard_normal((4, 32, 6))
+        ht = rng.standard_normal((4, 32, 6))
+        neg = _negatives(h.shape, n_negatives, rng)
+        neg[0, :, 0] = neg[0, :, 1]  # repeated negatives accumulate in the backward
+        a = Tensor(h.copy(), requires_grad=True)
+        b = Tensor(ht.copy(), requires_grad=True)
+        loss = losses.contrastive_loss(a, b, neg, 0.3)
+        loss.backward()
+        ref_total, ref_ga, ref_gb = 0.0, [], []
+        for w in range(4):
+            ra = Tensor(h[w].copy(), requires_grad=True)
+            rb = Tensor(ht[w].copy(), requires_grad=True)
+            ref = _reference_contrastive(ra, rb, 0.3, neg[w])
+            ref.backward()
+            ref_total += float(ref.data)
+            ref_ga.append(ra.grad)
+            ref_gb.append(rb.grad)
+        assert abs(float(loss.data) - ref_total) <= 1e-12 * abs(ref_total)
+        for got, ref in ((a.grad, np.stack(ref_ga)), (b.grad, np.stack(ref_gb))):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n, n_negatives", [(128, 10), (16, 3)])
+    def test_draws_and_rng_state_match_the_per_frame_loop(self, n, n_negatives):
+        for seed in range(200):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = losses.draw_negatives(n, n_negatives, ours)
+            assert np.array_equal(got, _reference_negatives(n, n_negatives, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        h = Tensor(rng.standard_normal((3, 7, 5)), requires_grad=True)
+        ht = Tensor(rng.standard_normal((3, 7, 5)), requires_grad=True)
+        neg = _negatives(h.shape, 4, np.random.default_rng(15))
+        err = gradient_check(
+            lambda: losses.contrastive_loss(h, ht, neg, 0.4),
+            [h, ht],
+            n_points=16,
+            rng=np.random.default_rng(16),
+        )
+        assert err < 1e-4
+
+    def test_one_window_is_the_batch_of_one(self):
+        rng = np.random.default_rng(17)
+        h = rng.standard_normal((9, 4)).astype(np.float32)
+        ht = rng.standard_normal((9, 4)).astype(np.float32)
+        neg = _negatives(h.shape, 3, rng)
+        one = losses.contrastive_loss(h, ht, neg, 0.5)
+        batch = losses.contrastive_loss(h[None], ht[None], neg[None], 0.5)
+        assert one.dtype == np.float32 and one.data == batch.data
+
+    def test_zero_row_names_its_window(self):
+        h = np.random.default_rng(19).standard_normal((3, 5, 4))
+        h[2, 3] = 0.0
+        neg = np.zeros((3, 5, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="window 2"):
+            losses.contrastive_loss(h, np.ones((3, 5, 4)), neg, 0.5)
+        with pytest.raises(ValueError, match="window 2"):
+            losses.contrastive_loss(np.ones((3, 5, 4)), h, neg, 0.5)
+
+    def test_shape_frames_and_negatives_rejected(self):
+        ones = np.ones((2, 4, 3))
+        neg = np.ones((2, 4, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="shape"):
+            losses.contrastive_loss(ones, np.ones((2, 4, 2)), neg, 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            losses.contrastive_loss(ones, np.ones((3, 4, 3)), neg, 0.5)
+        with pytest.raises(ValueError, match="frames"):
+            losses.contrastive_loss(np.ones((2, 1, 3)), np.ones((2, 1, 3)), neg[:, :1], 0.5)
+        with pytest.raises(ValueError, match="frames x dim"):
+            losses.contrastive_loss(np.ones(4), np.ones(4), neg, 0.5)
+        with pytest.raises(ValueError, match="tau"):
+            losses.contrastive_loss(ones, ones, neg, 0.0)
+        for bad in (np.zeros((2, 3, 2)), np.full((2, 4, 2), 4), np.zeros((2, 4, 0))):
+            with pytest.raises(ValueError, match="negatives"):
+                losses.contrastive_loss(ones, ones, bad, 0.5)
 
 
 def test_losses_nonnegative_and_finite_on_valid_inputs():
@@ -329,7 +454,7 @@ def test_losses_nonnegative_and_finite_on_valid_inputs():
         assert all(np.isfinite(v) and v >= 0 for v in vals)
     # the contrastive loss may legitimately go negative
     h = np.eye(4, 8)
-    assert losses.contrastive_loss(h, h.copy(), 1.0, 2, np.random.default_rng(0)) < 0
+    assert _contrastive(h, h.copy(), 1.0, 2, np.random.default_rng(0)) < 0
 
 
 class TestTotals:

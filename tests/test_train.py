@@ -111,6 +111,55 @@ class TestCodecTraining:
         assert np.all(data["adv"] > 0)
         assert np.all(data["fm"] > 0)
 
+    def test_resume_follows_the_checkpoint_adversarial_flag(self, cfg, corpus_dir, tmp_path):
+        _, log_full = train.train_codec(
+            cfg, corpus_dir, tmp_path / "full", steps=6, seed=5, adversarial=True
+        )
+        ck_half, _ = train.train_codec(
+            cfg, corpus_dir, tmp_path / "half", steps=3, seed=5, adversarial=True
+        )
+        _, _, meta = train.load_codec_checkpoint(ck_half)
+        assert meta["adversarial"] is True
+        for kwargs in ({}, {"adversarial": True}):
+            ck_res, log_res = train.train_codec(
+                cfg, corpus_dir, tmp_path / "res", steps=6, resume=ck_half, **kwargs
+            )
+            res = train.read_loss_log(log_res)
+            assert np.all(res["adv"] > 0)
+            assert np.array_equal(train.read_loss_log(log_full)["adv"][3:], res["adv"])
+            assert train.load_codec_checkpoint(ck_res)[2]["adversarial"] is True
+
+    def test_resume_refuses_adversarial_or_config_that_contradict_the_checkpoint(
+        self, cfg, corpus_dir, tmp_path
+    ):
+        ckpt, _ = train.train_codec(
+            cfg, corpus_dir, tmp_path / "a", steps=3, seed=5, adversarial=True
+        )
+        with pytest.raises(ConfigError, match="adversarial"):
+            train.train_codec(cfg, corpus_dir, tmp_path / "b", steps=6, resume=ckpt,
+                              adversarial=False)
+        with pytest.raises(ConfigError, match="config lr"):
+            train.train_codec(config_from_dict(dict(FAST, lr=5e-3)), corpus_dir,
+                              tmp_path / "b", steps=6, resume=ckpt)
+        with pytest.raises(ConfigError, match="config loss"):
+            train.train_codec(config_from_dict(dict(FAST, loss={"recon": 1.0})), corpus_dir,
+                              tmp_path / "b", steps=6, resume=ckpt)
+        assert not (tmp_path / "b" / "codec.ckpt").exists()
+        # the default run length is not part of what a resume must agree on
+        longer = config_from_dict(dict(FAST, codec_steps=6))
+        resumed, _ = train.train_codec(longer, corpus_dir, tmp_path / "c", resume=ckpt)
+        assert train.load_codec_checkpoint(resumed)[2]["step"] == 6
+
+    def test_resume_refuses_a_checkpoint_without_the_adversarial_flag(
+        self, cfg, corpus_dir, tmp_path
+    ):
+        ckpt, _ = train.train_codec(cfg, corpus_dir, tmp_path / "a", steps=2, seed=5)
+        arrays, meta = fileio.load_checkpoint(ckpt)
+        del meta["adversarial"]
+        fileio.save_checkpoint(ckpt, arrays, meta)
+        with pytest.raises(ConfigError, match="does not record adversarial"):
+            train.train_codec(cfg, corpus_dir, tmp_path / "b", steps=4, resume=ckpt)
+
     def test_divergence_aborts_with_step_number(self, corpus_dir, tmp_path):
         cfg = config_from_dict(dict(FAST, lr=1e8))
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="step"):
