@@ -228,16 +228,10 @@ class Tensor:
         out = _node(self.data[idx], (self,), "getitem")
         if out._grad_fn is not _NOGRAD:
             a = self
-            # a basic index reads each element at most once, so its gradient
-            # is a plain write; an advanced index may repeat elements
-            basic = _is_basic_index(idx)
 
             def grad_fn(g):
                 acc = np.zeros_like(a.data)
-                if basic:
-                    acc[idx] = g
-                else:
-                    np.add.at(acc, idx, g)
+                np.add.at(acc, idx, g)
                 return (acc,)
 
             out._grad_fn = grad_fn
@@ -354,16 +348,6 @@ class Tensor:
 
 
 _NOGRAD = object()
-
-
-def _is_basic_index(idx) -> bool:
-    """True for ints, slices, Ellipsis and None (alone or in a tuple)."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    return all(
-        i is None or i is Ellipsis or isinstance(i, slice)
-        or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
-        for i in items
-    )
 
 
 def _node(data: np.ndarray, parents: tuple, op: str) -> Tensor:

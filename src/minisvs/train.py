@@ -140,6 +140,36 @@ def _resumed_mode(path, saved_meta: dict, name: str, given):
     return saved_meta[name]
 
 
+def _flat_config(payload: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            out.update(_flat_config(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _check_resumed_config(path, saved_meta: dict, cfg: RunConfig, free) -> None:
+    """A resumed run must use the checkpoint's config, except the keys in free."""
+    given, saved = _flat_config(cfg.to_dict()), _flat_config(saved_meta["config"])
+    for key in sorted(given.keys() - set(free)):
+        if given[key] != saved.get(key):
+            raise ConfigError(
+                f"{path}: checkpoint was trained with config {key}={saved.get(key)!r}, "
+                f"cannot resume with {given[key]!r}"
+            )
+
+
+# config keys a codec resume does not read: the run length, the seed (the
+# params and the data rng are restored), and the latent and sampler settings
+CODEC_RESUME_FREE = frozenset({
+    "seed", "codec_steps",
+    "latent_lr", "latent_steps", "embed_dim", "time_dim", "blocks", "loss.tau_cont", "loss.n_neg",
+    "beta0", "betaT", "steps", "tau", "lambda_prior", "t_min", "max_frames",
+})
+
+
 def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
     arrays, meta = _load_kind(path, "codec")
     cfg = config_from_dict(meta["config"])
@@ -267,7 +297,8 @@ def train_codec(
 
     adversarial defaults to False, or to the resumed checkpoint's. A value
     or a config that contradicts the resumed checkpoint raises ConfigError;
-    only codec_steps, the default run length, may differ.
+    only the keys in CODEC_RESUME_FREE, which codec training does not read
+    on resume, may differ.
     """
     os.makedirs(out_dir, exist_ok=True)
     steps = cfg.codec_steps if steps is None else steps
@@ -275,13 +306,7 @@ def train_codec(
     resumed = None if resume is None else _load_kind(resume, "codec")
     if resumed is not None:
         adversarial = _resumed_mode(resume, resumed[1], "adversarial", adversarial)
-        given, saved = cfg.to_dict(), resumed[1]["config"]
-        for key in sorted(given.keys() - {"codec_steps"}):
-            if given[key] != saved.get(key):
-                raise ConfigError(
-                    f"{resume}: checkpoint was trained with config {key}={saved.get(key)!r}, "
-                    f"cannot resume with {given[key]!r}"
-                )
+        _check_resumed_config(resume, resumed[1], cfg, CODEC_RESUME_FREE)
     adversarial = bool(adversarial)
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1

@@ -135,13 +135,6 @@ def test_getitem_backward_matches_scatter_add(idx):
     assert np.array_equal(x.grad, _scatter_reference(x.shape, idx, g))
 
 
-def test_basic_index_detection():
-    assert ad._is_basic_index((1, slice(None), Ellipsis, None, np.int32(0)))
-    assert not ad._is_basic_index(True)  # a bool index adds an axis and masks
-    assert not ad._is_basic_index((0, np.array([1])))
-    assert not ad._is_basic_index([0, 1])
-
-
 def test_gradient_accumulates_over_shared_subexpression():
     x = ad.Tensor(np.array([2.0]), requires_grad=True)
     y = x * 3.0

@@ -150,6 +150,25 @@ class TestCodecTraining:
         resumed, _ = train.train_codec(longer, corpus_dir, tmp_path / "c", resume=ckpt)
         assert train.load_codec_checkpoint(resumed)[2]["step"] == 6
 
+    def test_resume_accepts_config_keys_codec_training_does_not_read(
+        self, cfg, corpus_dir, tmp_path
+    ):
+        _, log_full = train.train_codec(cfg, corpus_dir, tmp_path / "full", steps=6, seed=5)
+        ck_half, _ = train.train_codec(cfg, corpus_dir, tmp_path / "half", steps=3, seed=5)
+        full = train.read_loss_log(log_full)
+        for i, change in enumerate(({"latent_lr": 5e-3}, {"seed": 9, "steps": 7, "tau": 2.0},
+                                    {"loss": {"tau_cont": 0.2, "n_neg": 4}})):
+            other = config_from_dict(dict(FAST, **change))
+            _, log_res = train.train_codec(other, corpus_dir, tmp_path / f"r{i}", steps=6,
+                                           resume=ck_half)
+            res = train.read_loss_log(log_res)
+            for name in train.CODEC_LOG_HEADER:
+                assert np.array_equal(full[name][3:], res[name]), (change, name)
+        # the seed argument and the config seed are alike on resume
+        _, log_seed = train.train_codec(cfg, corpus_dir, tmp_path / "s", steps=6, seed=9,
+                                        resume=ck_half)
+        assert np.array_equal(full["total"][3:], train.read_loss_log(log_seed)["total"])
+
     def test_resume_refuses_a_checkpoint_without_the_adversarial_flag(
         self, cfg, corpus_dir, tmp_path
     ):
