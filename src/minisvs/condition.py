@@ -225,7 +225,8 @@ class ConditionNet:
     def melody_u_repr(self, quantized_f0):
         return self.f0_emb(np.asarray(quantized_f0, dtype=np.int64))
 
-    def _head(self, lyrics, melody, enhanced: bool) -> FrameCondition:
+    def head(self, lyrics, melody, enhanced: bool) -> FrameCondition:
+        """h_cond and mu_hat from a lyrics and a melody representation."""
         h = lyrics + melody
         if enhanced:
             for blk in self.enhanced:
@@ -233,7 +234,7 @@ class ConditionNet:
         return FrameCondition(h_cond=h, mu_hat=self.prior(h))
 
     def condition(self, grid: FrameGrid, enhanced: bool = True) -> FrameCondition:
-        return self._head(self.lyrics_repr(grid), self.melody_repr(grid), enhanced)
+        return self.head(self.lyrics_repr(grid), self.melody_repr(grid), enhanced)
 
     def condition_unsupervised(
         self, frame_features, quantized_f0, enhanced: bool = True
@@ -244,7 +245,7 @@ class ConditionNet:
             raise ValueError(
                 f"feature frames ({feats.shape[0]}) != f0 frames ({f0.shape[0]})"
             )
-        return self._head(self.lyrics_u_repr(feats), self.melody_u_repr(f0), enhanced)
+        return self.head(self.lyrics_u_repr(feats), self.melody_u_repr(f0), enhanced)
 
     def params(self, prefix: str = "cond"):
         out = (

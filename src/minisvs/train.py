@@ -169,22 +169,41 @@ CODEC_RESUME_FREE = frozenset({
     "beta0", "betaT", "steps", "tau", "lambda_prior", "t_min", "max_frames",
 })
 
+# config keys a latent resume does not read: the run lengths, the seed, the
+# codec's training settings (the frozen codec brings its own config) and the
+# sampler settings
+LATENT_RESUME_FREE = frozenset({
+    "seed", "codec_steps", "latent_steps",
+    "lr", "ema_decay", "pin_zero_entry",
+    "loss.recon", "loss.emb", "loss.fm", "loss.lyrics", "loss.note",
+    "steps", "tau", "max_frames",
+})
+
+
+def _set_frozen_params(named_params, arrays) -> None:
+    """set_params for an inference model: the params stop requiring grad, so
+    every forward through them skips the autograd tape and its closures."""
+    set_params(named_params, arrays)
+    for _, p in named_params:
+        p.requires_grad = False
+
 
 def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
+    """An inference codec: its params are frozen and build no tape."""
     arrays, meta = _load_kind(path, "codec")
     cfg = config_from_dict(meta["config"])
     models = build_codec_models(cfg, int(meta["alphabet_size"]), np.random.default_rng(0))
-    set_params(models.gen_named_params(), arrays)
-    set_params(models.disc_named_params(), arrays)
+    _set_frozen_params(models.gen_named_params() + models.disc_named_params(), arrays)
     _restore_rvq(models.coder, arrays)
     return models, cfg, meta
 
 
 def load_latent_checkpoint(path):
+    """Inference condition and score nets: their params are frozen and build no tape."""
     arrays, meta = _load_kind(path, "latent")
     cfg = config_from_dict(meta["config"])
     models = build_latent_models(cfg, int(meta["alphabet_size"]), np.random.default_rng(0))
-    set_params(models.named_params(), arrays)
+    _set_frozen_params(models.named_params(), arrays)
     stats = (arrays["latent_stats.mean"].reshape(-1), arrays["latent_stats.std"].reshape(-1))
     return models, cfg, meta, stats
 
@@ -457,8 +476,9 @@ def train_latent(
 
     unlabeled_ratio, prior_mode ("data" or "standard"), target_kind ("z0"
     or "zq") and enhanced default to 0.0, "data", "z0" and True, or to the
-    resumed checkpoint's; a value that contradicts the resumed checkpoint
-    raises ConfigError.
+    resumed checkpoint's. A value or a config that contradicts the resumed
+    checkpoint raises ConfigError; only the keys in LATENT_RESUME_FREE, which
+    latent training does not read on resume, may differ.
     """
     if prior_mode not in (None, "data", "standard"):
         raise ConfigError(f"unknown prior mode '{prior_mode}'")
@@ -476,6 +496,7 @@ def train_latent(
     if resumed is not None:
         modes = {name: _resumed_mode(resume, resumed[1], name, given)
                  for name, given in modes.items()}
+        _check_resumed_config(resume, resumed[1], cfg, LATENT_RESUME_FREE)
     defaults = {"unlabeled_ratio": 0.0, "prior_mode": "data", "target_kind": "z0", "enhanced": True}
     modes = {name: defaults[name] if v is None else v for name, v in modes.items()}
 
@@ -554,10 +575,12 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
             fc = models.cond.condition_unsupervised(feats, f0, enhanced)
         else:
             grid_b = _stack_grids([(songs[s].grid, o, win) for s, o in picks])
-            fc = models.cond.condition(grid_b, enhanced)
+            # the supervised embeddings feed the condition head and, with
+            # contrastive terms on, the contrastive anchors too
+            h_lyr = models.cond.lyrics_repr(grid_b)
+            h_mel = models.cond.melody_repr(grid_b)
+            fc = models.cond.head(h_lyr, h_mel, enhanced)
             if modes["unlabeled_ratio"] > 0.0:
-                h_lyr = models.cond.lyrics_repr(grid_b)
-                h_mel = models.cond.melody_repr(grid_b)
                 h_lyr_u = models.cond.lyrics_u_repr(
                     np.stack([songs[s].features[o : o + win] for s, o in picks])
                 )

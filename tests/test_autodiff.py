@@ -146,3 +146,63 @@ def test_detach_cuts_the_graph():
     x = ad.Tensor(np.array([2.0]), requires_grad=True)
     (x.detach() * x).sum().backward()
     assert np.allclose(x.grad, [2.0])
+
+
+def _masked_sigmoid(x):
+    """The two-branch sigmoid with boolean masks that the kernel replaced."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bit_identical_to_the_masked_form(dtype):
+    rng = np.random.default_rng(6)
+    special = [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan, 30.0, -30.0, 1e-30, -1e-30]
+    x = np.concatenate([rng.standard_normal(5000) * 10.0, special]).astype(dtype)
+    with np.errstate(all="ignore"):
+        ref = _masked_sigmoid(x)
+    with np.errstate(all="raise"):  # no warning from any input, NaN and ±inf included
+        got = ad._sigmoid(x)
+    assert got.dtype == dtype and got.shape == x.shape
+    assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+    # through the op, on a finite 2-D batch and on a 0-d tensor
+    batch = x[:4000].reshape(40, 100)
+    assert np.array_equal(ad.Tensor(batch).sigmoid().data.view(np.uint8),
+                          _masked_sigmoid(batch).view(np.uint8))
+    scalar = np.asarray(x[0])
+    assert np.array_equal(ad.Tensor(scalar).sigmoid().data, _masked_sigmoid(scalar))
+
+
+def _padded_conv_reference(x, w, b, g):
+    """conv1d3 forward and backward with np.pad, the padding the op replaced."""
+    t = x.shape[-2]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (0, 0)])
+    y = xp[..., 0:t, :] @ w[0] + xp[..., 1 : t + 1, :] @ w[1] + xp[..., 2 : t + 2, :] @ w[2]
+    y = y + b
+    gxp = np.zeros_like(xp)
+    for k in range(3):
+        gxp[..., k : k + t, :] += g @ w[k].T
+    gw = np.empty_like(w)
+    for k in range(3):
+        gw[k] = xp[..., k : k + t, :].reshape(-1, w.shape[1]).T @ g.reshape(-1, w.shape[2])
+    return y, gxp[..., 1 : t + 1, :], gw, g.reshape(-1, w.shape[2]).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(37, 6), (3, 29, 6)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1d3_matches_the_np_pad_reference_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(7)
+    x = ad.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((3, 6, 5)).astype(dtype), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal(5).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(shape[:-1] + (5,)).astype(dtype)
+    out = ad.conv1d3(x, w, b)
+    (out * g).sum().backward()
+    ref = _padded_conv_reference(x.data, w.data, b.data, g)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)

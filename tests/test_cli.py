@@ -74,6 +74,17 @@ class TestExitCodes:
                          "--config", str(workdir / "cfg.json")] + flag)
         assert code == 2
 
+    @pytest.mark.parametrize("change", [{"latent_lr": 5e-2}, {"loss": {"n_neg": 4}}])
+    def test_latent_resume_with_contradicting_config_is_2(self, workdir, tmp_path, change):
+        cfg_path = tmp_path / "other.json"
+        save_config(cfg_path, config_from_dict(dict(FAST, **change)))
+        code = cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "r"), "--steps", "30",
+                         "--resume", str(workdir / "latent" / "latent.ckpt"),
+                         "--config", str(cfg_path)])
+        assert code == 2
+        assert not (tmp_path / "r" / "latent.ckpt").exists()
 
     @pytest.mark.parametrize("contradicts", ["adversarial", "config"])
     def test_codec_resume_with_contradicting_flag_or_config_is_2(

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from minisvs import corpus, dsp, fileio, rvq, train
+from minisvs import condition, corpus, dsp, fileio, nn, rvq, train
 from minisvs.autodiff import NumericalError
 from minisvs.config import ConfigError, config_from_dict
 
@@ -358,6 +358,57 @@ class TestLatentTraining:
                                     resume=ckpt)
         assert np.all(train.read_loss_log(log)["cont_lyrics"] != 0.0)
 
+    def test_resume_refuses_a_config_that_contradicts_the_checkpoint(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        ckpt, _ = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path / "a", steps=3, seed=8)
+        for change, key in (({"latent_lr": 5e-2}, "config latent_lr"),
+                            ({"lambda_prior": 0.0}, "config lambda_prior"),
+                            ({"loss": {"tau_cont": 0.2}}, "config loss.tau_cont")):
+            with pytest.raises(ConfigError, match=key):
+                train.train_latent(config_from_dict(dict(FAST, **change)), corpus_dir,
+                                   codec_ckpt, tmp_path / "b", steps=6, resume=ckpt)
+        assert not (tmp_path / "b" / "latent.ckpt").exists()
+
+    def test_resume_accepts_config_keys_latent_training_does_not_read(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        ratio = {"unlabeled_ratio": 0.5}
+        _, log_full = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path / "full",
+                                         steps=6, seed=5, **ratio)
+        ck_half, _ = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path / "half",
+                                        steps=3, seed=5, **ratio)
+        full = train.read_loss_log(log_full)
+        for i, change in enumerate(({"lr": 5e-3, "ema_decay": 0.9, "pin_zero_entry": False},
+                                    {"seed": 9, "steps": 7, "tau": 2.0, "max_frames": 99},
+                                    {"codec_steps": 3, "latent_steps": 6},
+                                    {"loss": {"recon": 1.0, "emb": 0.5, "fm": 0.0,
+                                              "lyrics": 2.0, "note": 3.0}})):
+            other = config_from_dict(dict(FAST, **change))
+            _, log_res = train.train_latent(other, corpus_dir, codec_ckpt, tmp_path / f"r{i}",
+                                            steps=6, resume=ck_half)
+            res = train.read_loss_log(log_res)
+            for name in train.LATENT_LOG_HEADER:
+                assert np.array_equal(full[name][3:], res[name]), (change, name)
+
+    def test_supervised_embeddings_run_once_per_step(
+        self, monkeypatch, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        calls = {"lyrics_repr": 0, "melody_repr": 0}
+        for name in calls:
+            original = getattr(condition.ConditionNet, name)
+
+            def counting(self, grid, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, grid)
+
+            monkeypatch.setattr(condition.ConditionNet, name, counting)
+        _, log = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=4, seed=0,
+                                    unlabeled_ratio=0.5)
+        # every one of these steps has a supervised window and contrastive terms
+        assert np.all(train.read_loss_log(log)["cont_lyrics"] != 0.0)
+        assert calls == {"lyrics_repr": 4, "melody_repr": 4}
+
     def test_divergence_keeps_the_log_and_writes_no_checkpoint(
         self, corpus_dir, codec_ckpt, tmp_path
     ):
@@ -499,6 +550,61 @@ class TestSampling:
         path.write_text(json.dumps(score))
         with pytest.raises(ConfigError, match="frames"):
             train.sample_score(path, codec_ckpt, latent_ckpt, tmp_path, steps=4, seed=0)
+
+
+def _record_outputs(monkeypatch, owner):
+    """Wrap owner.__call__ for the test and collect what each call returns."""
+    outputs = []
+    original = owner.__call__
+
+    def recording(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(owner, "__call__", recording)
+    return outputs
+
+
+def _untaped(outputs) -> bool:
+    return all(not out.requires_grad and out._parents == () for out in outputs)
+
+
+class TestInferenceBuildsNoTape:
+    def test_loaded_params_do_not_require_grad(self, codec_ckpt, latent_ckpt):
+        codec, _, _ = train.load_codec_checkpoint(codec_ckpt)
+        latent, _, _, _ = train.load_latent_checkpoint(latent_ckpt)
+        named = codec.gen_named_params() + codec.disc_named_params() + latent.named_params()
+        assert named and not any(p.requires_grad for _, p in named)
+
+    def test_sampler_score_calls_and_decoder_build_no_tape(
+        self, monkeypatch, corpus_dir, codec_ckpt, latent_ckpt, tmp_path
+    ):
+        scores = _record_outputs(monkeypatch, nn.ScoreNet)
+        decoded = _record_outputs(monkeypatch, nn.MelDecoder)
+        train.sample_score(str(corpus_dir / "song000.score.json"), codec_ckpt, latent_ckpt,
+                           tmp_path, steps=6, seed=0)
+        assert len(scores) == 6 and len(decoded) == 1
+        assert _untaped(scores) and _untaped(decoded)
+
+    def test_codec_file_commands_build_no_tape(
+        self, monkeypatch, corpus_dir, codec_ckpt, tmp_path
+    ):
+        encoded = _record_outputs(monkeypatch, nn.MelEncoder)
+        decoded = _record_outputs(monkeypatch, nn.MelDecoder)
+        bits = tmp_path / "s.hsc"
+        train.encode_wav(codec_ckpt, str(corpus_dir / "song000.wav"), bits)
+        train.decode_bitstream(codec_ckpt, bits, tmp_path / "s.mel.f32")
+        assert len(encoded) == 1 and len(decoded) == 1
+        assert _untaped(encoded) and _untaped(decoded)
+
+    def test_frozen_codec_in_latent_training_builds_no_tape(
+        self, monkeypatch, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        encoded = _record_outputs(monkeypatch, nn.MelEncoder)
+        train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=1, seed=0)
+        assert len(encoded) == 2  # one per song
+        assert _untaped(encoded)
 
 
 class TestEvaluateFiles:
