@@ -3,9 +3,9 @@
 Tape-based engine: each operation returns a new Tensor that remembers its
 parents and a closure mapping the output gradient to parent gradients.
 An op none of whose inputs requires grad builds neither. Every op output
-and every propagated gradient is checked for NaN/Inf, so numerical
-blowups fail loudly at the op that produced them instead of poisoning a
-training run.
+is checked for NaN/Inf, so a forward blowup fails loudly at the op that
+produced it instead of poisoning a training run. Gradients are checked
+once, at `nn.AdamW.step`, not per edge in `Tensor.backward`.
 """
 from __future__ import annotations
 

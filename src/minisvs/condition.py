@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import as_tensor
+from .dsp import F0_BINS
 from .nn import Embedding, GatedConvBlock, Linear
 
 ONSET_CODA_MAX_FRAMES = 3
@@ -190,7 +191,6 @@ class ConditionNet:
         feature_dim: int = 32,
         embed_dim: int = 64,
         blocks: int = 2,
-        f0_bins: int = 128,
         rng=None,
         dtype=np.float32,
     ):
@@ -203,7 +203,7 @@ class ConditionNet:
         self.dur_emb = Embedding(DURATION_TOKEN_MAX + 1, embed_dim, rng, dtype)
         self.tempo_emb = Embedding(TEMPO_MAX + 1, embed_dim, rng, dtype)
         self.feat_proj = Linear(feature_dim, embed_dim, rng, dtype)
-        self.f0_emb = Embedding(f0_bins + 1, embed_dim, rng, dtype)
+        self.f0_emb = Embedding(F0_BINS + 1, embed_dim, rng, dtype)
         self.enhanced = [GatedConvBlock(embed_dim, rng, None, dtype) for _ in range(blocks)]
         self.prior = Linear(embed_dim, latent_dim, rng, dtype)
 

@@ -22,33 +22,30 @@ from .losses import _check_shapes, _values_of
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-DEFAULT_T_MIN = 1e-3
+HORIZON = 1.0  # T: the diffusion time runs over [0, 1]
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     beta0: float = 0.05
     beta_t: float = 20.0
-    horizon: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.beta0 < self.beta_t):
             raise ValueError("require 0 < beta0 < betaT")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
 
 
 def beta_at(sched: NoiseSchedule, t: float) -> float:
-    if not (0.0 <= t <= sched.horizon):
-        raise ValueError(f"t={t} outside [0, {sched.horizon}]")
-    return sched.beta0 + (sched.beta_t - sched.beta0) * (t / sched.horizon)
+    if not (0.0 <= t <= HORIZON):
+        raise ValueError(f"t={t} outside [0, {HORIZON}]")
+    return sched.beta0 + (sched.beta_t - sched.beta0) * t
 
 
 def integral_beta(sched: NoiseSchedule, t0: float, t1: float) -> float:
     """Closed form of the schedule integral over [t0, t1]."""
-    if not (0.0 <= t0 <= t1 <= sched.horizon):
+    if not (0.0 <= t0 <= t1 <= HORIZON):
         raise ValueError(f"bad integration range [{t0}, {t1}]")
-    slope = (sched.beta_t - sched.beta0) / sched.horizon
+    slope = sched.beta_t - sched.beta0
     return sched.beta0 * (t1 - t0) + 0.5 * slope * (t1 * t1 - t0 * t0)
 
 
@@ -92,44 +89,22 @@ def prior_loss(z0_prime, mu_hat):
     return (diff * diff * 0.5).mean() + HALF_LOG_2PI
 
 
-def diffusion_loss(
-    score_fn,
-    batch,
-    sched: NoiseSchedule,
-    rng,
-    t_min: float = DEFAULT_T_MIN,
-    weight_by_lambda: bool = True,
-    t_values=None,
-    noises=None,
-):
-    """Score-matching loss over a batch of (z0_prime, mu_hat, h_cond).
+def diffusion_loss(score_fn, z0_prime, mu_hat, h_cond, sched: NoiseSchedule, t: float, noise):
+    """Lambda-weighted score-matching loss at one diffusion time t.
 
-    Per element: t ~ U(t_min, T), z_t from the closed-form forward solution,
-    squared error against -(z_t - rho_t)/lam_t summed over the latent
-    dimension and meaned over frames. The per-element error is multiplied by
-    lam_t (weight_by_lambda), which keeps the objective finite as t -> 0;
-    disable it to recover the raw printed form. t_values/noises override the
-    draws for deterministic tests.
+    z0_prime and mu_hat are (..., frames, D), one window or a stacked
+    (B, W, D) batch, and noise has their shape. z_t comes from the
+    closed-form forward solution; the squared error of score_fn(z_t, mu_hat,
+    h_cond, t) against -(z_t - rho_t)/lam_t is summed over the latent
+    dimension, meaned over the rest and multiplied by lam_t, which keeps the
+    objective finite as t -> 0 (divide by lam_t for the raw printed form).
+    The caller draws t and noise.
     """
-    batch = list(batch)
-    if not batch:
-        raise ValueError("diffusion_loss needs a non-empty batch")
-    if t_values is None:
-        t_values = [float(rng.uniform(t_min, sched.horizon)) for _ in batch]
-    if noises is None:
-        noises = [rng.standard_normal(np.shape(_values_of(z))) for z, _, _ in batch]
-    total = None
-    for (z0p, mu, h_cond), t, eps in zip(batch, t_values, noises):
-        eps = np.asarray(eps, dtype=_values_of(z0p).dtype)
-        z_t, target = forward_sample(sched, z0p, mu, t, eps)
-        s = score_fn(z_t, mu, h_cond, t)
-        diff = s - target
-        per = (diff * diff).sum(axis=-1).mean()
-        if weight_by_lambda:
-            lam = 1.0 - math.exp(-integral_beta(sched, 0.0, t))
-            per = per * lam
-        total = per if total is None else total + per
-    return total / float(len(batch))
+    noise = np.asarray(noise, dtype=_values_of(z0_prime).dtype)
+    z_t, target = forward_sample(sched, z0_prime, mu_hat, t, noise)
+    diff = score_fn(z_t, mu_hat, h_cond, t) - target
+    lam = 1.0 - math.exp(-integral_beta(sched, 0.0, t))
+    return (diff * diff).sum(axis=-1).mean() * lam
 
 
 @dataclass(frozen=True)
@@ -160,9 +135,9 @@ def reverse_sample(score_fn, mu_hat, h_cond, sched: NoiseSchedule, cfg: SamplerC
     else:
         z = mu_hat + rng.standard_normal(mu_hat.shape) / math.sqrt(cfg.tau)
     n = cfg.steps
-    h = sched.horizon / n
+    h = HORIZON / n
     for i in range(n):
-        t = sched.horizon - i * h
+        t = HORIZON - i * h
         beta = beta_at(sched, t)
         s = np.asarray(score_fn(z, mu_hat, h_cond, t), dtype=np.float64)
         if not np.all(np.isfinite(s)):

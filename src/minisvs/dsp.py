@@ -16,8 +16,14 @@ import numpy as np
 # log-spaced F0 quantization range, C2..C7 as printed in the config contract
 F0_QUANT_MIN_HZ = 65.4
 F0_QUANT_MAX_HZ = 2093.0
+F0_BINS = 128  # voiced indices 1..F0_BINS; 0 is unvoiced
 
 VOICING_THRESHOLD = 0.5
+
+# mel_peak_pitch reads the dominant filter at or below this frequency, in
+# frames whose peak reaches this share of the track's maximum
+PEAK_SEARCH_FMAX_HZ = 1500.0
+PEAK_ENERGY_FLOOR_RATIO = 0.05
 
 
 @dataclass(frozen=True)
@@ -187,15 +193,14 @@ def estimate_f0(
     cfg: StftConfig,
     fmin: float = 60.0,
     fmax: float = 1200.0,
-    voicing_threshold: float = VOICING_THRESHOLD,
 ) -> PitchTrack:
     """Autocorrelation pitch tracker, frame-aligned with stft().
 
     Per frame: normalized autocorrelation over the lag range of [fmin, fmax];
     the smallest-lag local maximum within 90% of the global peak wins (a bare
     argmax can land on a period multiple), refined parabolically. periodicity
-    is the clipped peak height; a frame is voiced iff it exceeds the
-    threshold.
+    is the clipped peak height; a frame is voiced iff it exceeds
+    VOICING_THRESHOLD.
     """
     if fmin < 50:
         raise ValueError("fmin must be >= 50 Hz")
@@ -256,24 +261,22 @@ def estimate_f0(
         lag = taus[sel] + delta
         p = float(np.clip(y1, 0.0, 1.0))
         periodicity[i] = p
-        if p > voicing_threshold:
+        if p > VOICING_THRESHOLD:
             f0[i] = float(np.clip(sr / lag, fmin, fmax))
     voiced = f0 > 0
-    periodicity = np.where(voiced, periodicity, np.minimum(periodicity, voicing_threshold))
+    periodicity = np.where(voiced, periodicity, np.minimum(periodicity, VOICING_THRESHOLD))
     return PitchTrack(f0, periodicity, voiced)
 
 
-def quantize_f0(track: PitchTrack, bins: int = 128) -> np.ndarray:
-    """Log-uniform F0 bins over [65.4, 2093] Hz; 0 is the unvoiced index."""
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+def quantize_f0(track: PitchTrack) -> np.ndarray:
+    """F0_BINS log-uniform F0 bins over [65.4, 2093] Hz; 0 is the unvoiced index."""
     span = math.log(F0_QUANT_MAX_HZ / F0_QUANT_MIN_HZ)
     out = np.zeros(len(track), dtype=np.int64)
     voiced = track.voiced
     if voiced.any():
         ratio = np.log(track.f0[voiced] / F0_QUANT_MIN_HZ) / span
-        idx = 1 + np.floor(bins * ratio).astype(np.int64)
-        out[voiced] = np.clip(idx, 1, bins)
+        idx = 1 + np.floor(F0_BINS * ratio).astype(np.int64)
+        out[voiced] = np.clip(idx, 1, F0_BINS)
     return out
 
 
@@ -336,32 +339,30 @@ def mel_peak_pitch(
     mel_bins: int,
     fmin: float,
     fmax: float,
-    search_fmax: float = 1500.0,
-    energy_floor_ratio: float = 0.05,
 ) -> PitchTrack:
     """Pitch track from a mel spectrogram of quasi-pure tones.
 
-    Dominant filter below search_fmax plus a 3-point centroid over the
-    triangular filterbank centers, which inverts a pure tone's position
-    exactly. Frames whose peak energy falls under energy_floor_ratio of the
-    track maximum are unvoiced. Intended for codec/diffusion outputs, where
-    only mel features exist.
+    Dominant filter below PEAK_SEARCH_FMAX_HZ plus a 3-point centroid over
+    the triangular filterbank centers, which inverts a pure tone's position
+    exactly. Frames whose peak energy falls under PEAK_ENERGY_FLOOR_RATIO of
+    the track maximum are unvoiced. Intended for codec/diffusion outputs,
+    where only mel features exist.
     """
     if mel.kind != "mel":
         raise ValueError("mel_peak_pitch expects a mel spectrogram")
     if mel.data.shape[1] != mel_bins:
         raise ValueError(f"spectrogram has {mel.data.shape[1]} bins, caller says {mel_bins}")
     centers = mel_center_freqs(mel_bins, fmin, fmax)
-    searchable = centers <= search_fmax
+    searchable = centers <= PEAK_SEARCH_FMAX_HZ
     if not searchable.any():
-        raise ValueError("no mel filters below search_fmax")
+        raise ValueError(f"no mel filters below {PEAK_SEARCH_FMAX_HZ} Hz")
     hi = int(np.flatnonzero(searchable)[-1]) + 1
     data = mel.data[:, :hi]
     n = data.shape[0]
     f0 = np.zeros(n)
     periodicity = np.zeros(n)
     peak_all = data.max() if data.size else 0.0
-    floor = energy_floor_ratio * max(peak_all, 1e-12)
+    floor = PEAK_ENERGY_FLOOR_RATIO * max(peak_all, 1e-12)
     for i in range(n):
         row = data[i]
         p = int(np.argmax(row))

@@ -222,6 +222,9 @@ class MelPatchDiscriminator:
         )
 
 
+ADAM_EPS = 1e-8  # added to the bias-corrected sqrt(v) before dividing
+
+
 class AdamW:
     """AdamW with decoupled weight decay applied before the moment update."""
 
@@ -232,7 +235,6 @@ class AdamW:
         beta1: float = 0.8,
         beta2: float = 0.99,
         weight_decay: float = 0.01,
-        eps: float = 1e-8,
     ):
         if lr <= 0:
             raise ValueError("lr must be positive")
@@ -243,7 +245,6 @@ class AdamW:
         self.beta1 = beta1
         self.beta2 = beta2
         self.weight_decay = weight_decay
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -269,7 +270,7 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             denom = np.sqrt(v / bc2)
-            denom += self.eps
+            denom += ADAM_EPS
             p.data -= (self.lr / bc1) * m / denom
 
     def state_arrays(self, names) -> dict[str, np.ndarray]:

@@ -9,11 +9,12 @@ error never increases with the number of stages.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .losses import _values_of
 
 BITSTREAM_MAGIC = b"HSC1"
 
@@ -163,14 +164,21 @@ def quantize(coder: RvqCoder, z: np.ndarray) -> np.ndarray:
     return zq
 
 
-def commitment_loss(residuals: np.ndarray, selected: np.ndarray) -> float:
-    """Sum over stages of the mean-per-frame squared quantization error."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    selected = np.asarray(selected, dtype=np.float64)
-    if residuals.shape != selected.shape:
-        raise ValueError(f"shape mismatch {residuals.shape} vs {selected.shape}")
-    diff = residuals - selected
-    return float(((diff * diff).sum(axis=2)).mean(axis=1).sum())
+def commitment_loss(z, quantized):
+    """Sum over stages of the mean-per-frame squared quantization error.
+
+    quantized is (C, frames, D): each stage's selected entries, or the
+    running reconstruction after each stage. z is either the matching
+    (C, frames, D) stage inputs or one (frames, D) latent, broadcast over
+    the stages. Arrays give a numpy scalar; a Tensor z gives a graph in
+    which quantized is a constant of z's dtype.
+    """
+    z_shape = _values_of(z).shape
+    q_shape = np.shape(quantized)
+    if z_shape not in (q_shape, q_shape[1:]):
+        raise ValueError(f"shape mismatch {z_shape} vs {q_shape}")
+    diff = z - quantized
+    return (diff * diff).sum(axis=-1).mean(axis=-1).sum()
 
 
 def _kmeans(samples: np.ndarray, k: int, rng) -> np.ndarray:
@@ -227,7 +235,6 @@ def ema_update(
     ids: np.ndarray,
     decay: float = EMA_DECAY,
     rng=None,
-    dead_threshold: float = DEAD_CODE_THRESHOLD,
 ) -> RvqCoder:
     """One EMA codebook update from an encoded batch (in place).
 
@@ -236,7 +243,7 @@ def ema_update(
     codebooks. Per stage: counts and sums decay toward the batch assignment
     statistics and entries become sums / max(counts, eps). Entries that
     received no assignment in this batch and whose EMA count sits under
-    dead_threshold are reseeded from random frames of the stage's residual
+    DEAD_CODE_THRESHOLD are reseeded from random frames of the stage's residual
     when an rng is supplied.
     """
     if not (0.0 <= decay < 1.0):
@@ -256,7 +263,7 @@ def ema_update(
         cb.ema_sums = (decay * cb.ema_sums + (1.0 - decay) * sums).astype(np.float32)
         new_entries = cb.ema_sums / np.maximum(cb.ema_counts, COUNT_EPS)[:, None]
         if rng is not None:
-            dead = (counts == 0) & (cb.ema_counts < dead_threshold)
+            dead = (counts == 0) & (cb.ema_counts < DEAD_CODE_THRESHOLD)
             if coder.pin_zero:
                 dead[0] = False
             n_dead = int(dead.sum())
@@ -308,30 +315,3 @@ def read_bitstream(path):
         raise ValueError(f"{path}: truncated bitstream ({len(body)} of {expect} payload bytes)")
     idx = np.frombuffer(body, dtype="<u2").reshape(frames, c).T.astype(np.int64)
     return CodecCodes(idx, k, d), sr, hop
-
-
-def save_codebooks(path, coder: RvqCoder) -> None:
-    """Raw f32 little-endian entries with a JSON sidecar {C, K, D}."""
-    stacked = np.stack([cb.entries for cb in coder.codebooks])
-    with open(path, "wb") as fh:
-        fh.write(stacked.astype("<f4").tobytes())
-    sidecar = {
-        "C": coder.n_quantizers,
-        "K": coder.codebook_size,
-        "D": coder.dim,
-        "pin_zero": coder.pin_zero,
-    }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
-
-
-def load_codebooks(path) -> RvqCoder:
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    c, k, d = int(meta["C"]), int(meta["K"]), int(meta["D"])
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size != c * k * d:
-        raise ValueError(f"{path}: expected {c * k * d} floats, found {raw.size}")
-    stacked = raw.reshape(c, k, d)
-    books = [Codebook(stacked[i].copy()) for i in range(c)]
-    return RvqCoder(books, pin_zero=bool(meta.get("pin_zero", False)))

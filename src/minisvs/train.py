@@ -293,13 +293,6 @@ def _collapse_labels(frame_labels: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def _commitment_graph(z_flat: Tensor, selected: np.ndarray) -> Tensor:
-    """In-graph commitment loss; codebook entries are constants."""
-    prefix = np.cumsum(selected, axis=0).astype(z_flat.data.dtype)  # (C, N, D)
-    diff = z_flat - Tensor(prefix)
-    return (diff * diff).sum(axis=-1).mean(axis=-1).sum()
-
-
 CODEC_LOG_HEADER = ["step", "recon", "emb", "lyrics", "note", "adv", "fm", "total", "grad_norm"]
 
 
@@ -345,9 +338,7 @@ def train_codec(
         # seed the codebooks from the untrained encoder's latents
         sample = np.concatenate([s.logmel for s in songs])[: max(4 * cfg.codebook_size, 512)]
         z0 = models.encoder(sample).data.astype(np.float64)
-        models.coder = rvq.init_codebooks(
-            rvq.RvqCoder(models.coder.codebooks, pin_zero=cfg.pin_zero_entry), z0, seed
-        )
+        models.coder = rvq.init_codebooks(models.coder, z0, seed)
 
     return _train_loop(
         "codec", out_dir, steps,
@@ -378,7 +369,8 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, gen_para
 
     x_hat = models.decoder(zq_t)
     l_recon = losses.recon_l1(x.astype(np.float32), x_hat)
-    l_emb = _commitment_graph(z.reshape(-1, cfg.latent_dim), selected)
+    # the running reconstruction after each stage; entries are constants
+    l_emb = rvq.commitment_loss(z.reshape(-1, cfg.latent_dim), np.cumsum(selected, axis=0))
 
     lyr_ls = log_softmax(models.lyrics_head(zq_t), axis=-1)
     note_ls = log_softmax(models.note_head(zq_t), axis=-1)
@@ -449,7 +441,7 @@ LATENT_LOG_HEADER = [
 ]
 
 
-def _frozen_latents(models: CodecModels, songs, cfg: RunConfig, target_kind: str):
+def _frozen_latents(models: CodecModels, songs, target_kind: str):
     outs = []
     for song in songs:
         z0 = models.encoder(song.logmel).data.astype(np.float64)
@@ -506,7 +498,7 @@ def train_latent(
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
 
-    z_all = _frozen_latents(codec_models, songs, cfg, modes["target_kind"])
+    z_all = _frozen_latents(codec_models, songs, modes["target_kind"])
     if resumed is None:
         mean, std = diffusion.latent_stats(np.concatenate(z_all))
         # canonical f32 stats: the checkpoint stores f32, and resume must see
@@ -598,9 +590,9 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
                 )
         mu = fc.mu_hat if data_prior else np.zeros_like(z0p)
         weight = len(picks) / float(cfg.batch)
-        part = diffusion.diffusion_loss(
-            models.score, [(z0p, mu, fc.h_cond)], sched, data_rng, t_min=cfg.t_min
-        )
+        t = float(data_rng.uniform(cfg.t_min, diffusion.HORIZON))
+        noise = data_rng.standard_normal(z0p.shape)
+        part = diffusion.diffusion_loss(models.score, z0p, mu, fc.h_cond, sched, t, noise)
         l_diff = part * weight if l_diff is None else l_diff + part * weight
         if data_prior:
             p_part = diffusion.prior_loss(z0p, mu) * weight
@@ -701,10 +693,9 @@ def sample_score(
     if target_kind is None:
         target_kind = meta["target_kind"]
 
-    enhanced = bool(meta.get("enhanced", True))
-    fc = latent_models.cond.condition(grid, enhanced)
+    fc = latent_models.cond.condition(grid, bool(meta["enhanced"]))
     h_cond = fc.h_cond.data
-    if meta.get("prior_mode", "data") == "standard":
+    if meta["prior_mode"] == "standard":
         mu = np.zeros((grid.frames, cfg.latent_dim))
     else:
         mu = fc.mu_hat.data.astype(np.float64)

@@ -160,32 +160,36 @@ class TestDiffusionLoss:
         # closed-form transition-density score is available to the "net"
         rng = np.random.default_rng(5)
         mu = np.zeros((8, 4))
-        batch = []
-        for _ in range(16):
-            z0 = rng.standard_normal((8, 4)) * 0.7 + 0.3
-            batch.append((z0, mu, z0))
+        z0s = [rng.standard_normal((8, 4)) * 0.7 + 0.3 for _ in range(16)]
 
         def exact_score(z_t, m, h_cond, t):
             p = df.transition(SCHED, h_cond, m, t)
             return -(z_t - p.rho) / p.lam
 
-        loss = df.diffusion_loss(exact_score, batch, SCHED, np.random.default_rng(6))
-        assert float(loss) < 1e-12
+        draw = np.random.default_rng(6)
+        ts = [float(draw.uniform(1e-3, 1.0)) for _ in z0s]
+        losses = [
+            df.diffusion_loss(exact_score, z0, mu, z0, SCHED, t, draw.standard_normal(z0.shape))
+            for z0, t in zip(z0s, ts)
+        ]
+        assert float(np.mean(losses)) < 1e-12
 
     def test_zero_score_expectation_is_d_over_lambda(self):
         rng = np.random.default_rng(7)
         d_dim = 4
         lam = df.transition(SCHED, np.zeros((1, d_dim)), np.zeros((1, d_dim)), 0.5).lam
-        batch = [(np.zeros((64, d_dim)), np.zeros((64, d_dim)), None) for _ in range(200)]
+        zeros = np.zeros((200, 64, d_dim))
         loss = df.diffusion_loss(
             lambda z, m, h, t: np.zeros_like(z),
-            batch,
+            zeros,
+            zeros,
+            None,
             SCHED,
-            rng,
-            weight_by_lambda=False,
-            t_values=[0.5] * len(batch),
+            0.5,
+            rng.standard_normal(zeros.shape),
         )
-        assert abs(float(loss) - d_dim / lam) / (d_dim / lam) < 0.02
+        raw = float(loss) / lam
+        assert abs(raw - d_dim / lam) / (d_dim / lam) < 0.02
 
     def test_marginal_score_hits_analytic_floor(self):
         # with data N(mu, sigma^2 I) and the marginal score, the weighted
@@ -193,7 +197,7 @@ class TestDiffusionLoss:
         rng = np.random.default_rng(8)
         sigma = 0.5
         d_dim = 4
-        mu = np.zeros((32, d_dim))
+        mu = np.zeros((300, 32, d_dim))
         t_fix = 0.35
         ib = df.integral_beta(SCHED, 0.0, t_fix)
         a2 = math.exp(-ib)
@@ -203,11 +207,25 @@ class TestDiffusionLoss:
         def marginal_score(z, m, h, t):
             return -(z - m) / (a2 * sigma**2 + lam)
 
-        batch = [(rng.standard_normal((32, d_dim)) * sigma, mu, None) for _ in range(300)]
+        z0 = rng.standard_normal(mu.shape) * sigma
         loss = df.diffusion_loss(
-            marginal_score, batch, SCHED, rng, t_values=[t_fix] * len(batch)
+            marginal_score, z0, mu, None, SCHED, t_fix, rng.standard_normal(z0.shape)
         )
         assert abs(float(loss) - floor) / floor < 0.05
+
+    def test_stacked_call_is_the_mean_of_per_window_calls(self):
+        rng = np.random.default_rng(10)
+        z0, mu, h = (rng.standard_normal((5, 12, 4)) for _ in range(3))
+        noise = rng.standard_normal(z0.shape)
+
+        def score(z, m, h_cond, t):
+            return np.tanh(z - m) * t + 0.3 * h_cond
+
+        stacked = df.diffusion_loss(score, z0, mu, h, SCHED, 0.42, noise)
+        per_window = [
+            df.diffusion_loss(score, z0[b], mu[b], h[b], SCHED, 0.42, noise[b]) for b in range(5)
+        ]
+        assert abs(stacked - np.mean(per_window)) <= 1e-12 * abs(stacked)
 
     def test_duplicate_rows_give_identical_per_row_losses(self):
         rng = np.random.default_rng(9)
@@ -217,10 +235,6 @@ class TestDiffusionLoss:
         z_t, target = df.forward_sample(SCHED, z0, mu, 0.5, np.repeat(eps_row, 6, 0))
         per_row = ((np.zeros_like(z_t) - target) ** 2).sum(axis=1)
         assert np.allclose(per_row, per_row[0])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            df.diffusion_loss(lambda *a: None, [], SCHED, np.random.default_rng(0))
 
 
 class TestReverseSampler:

@@ -192,10 +192,6 @@ class TestQuantizeF0:
         track = dsp.PitchTrack([50.0, 2100.0], [1.0, 1.0])
         assert dsp.quantize_f0(track).tolist() == [1, 128]
 
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            dsp.quantize_f0(dsp.PitchTrack([100.0], [1.0]), bins=1)
-
 
 class TestSynthTone:
     def test_empty_spec_gives_silence(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minisvs import rvq
+from minisvs.autodiff import Tensor, gradient_check
 
 
 def _coder_from_entries(*entry_sets, pin_zero=False):
@@ -145,6 +146,55 @@ class TestCommitment:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rvq.commitment_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)))
+        with pytest.raises(ValueError):
+            rvq.commitment_loss(np.zeros((3, 3)), np.zeros((1, 2, 3)))
+
+    @staticmethod
+    def _encoded(seed=11):
+        rng = np.random.default_rng(seed)
+        coder = _coder_from_entries(*[rng.standard_normal((6, 3)) for _ in range(4)])
+        z = rng.standard_normal((25, 3))
+        _, _, res, sel = rvq.encode_detailed(coder, z)
+        return z, res, sel
+
+    def test_latent_against_running_reconstruction(self):
+        # stage c's residual is z minus the sum of the entries chosen before
+        # it, so (residuals, selected) and (z, cumsum(selected)) agree
+        z, res, sel = self._encoded()
+        a = rvq.commitment_loss(res, sel)
+        b = rvq.commitment_loss(z, np.cumsum(sel, axis=0))
+        assert abs(a - b) <= 1e-12 * abs(a)
+
+    def test_tensor_form_and_gradient(self):
+        z, _, sel = self._encoded(12)
+        prefix = np.cumsum(sel, axis=0)
+        zt = Tensor(z.copy(), requires_grad=True)
+        out = rvq.commitment_loss(zt, prefix)
+        assert isinstance(out, Tensor)
+        assert float(out.data) == rvq.commitment_loss(z, prefix)
+        err = gradient_check(lambda: rvq.commitment_loss(zt, prefix), [zt], n_points=12,
+                             rng=np.random.default_rng(13))
+        assert err < 1e-6
+
+    def test_f32_graph_matches_the_cast_prefix_form_bit_for_bit(self):
+        def reference(z_flat, selected):
+            # the in-graph form the codec step used before the two were one function
+            prefix = np.cumsum(selected, axis=0).astype(z_flat.data.dtype)
+            diff = z_flat - Tensor(prefix)
+            return (diff * diff).sum(axis=-1).mean(axis=-1).sum()
+
+        z, _, sel = self._encoded(14)
+        outs, grads = [], []
+        for fn in (reference, lambda zt, s: rvq.commitment_loss(zt, np.cumsum(s, axis=0))):
+            zt = Tensor(z.astype(np.float32), requires_grad=True)
+            out = fn(zt, sel)
+            out.backward()
+            outs.append(out.data)
+            grads.append(zt.grad)
+        assert outs[0].dtype == outs[1].dtype == np.float32
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert grads[0].dtype == grads[1].dtype == np.float32
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestInitCodebooks:
@@ -360,15 +410,3 @@ class TestBitstream:
         path.write_bytes(blob[:-4])
         with pytest.raises(ValueError):
             rvq.read_bitstream(path)
-
-    def test_codebook_files_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        coder = _coder_from_entries(
-            rng.standard_normal((8, 4)), rng.standard_normal((8, 4)), pin_zero=True
-        )
-        path = tmp_path / "books"
-        rvq.save_codebooks(path, coder)
-        back = rvq.load_codebooks(path)
-        assert back.pin_zero
-        for a, b in zip(back.codebooks, coder.codebooks):
-            assert np.array_equal(a.entries, b.entries)
