@@ -293,11 +293,15 @@ def score_to_json(score: MusicalScore, phoneme_table: dict[str, int]) -> dict:
 
 
 def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScore:
-    if "tempo" not in payload or "syllables" not in payload:
+    if not isinstance(payload, dict) or "tempo" not in payload or "syllables" not in payload:
         raise ValueError("score JSON needs 'tempo' and 'syllables'")
+    if not isinstance(payload["syllables"], list):
+        raise ValueError("score JSON: 'syllables' must be a list")
     tempo = float(payload["tempo"])
     syllables = []
     for i, item in enumerate(payload["syllables"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"syllable {i}: must be an object")
         try:
             nucleus = phoneme_table[item["nucleus"]]
             onset = phoneme_table[item["onset"]] if item.get("onset") else None

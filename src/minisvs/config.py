@@ -104,6 +104,8 @@ def config_from_dict(payload: dict) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     payload = dict(payload)
     loss_payload = payload.pop("loss", {})
+    if not isinstance(loss_payload, dict):
+        raise ConfigError("'loss' must be a JSON object")
     known = {f.name for f in fields(RunConfig)} - {"loss"}
     unknown = set(payload) - known
     if unknown:

@@ -380,8 +380,12 @@ def mel_peak_pitch(
 
 
 def load_wav(path) -> AudioBuffer:
-    """Read mono 16-bit PCM; anything else is rejected."""
-    with wave.open(str(path), "rb") as wf:
+    """Read mono 16-bit PCM; anything else is rejected with ValueError."""
+    try:
+        wf = wave.open(str(path), "rb")  # parses the whole header
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable WAV file ({exc or 'empty'})") from None
+    with wf:
         if wf.getnchannels() != 1:
             raise ValueError(f"{path}: only mono WAV is supported")
         if wf.getsampwidth() != 2:

@@ -8,6 +8,7 @@ and a free-form meta object (config snapshot, step, rng state, ...).
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -40,30 +41,46 @@ def load_matrix(path):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write <path> (f32 blob) and <path>.json (manifest)."""
+    """Write <path> (f32 blob) and <path>.json (manifest), atomically.
+
+    Both are written to temporary files in the same directory and then moved
+    into place with os.replace, the manifest last. A write that fails leaves
+    any earlier pair untouched and removes its temporary files.
+    """
+    path = str(path)
+    blob_tmp, manifest_tmp = path + ".tmp", path + ".json.tmp"
     entries = []
     offset = 0
-    with open(path, "wb") as fh:
-        for name, arr in arrays.items():
-            blob = np.asarray(arr).astype("<f4").tobytes()
-            fh.write(blob)
-            entries.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
-            offset += len(blob)
-    manifest = {"meta": meta, "params": entries}
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
+    try:
+        with open(blob_tmp, "wb") as fh:
+            for name, arr in arrays.items():
+                blob = np.asarray(arr).astype("<f4").tobytes()
+                fh.write(blob)
+                entries.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
+                offset += len(blob)
+        with open(manifest_tmp, "w", encoding="utf-8") as fh:
+            json.dump({"meta": meta, "params": entries}, fh)
+        os.replace(blob_tmp, path)
+        os.replace(manifest_tmp, path + ".json")
+    finally:
+        for tmp in (blob_tmp, manifest_tmp):
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def load_checkpoint(path):
     """Returns (dict name -> float32 array, meta dict)."""
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if "params" not in manifest or "meta" not in manifest:
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("meta"), dict)
+            and isinstance(manifest.get("params"), list)):
         raise ValueError(f"{path}: not a checkpoint manifest")
     with open(path, "rb") as fh:
         blob = fh.read()
     arrays = {}
-    for entry in manifest["params"]:
+    for i, entry in enumerate(manifest["params"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: manifest params[{i}] must be an object")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = int(entry["offset"])

@@ -308,6 +308,8 @@ def read_bitstream(path):
         blob = fh.read()
     if blob[:4] != BITSTREAM_MAGIC:
         raise ValueError(f"{path}: not a codec bitstream (bad magic)")
+    if len(blob) < 22:
+        raise ValueError(f"{path}: truncated header ({len(blob)} of 22 bytes)")
     c, k, d, frames, sr, hop = struct.unpack("<HHHIII", blob[4:22])
     expect = frames * c * 2
     body = blob[22:]

@@ -182,7 +182,8 @@ LATENT_RESUME_FREE = frozenset({
 
 def _set_frozen_params(named_params, arrays) -> None:
     """set_params for an inference model: the params stop requiring grad, so
-    every forward through them skips the autograd tape and its closures."""
+    every forward through them builds no autograd tape: each op drops its
+    backward closure as soon as its output is built."""
     set_params(named_params, arrays)
     for _, p in named_params:
         p.requires_grad = False

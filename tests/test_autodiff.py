@@ -101,6 +101,48 @@ def test_per_op_gradients_match_finite_differences(seed):
         assert err < 1e-4, f"{name}: rel err {err:.2e}"
 
 
+_TAPE_OPS = {
+    "add": lambda x, y, w, c: x + y,
+    "sub": lambda x, y, w, c: x - y,
+    "mul": lambda x, y, w, c: x * y,
+    "div": lambda x, y, w, c: x / y,
+    "pow": lambda x, y, w, c: x**2.0,
+    "matmul": lambda x, y, w, c: x @ y,
+    "getitem": lambda x, y, w, c: x[np.array([0, 2])],
+    "exp": lambda x, y, w, c: x.exp(),
+    "log": lambda x, y, w, c: x.log(),
+    "tanh": lambda x, y, w, c: x.tanh(),
+    "sigmoid": lambda x, y, w, c: x.sigmoid(),
+    "relu": lambda x, y, w, c: x.relu(),
+    "abs": lambda x, y, w, c: x.abs(),
+    "sum": lambda x, y, w, c: x.sum(axis=0),
+    "reshape": lambda x, y, w, c: x.reshape(9),
+    "embedding": lambda x, y, w, c: ad.embedding(x, np.array([0, 2, 2])),
+    "conv1d3": lambda x, y, w, c: ad.conv1d3(x, w, c),
+    "log_softmax": lambda x, y, w, c: ad.log_softmax(x),
+    "straight_through": lambda x, y, w, c: ad.straight_through(x, y.data),
+    "custom": lambda x, y, w, c: ad.custom(2.0 * x.data, (x, y), lambda g: (2.0 * g, None), "double"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_TAPE_OPS))
+@pytest.mark.parametrize("requires_grad", [False, True], ids=["constant", "taped"])
+def test_op_output_joins_the_tape_only_when_a_parent_requires_grad(op, requires_grad):
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.uniform(0.5, 2.0, (3, 3)), requires_grad=requires_grad)
+    y = ad.Tensor(rng.uniform(0.5, 2.0, (3, 3)))
+    w = ad.Tensor(rng.standard_normal((3, 3, 3)))
+    c = ad.Tensor(rng.standard_normal(3))
+    out = _TAPE_OPS[op](x, y, w, c)
+    assert out.requires_grad is requires_grad
+    if requires_grad:
+        assert any(p is x for p in out._parents)
+        assert callable(out._grad_fn)
+    else:
+        assert out._parents == ()
+        assert out._grad_fn is None
+
+
 def _scatter_reference(shape, idx, g):
     acc = np.zeros(shape, dtype=g.dtype)
     np.add.at(acc, idx, g)

@@ -1,5 +1,7 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from minisvs import cli, losses
@@ -100,6 +102,56 @@ class TestExitCodes:
                          "--config", str(cfg_path)] + flag)
         assert code == 2
         assert not (tmp_path / "r" / "codec.ckpt").exists()
+
+
+def _garbage(n: int) -> bytes:
+    return np.random.default_rng(7).integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+class TestCorruptInputExits2:
+    @pytest.mark.parametrize("command,name,content", [
+        ("evaluate", "bad.wav", _garbage(64)),
+        ("evaluate", "empty.wav", b""),
+        ("encode", "bad.wav", _garbage(64)),
+        ("decode", "short.hsc", b"HSC1" + _garbage(3)),
+    ], ids=["evaluate-garbage-wav", "evaluate-empty-wav", "encode-garbage-wav",
+            "decode-short-header"])
+    def test_wav_and_bitstream_readers(self, workdir, tmp_path, command, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        ckpt, out = str(workdir / "codec" / "codec.ckpt"), str(tmp_path / "out")
+        argv = {
+            "evaluate": ["evaluate", "--gt", str(bad), "--pred", str(bad), "--out", out],
+            "encode": ["codec", "encode", "--checkpoint", ckpt, "--wav", str(bad), "--out", out],
+            "decode": ["codec", "decode", "--checkpoint", ckpt, "--bitstream", str(bad),
+                       "--out", out],
+        }[command]
+        assert cli.main(argv) == 2
+
+    def test_config_with_a_non_object_loss(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"loss": 3}))
+        assert cli.main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("syllables", [5, ["a"]], ids=["int", "list-of-str"])
+    def test_score_with_malformed_syllables(self, workdir, tmp_path, syllables):
+        score = tmp_path / "bad.score.json"
+        score.write_text(json.dumps({"tempo": 120.0, "syllables": syllables}))
+        assert cli.main(["sample", "--score", str(score),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--latent", str(workdir / "latent" / "latent.ckpt"),
+                         "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
+
+    def test_checkpoint_manifest_with_a_non_object_param(self, workdir, tmp_path):
+        ckpt = tmp_path / "codec.ckpt"
+        shutil.copy(workdir / "codec" / "codec.ckpt", ckpt)
+        manifest = json.loads((workdir / "codec" / "codec.ckpt.json").read_text())
+        manifest["params"] = [5]
+        (tmp_path / "codec.ckpt.json").write_text(json.dumps(manifest))
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(ckpt),
+                         "--latent", str(workdir / "latent" / "latent.ckpt"),
+                         "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
 
 
 class TestCodecRoundtrip:

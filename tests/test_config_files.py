@@ -93,6 +93,26 @@ class TestCheckpointFiles:
         assert entry["a.w"]["offset"] == 0
         assert entry["b"]["offset"] == 3 * 2 * 4  # bytes
 
+    def test_failed_write_keeps_the_old_pair_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        old = {"w": rng.standard_normal((4, 3)).astype(np.float32)}
+        path = tmp_path / "c.ckpt"
+        fileio.save_checkpoint(path, old, {"step": 1})
+        listing = sorted(p.name for p in tmp_path.iterdir())
+
+        def failing_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio.json, "dump", failing_dump)
+        new = {"w": rng.standard_normal((2, 5)).astype(np.float32)}
+        with pytest.raises(OSError, match="disk full"):
+            fileio.save_checkpoint(path, new, {"step": 2})
+        monkeypatch.undo()
+        back, meta = fileio.load_checkpoint(path)
+        assert meta == {"step": 1}
+        assert np.array_equal(back["w"], old["w"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
