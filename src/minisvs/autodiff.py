@@ -39,13 +39,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def matmul_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the 2-D w in a @ w for output gradient g, summed over a's leading axes."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without boolean masks.
 
     Both branches share e = exp(-|x|), so neither overflows, and every
     element, signed zeros, infinities and NaNs included, gets the bits the
     masked two-branch form gives it. min(x, -x) is -|x| that keeps a NaN's
-    sign bit; exp underflowing to 0 for large |x| is exact, not an error.
+    sign bit, and max(0, NaN) keeps the NaN; exp underflowing to 0 for
+    large |x| is exact, not an error.
     """
     flat = x.reshape(-1)  # a 0-d input would make the ufuncs return scalars
     e = np.negative(flat)
@@ -53,9 +59,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
         np.exp(e, out=e)
     d = e + 1.0
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    return np.where(flat >= 0, d, e).reshape(x.shape)
+    # the numerator is 1 where x >= 0 and e elsewhere; since e <= 1 where
+    # x >= 0, max(mask, e) picks it without a branch on the random signs
+    n = np.maximum((flat >= 0).astype(flat.dtype), e)
+    n /= d
+    return n.reshape(x.shape)
 
 
 class Tensor:
@@ -209,10 +217,7 @@ class Tensor:
 
         def grad_fn(g):
             ga = g @ b.data.T if a.requires_grad else None
-            gb = None
-            if b.requires_grad:
-                k = a.data.shape[-1]
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+            gb = matmul_weight_grad(a.data, g) if b.requires_grad else None
             return ga, gb
         return custom(a.data @ b.data, (a, b), grad_fn, "matmul")
 
@@ -337,45 +342,56 @@ def embedding(table: Tensor, ids) -> Tensor:
     return custom(table.data[ids], (table,), grad_fn, "embedding")
 
 
+def conv3_pad(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., T, C_in) with one zero frame on each side, for kernel w (3, C_in, C_out)."""
+    if w.shape[0] != 3:
+        raise ValueError("conv1d3 expects a kernel of width 3")
+    if x.shape[-1] != w.shape[1]:
+        raise ValueError(f"conv1d3: channel mismatch {x.shape[-1]} vs {w.shape[1]}")
+    t = x.shape[-2]
+    # zero padding by slice assignment; np.pad's generic path would cost
+    # about a tenth of a ScoreNet call
+    xp = np.zeros(x.shape[:-2] + (t + 2, x.shape[-1]), dtype=x.dtype)
+    xp[..., 1 : t + 1, :] = x
+    return xp
+
+
+def conv3_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Width-3 convolution of the padded input xp; the output has T frames."""
+    t = xp.shape[-2] - 2
+    y = xp[..., 0:t, :] @ w[0] + xp[..., 1 : t + 1, :] @ w[1] + xp[..., 2 : t + 2, :] @ w[2]
+    y += b
+    return y
+
+
+def conv3_backward(g, xp, w, need_x: bool, need_w: bool, need_b: bool) -> tuple:
+    """Gradients (x, w, b) of conv3_forward for output gradient g; None where not needed."""
+    t = g.shape[-2]
+    gx = None
+    if need_x:
+        gxp = np.zeros_like(xp)
+        for k in range(3):
+            gxp[..., k : k + t, :] += g @ w[k].T
+        gx = gxp[..., 1 : t + 1, :]
+    gw = None
+    if need_w:
+        gw = np.empty_like(w)
+        for k in range(3):
+            gw[k] = matmul_weight_grad(xp[..., k : k + t, :], g)
+    gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if need_b else None
+    return gx, gw, gb
+
+
 def conv1d3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Width-3 convolution over the frame axis (second-to-last), zero padded.
 
     x: (..., T, C_in), w: (3, C_in, C_out), b: (C_out,). Output keeps T.
     """
-    if w.data.shape[0] != 3:
-        raise ValueError("conv1d3 expects a kernel of width 3")
-    if x.data.shape[-1] != w.data.shape[1]:
-        raise ValueError(
-            f"conv1d3: channel mismatch {x.data.shape[-1]} vs {w.data.shape[1]}"
-        )
-    t = x.data.shape[-2]
-    # zero padding by slice assignment; np.pad's generic path would cost
-    # about a tenth of a ScoreNet call
-    xp = np.zeros(x.data.shape[:-2] + (t + 2, x.data.shape[-1]), dtype=x.data.dtype)
-    xp[..., 1 : t + 1, :] = x.data
-    y = xp[..., 0:t, :] @ w.data[0] + xp[..., 1 : t + 1, :] @ w.data[1] + xp[..., 2 : t + 2, :] @ w.data[2]
-    y = y + b.data
+    xp = conv3_pad(x.data, w.data)
 
     def grad_fn(g):
-        gx = None
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for k in range(3):
-                gxp[..., k : k + t, :] += g @ w.data[k].T
-            gx = gxp[..., 1 : t + 1, :]
-        gw = None
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            c_out = g.shape[-1]
-            gflat = g.reshape(-1, c_out)
-            for k in range(3):
-                xs = xp[..., k : k + t, :].reshape(-1, w.data.shape[1])
-                gw[k] = xs.T @ gflat
-        gb = None
-        if b.requires_grad:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        return gx, gw, gb
-    return custom(y, (x, w, b), grad_fn, "conv1d3")
+        return conv3_backward(g, xp, w.data, x.requires_grad, w.requires_grad, b.requires_grad)
+    return custom(conv3_forward(xp, w.data, b.data), (x, w, b), grad_fn, "conv1d3")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

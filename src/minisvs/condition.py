@@ -334,4 +334,7 @@ def load_phoneme_table(path) -> dict[str, int]:
         table = json.load(fh)
     if not isinstance(table, dict) or not table:
         raise ValueError(f"{path}: phoneme table must be a non-empty object")
-    return {str(k): int(v) for k, v in table.items()}
+    for key, value in table.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{path}: phoneme '{key}' must map to a non-negative int id")
+    return dict(table)

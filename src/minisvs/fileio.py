@@ -31,9 +31,12 @@ def load_matrix(path):
     """
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if "frames" not in meta or ("dim" not in meta and "F" not in meta):
-        raise ValueError(f"{path}: sidecar must declare 'frames' and 'dim' (or 'F')")
-    frames, dim = int(meta["frames"]), int(meta.get("dim", meta.get("F")))
+    if not (isinstance(meta, dict) and "frames" in meta and ("dim" in meta or "F" in meta)):
+        raise ValueError(f"{path}: sidecar must be an object declaring 'frames' and 'dim' (or 'F')")
+    frames, dim = meta["frames"], meta.get("dim", meta.get("F"))
+    for value in (frames, dim):  # bool is an int subclass, not a count
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{path}: sidecar 'frames' and 'dim' (or 'F') must be non-negative ints")
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != frames * dim:
         raise ValueError(f"{path}: expected {frames * dim} floats, found {raw.size}")

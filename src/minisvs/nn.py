@@ -11,7 +11,21 @@ import math
 
 import numpy as np
 
-from .autodiff import NumericalError, Tensor, as_tensor, conv1d3, embedding
+from .autodiff import (
+    NumericalError,
+    Tensor,
+    _check_finite,
+    _sigmoid,
+    _unbroadcast,
+    as_tensor,
+    conv1d3,
+    conv3_backward,
+    conv3_forward,
+    conv3_pad,
+    custom,
+    embedding,
+    matmul_weight_grad,
+)
 
 
 def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
@@ -61,6 +75,12 @@ class GatedConvBlock:
 
     The optional time vector is injected additively into both gates, one
     linear per gate, broadcast over frames.
+
+    The block is one op, "gated_block". Its forward runs the numpy of the
+    layer-by-layer composition above, op for op, with both convolutions
+    reading one padded input. Its backward is written by hand with the
+    formulas and the summation order the tape gives that composition, so
+    values and gradients have the same bits as the composition's.
     """
 
     def __init__(self, width: int, rng, time_dim: int | None = None, dtype=np.float32):
@@ -71,14 +91,71 @@ class GatedConvBlock:
         self.time_g = Linear(time_dim, width, rng, dtype) if time_dim else None
 
     def __call__(self, x, t_emb=None):
-        a = self.conv_f(x)
-        g = self.conv_g(x)
+        if t_emb is not None and self.time_f is None:
+            raise ValueError("block was built without time conditioning")
+        wf, bf, wg, bg = self.conv_f.w, self.conv_f.b, self.conv_g.w, self.conv_g.b
+        wp, bp = self.proj.w, self.proj.b
+        x = as_tensor(x, wf.dtype)
+        xp = conv3_pad(x.data, wf.data)
+        a = cf = conv3_forward(xp, wf.data, bf.data)
+        g = cg = conv3_forward(xp, wg.data, bg.data)
+        # the composition's op outputs, in op order, for naming a non-finite one
+        steps = [("conv1d3", cf), ("conv1d3", cg)]
+        parents = (x, wf, bf, wg, bg, wp, bp)
         if t_emb is not None:
-            if self.time_f is None:
-                raise ValueError("block was built without time conditioning")
-            a = a + self.time_f(t_emb)
-            g = g + self.time_g(t_emb)
-        return x + self.proj(a.tanh() * g.sigmoid())
+            te = as_tensor(t_emb, wf.dtype)
+            wtf, btf, wtg, btg = self.time_f.w, self.time_f.b, self.time_g.w, self.time_g.b
+            mf = te.data @ wtf.data
+            tf = mf + btf.data
+            a = cf + tf
+            mg = te.data @ wtg.data
+            tg = mg + btg.data
+            g = cg + tg
+            steps += [("matmul", mf), ("add", tf), ("add", a),
+                      ("matmul", mg), ("add", tg), ("add", g)]
+            parents += (te, wtf, btf, wtg, btg)
+        th = np.tanh(a)
+        sg = _sigmoid(g)
+        prod = th * sg
+        pm = prod @ wp.data
+        p = pm + bp.data
+        out = x.data + p
+        # tanh and sigmoid bound their outputs, so a non-finite value in any
+        # op output shows in a gate pre-activation or in the block output
+        if not (np.isfinite(a.sum()) and np.isfinite(g.sum()) and np.isfinite(out.sum())):
+            steps += [("tanh", th), ("sigmoid", sg), ("mul", prod),
+                      ("matmul", pm), ("add", p), ("add", out)]
+            for op, arr in steps:
+                _check_finite(op, arr)
+
+        def grad_fn(gout):
+            # reverse op order: residual, proj, product, tanh and sigmoid,
+            # then each gate's conv and time linear; x sums its three terms
+            # as the tape would, residual first, then conv_f, then conv_g
+            gm = gout @ wp.data.T
+            ga = gm * sg * (1.0 - th * th)
+            gg = gm * th * sg * (1.0 - sg)
+            gx_f, gwf, gbf = conv3_backward(ga, xp, wf.data, x.requires_grad,
+                                            wf.requires_grad, bf.requires_grad)
+            gx_g, gwg, gbg = conv3_backward(gg, xp, wg.data, x.requires_grad,
+                                            wg.requires_grad, bg.requires_grad)
+            gx = (gout + gx_f) + gx_g if x.requires_grad else None
+            gwp = matmul_weight_grad(prod, gout) if wp.requires_grad else None
+            gbp = _unbroadcast(gout, bp.data.shape) if bp.requires_grad else None
+            grads = (gx, gwf, gbf, gwg, gbg, gwp, gbp)
+            if t_emb is None:
+                return grads
+            gtf = _unbroadcast(ga, tf.shape)
+            gtg = _unbroadcast(gg, tg.shape)
+            gte = gtf @ wtf.data.T + gtg @ wtg.data.T if te.requires_grad else None
+            return grads + (
+                gte,
+                matmul_weight_grad(te.data, gtf) if wtf.requires_grad else None,
+                gtf if btf.requires_grad else None,
+                matmul_weight_grad(te.data, gtg) if wtg.requires_grad else None,
+                gtg if btg.requires_grad else None,
+            )
+        return custom(out, parents, grad_fn, "gated_block")
 
     def params(self, prefix: str):
         out = (

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from minisvs import cli, losses
+from minisvs import cli, losses, nn
 from minisvs.config import save_config, config_from_dict
 
 FAST = {
@@ -153,6 +153,26 @@ class TestCorruptInputExits2:
                          "--latent", str(workdir / "latent" / "latent.ckpt"),
                          "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
 
+    @pytest.mark.parametrize("sidecar", [5, {"frames": [1], "dim": 1}], ids=["int", "list-frames"])
+    def test_matrix_sidecar_of_the_wrong_type(self, tmp_path, sidecar):
+        mel = tmp_path / "m.f32"
+        mel.write_bytes(np.zeros(1, dtype="<f4").tobytes())
+        (tmp_path / "m.f32.json").write_text(json.dumps(sidecar))
+        assert cli.main(["evaluate", "--gt", str(mel), "--pred", str(mel),
+                         "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("value", [[1], True, "1", -1],
+                             ids=["list", "bool", "str", "negative"])
+    def test_phoneme_table_with_a_non_id_value(self, workdir, tmp_path, value):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["gen-corpus", "--out", str(corpus), "--songs", "1", "--seed", "0",
+                         "--config", str(workdir / "cfg.json")]) == 0
+        table = json.loads((corpus / "phonemes.json").read_text())
+        table[next(iter(table))] = value
+        (corpus / "phonemes.json").write_text(json.dumps(table))
+        assert cli.main(["train-codec", "--corpus", str(corpus), "--out", str(tmp_path / "c"),
+                         "--steps", "1", "--config", str(workdir / "cfg.json")]) == 2
+
 
 class TestCodecRoundtrip:
     def test_encode_decode_via_cli(self, workdir, tmp_path):
@@ -256,6 +276,19 @@ class TestSelfcheckSuites:
             return out
 
         monkeypatch.setattr(losses, "contrastive_loss", skewed)
+        results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
+        assert not results[0][1]
+
+    def test_wrong_gated_block_backward_fails_gradient_suite(self, monkeypatch):
+        real = nn.GatedConvBlock.__call__
+
+        def skewed(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            grad_fn = out._grad_fn
+            out._grad_fn = lambda g: tuple(None if x is None else 1.01 * x for x in grad_fn(g))
+            return out
+
+        monkeypatch.setattr(nn.GatedConvBlock, "__call__", skewed)
         results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
         assert not results[0][1]
 

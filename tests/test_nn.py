@@ -37,6 +37,104 @@ class TestLayers:
             blk(Tensor(np.zeros((3, 4))), Tensor(np.zeros(6)))
 
 
+def _reference_block(blk, x, t_emb=None):
+    """The gated block as the taped layer composition that the fused op replaced."""
+    a = blk.conv_f(x)
+    g = blk.conv_g(x)
+    if t_emb is not None:
+        a = a + blk.time_f(t_emb)
+        g = g + blk.time_g(t_emb)
+    return x + blk.proj(a.tanh() * g.sigmoid())
+
+
+def _same_bits(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestFusedGatedBlock:
+    @staticmethod
+    def _setup(dtype, shape, timed, x_grad=True, t_grad=False):
+        rng = np.random.default_rng(11)
+        blk = nn.GatedConvBlock(shape[-1], rng, time_dim=32 if timed else None, dtype=dtype)
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=x_grad)
+        t_emb = Tensor(rng.standard_normal(32).astype(dtype), requires_grad=t_grad) if timed else None
+        return blk, x, t_emb
+
+    @staticmethod
+    def _run(fn, blk, x, t_emb, probe):
+        leaves = [x] + ([t_emb] if t_emb is not None else []) + [p for _, p in blk.params("b")]
+        for leaf in leaves:
+            leaf.grad = None
+        out = fn(blk, x, t_emb)
+        (out * probe).sum().backward()
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("timed,x_grad,t_grad", [
+        (False, True, False), (False, False, False),
+        (True, True, True), (True, True, False), (True, False, True), (True, False, False),
+    ], ids=["untimed-x", "untimed-const-x", "timed-x-t", "timed-x", "timed-t", "timed-const"])
+    @pytest.mark.parametrize("shape", [(461, 64), (2, 128, 64), (4, 128, 64)],
+                             ids=["461x64", "2x128x64", "4x128x64"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_and_every_gradient_match_the_composition_bit_for_bit(
+        self, dtype, shape, timed, x_grad, t_grad
+    ):
+        blk, x, t_emb = self._setup(dtype, shape, timed, x_grad, t_grad)
+        probe = np.random.default_rng(12).standard_normal(shape).astype(dtype)
+        got = self._run(lambda b, x, t: b(x, t), blk, x, t_emb, probe)
+        want = self._run(_reference_block, blk, x, t_emb, probe)
+        assert got[0].dtype == dtype
+        assert (got[1] is not None) == x_grad
+        if timed:
+            assert (got[2] is not None) == t_grad
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+    def test_frozen_block_builds_no_tape(self):
+        blk, x, t_emb = self._setup(np.float32, (5, 8), timed=True, x_grad=False)
+        for _, p in blk.params("b"):
+            p.requires_grad = False
+        out = blk(x, t_emb)
+        assert not out.requires_grad and out._parents == () and out._grad_fn is None
+        assert _same_bits(out.data, _reference_block(blk, x, t_emb).data)
+        x.requires_grad = True
+        taped = blk(x, t_emb)
+        assert taped.requires_grad and taped._grad_fn is not None
+
+    @pytest.mark.parametrize("case,op", [
+        ("inf-conv_f.w", "conv1d3"), ("overflow-time_g.w", "matmul"),
+        ("overflow-proj.w", "matmul"), ("overflowing-input", "conv1d3"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nonfinite_values_name_the_same_op_as_the_composition(self, dtype, case, op):
+        blk, x, t_emb = self._setup(dtype, (6, 8), timed=True)
+        big = np.finfo(dtype).max
+        if case == "inf-conv_f.w":
+            blk.conv_f.w.data[1, 2, 3] = np.inf
+        elif case == "overflow-time_g.w":
+            t_emb.data[:] = np.abs(t_emb.data) + 0.5
+            blk.time_g.w.data[:] = big
+        elif case == "overflow-proj.w":
+            # gate products all equal tanh(1) * sigmoid(1) > 0, so the sums overflow
+            for conv in (blk.conv_f, blk.conv_g):
+                conv.w.data[:] = 0.0
+                conv.b.data[:] = 1.0
+            for lin in (blk.time_f, blk.time_g):
+                lin.w.data[:] = 0.0
+            blk.proj.w.data[:] = big
+        else:
+            x.data[:] = big / 4
+            blk.conv_f.w.data[:] = np.abs(blk.conv_f.w.data)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError) as fused:
+                blk(x, t_emb)
+            with pytest.raises(NumericalError) as reference:
+                _reference_block(blk, x, t_emb)
+        assert str(fused.value) == str(reference.value) == f"non-finite values in op '{op}'"
+
+
 class TestScoreNet:
     def _net(self, dtype=np.float64):
         return nn.ScoreNet(4, 6, width=8, blocks=2, time_dim=8,
