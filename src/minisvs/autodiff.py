@@ -140,61 +140,50 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _binary(self, other: "Tensor", out, grad_a, grad_b, op: str) -> "Tensor":
+        """Join the elementwise op `op` with output `out` to the tape.
+
+        The one gradient rule of the two-parent ops: grad_a(g) and grad_b(g)
+        map the output gradient to each parent's broadcast-shaped gradient,
+        which is summed back to the parent's shape; a parent that does not
+        require grad gets None.
+        """
         a_shape, b_shape = self.data.shape, other.data.shape
         a_rg, b_rg = self.requires_grad, other.requires_grad
 
         def grad_fn(g):
             return (
-                _unbroadcast(g, a_shape) if a_rg else None,
-                _unbroadcast(g, b_shape) if b_rg else None,
+                _unbroadcast(grad_a(g), a_shape) if a_rg else None,
+                _unbroadcast(grad_b(g), b_shape) if b_rg else None,
             )
-        return custom(self.data + other.data, (self, other), grad_fn, "add")
+        return custom(out, (self, other), grad_fn, op)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return self._binary(other, self.data + other.data, lambda g: g, lambda g: g, "add")
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        a_shape, b_shape = self.data.shape, other.data.shape
-        a_rg, b_rg = self.requires_grad, other.requires_grad
-
-        def grad_fn(g):
-            return (
-                _unbroadcast(g, a_shape) if a_rg else None,
-                _unbroadcast(-g, b_shape) if b_rg else None,
-            )
-        return custom(self.data - other.data, (self, other), grad_fn, "sub")
+        return self._binary(other, self.data - other.data, lambda g: g, lambda g: -g, "sub")
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        a, b = self, self._coerce(other)
-
-        def grad_fn(g):
-            return (
-                _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-            )
-        return custom(a.data * b.data, (a, b), grad_fn, "mul")
+        other = self._coerce(other)
+        a, b = self.data, other.data
+        return self._binary(other, a * b, lambda g: g * b, lambda g: g * a, "mul")
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        a, b = self, self._coerce(other)
-
-        def grad_fn(g):
-            ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-            gb = (
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                if b.requires_grad
-                else None
-            )
-            return ga, gb
-        return custom(a.data / b.data, (a, b), grad_fn, "div")
+        other = self._coerce(other)
+        a, b = self.data, other.data
+        return self._binary(other, a / b, lambda g: g / b, lambda g: -g * a / (b * b), "div")
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -279,12 +268,9 @@ class Tensor:
             return (np.broadcast_to(gg, shape).astype(g.dtype, copy=False) + 0.0,)
         return custom(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad_fn, "sum")
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
+    def mean(self, axis=None):
+        n = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis) / float(n)
 
     def reshape(self, *shape):
         orig = self.data.shape
@@ -418,13 +404,15 @@ def straight_through(x: Tensor, values: np.ndarray) -> Tensor:
 # -- finite-difference verification ----------------------------------------
 
 
-def gradient_check(f, tensors, n_points: int = 10, h: float = 1e-4, rng=None) -> float:
+def gradient_check(f, tensors, n_points: int = 10, rng=None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     f is a zero-argument callable rebuilding the scalar loss from the live
-    `tensors` on every call. Checks n_points random coordinates per tensor.
-    Meant for float64 tensors; float32 cannot reach the usual tolerances.
+    `tensors` on every call. Checks n_points random coordinates per tensor,
+    with a difference step of 1e-4. Meant for float64 tensors; float32
+    cannot reach the usual tolerances.
     """
+    h = 1e-4
     rng = np.random.default_rng(0) if rng is None else rng
     out = f()
     for t in tensors:

@@ -207,11 +207,9 @@ def _dispatch(args) -> int:
 # -- selfcheck -----------------------------------------------------------------
 
 
-def run_selfcheck(sabotage: str | None = None, verbose: bool = True, only=None):
+def run_selfcheck(verbose: bool = True, only=None):
     """Numerical verification suites; returns [(name, passed, detail)].
 
-    sabotage="flip-drift" negates the reverse sampler's drift inside the
-    Gaussian suite, which must make that suite fail (mutation check).
     `only` restricts to the named suites.
     """
     suites = [
@@ -219,7 +217,7 @@ def run_selfcheck(sabotage: str | None = None, verbose: bool = True, only=None):
         ("ctc-brute-force", _suite_ctc,),
         ("rvq-monotonicity", _suite_rvq,),
         ("forward-moments", _suite_forward_moments,),
-        ("gaussian-reverse-sampler", lambda: _suite_gaussian_sampler(sabotage)),
+        ("gaussian-reverse-sampler", _suite_gaussian_sampler,),
     ]
     if only is not None:
         suites = [s for s in suites if s[0] in only]
@@ -372,7 +370,7 @@ def _suite_forward_moments():
     return ok, f"max closed-form vs Euler-Maruyama moment error {worst:.4f} (tolerance 0.02)"
 
 
-def _suite_gaussian_sampler(sabotage: str | None = None):
+def _suite_gaussian_sampler():
     sched = diffusion.NoiseSchedule()
     sigma = 0.5
     mu_row = np.array([1.0, -0.5, 0.3, 2.0])
@@ -385,14 +383,8 @@ def _suite_gaussian_sampler(sabotage: str | None = None):
         var = math.exp(-ib) * sigma**2 + lam
         return -(z - m) / var
 
-    score_fn = analytic
-    if sabotage == "flip-drift":
-        # drift = 1/2 (z - mu) + s; this wrapper negates it exactly
-        def score_fn(z, m, h, t):
-            return -analytic(z, m, h, t) - (z - m)
-
     out = diffusion.reverse_sample(
-        score_fn, mu, None, sched, diffusion.SamplerConfig(steps=200, tau=1.0, seed=9)
+        analytic, mu, None, sched, diffusion.SamplerConfig(steps=200, tau=1.0, seed=9)
     )
     mean_err = float(np.max(np.abs(out.mean(0) - mu_row)))
     std_err = float(np.max(np.abs(out.std(0) - sigma) / sigma))

@@ -24,6 +24,7 @@ TEMPO_MIN, TEMPO_MAX = 16, 256
 REST_PHONEME = 0  # reserved token for rests
 REST_MIDI = 0  # rest pitch marker
 MIDI_VOCAB = 128  # ids 0..127, 0 doubling as the rest marker
+ENHANCED_BLOCKS = 2  # gated residual blocks in the enhanced condition stack
 
 # toy phoneme alphabet; real lyric front-ends plug in via the table file
 TOY_PHONEMES = {
@@ -190,7 +191,6 @@ class ConditionNet:
         latent_dim: int,
         feature_dim: int = 32,
         embed_dim: int = 64,
-        blocks: int = 2,
         rng=None,
         dtype=np.float32,
     ):
@@ -204,7 +204,8 @@ class ConditionNet:
         self.tempo_emb = Embedding(TEMPO_MAX + 1, embed_dim, rng, dtype)
         self.feat_proj = Linear(feature_dim, embed_dim, rng, dtype)
         self.f0_emb = Embedding(F0_BINS + 1, embed_dim, rng, dtype)
-        self.enhanced = [GatedConvBlock(embed_dim, rng, None, dtype) for _ in range(blocks)]
+        self.enhanced = [GatedConvBlock(embed_dim, rng, None, dtype)
+                         for _ in range(ENHANCED_BLOCKS)]
         self.prior = Linear(embed_dim, latent_dim, rng, dtype)
 
     # supervised sub-representations, also the contrastive anchors
@@ -292,24 +293,37 @@ def score_to_json(score: MusicalScore, phoneme_table: dict[str, int]) -> dict:
     return {"tempo": tempo, "syllables": syllables}
 
 
+def _number(value, convert, where: str, name: str):
+    """convert(value); a value convert cannot take (a list, an object) is a ValueError."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"{where}: '{name}' must be a number, got {value!r}") from None
+
+
 def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScore:
     if not isinstance(payload, dict) or "tempo" not in payload or "syllables" not in payload:
         raise ValueError("score JSON needs 'tempo' and 'syllables'")
     if not isinstance(payload["syllables"], list):
         raise ValueError("score JSON: 'syllables' must be a list")
-    tempo = float(payload["tempo"])
+    tempo = _number(payload["tempo"], float, "score JSON", "tempo")
     syllables = []
     for i, item in enumerate(payload["syllables"]):
+        where = f"syllable {i}"
         if not isinstance(item, dict):
-            raise ValueError(f"syllable {i}: must be an object")
+            raise ValueError(f"{where}: must be an object")
+        for name in ("nucleus", "onset", "coda"):
+            if not isinstance(item.get(name), (str, type(None))):
+                raise ValueError(f"{where}: '{name}' must be a phoneme name, got {item[name]!r}")
         try:
             nucleus = phoneme_table[item["nucleus"]]
             onset = phoneme_table[item["onset"]] if item.get("onset") else None
             coda = phoneme_table[item["coda"]] if item.get("coda") else None
         except KeyError as exc:
-            raise ValueError(f"syllable {i}: unknown phoneme {exc}") from None
+            raise ValueError(f"{where}: unknown phoneme {exc}") from None
         midi = item.get("midi")
-        note = Note(REST_MIDI if midi is None else int(midi), float(item["dur_s"]), tempo)
+        midi = REST_MIDI if midi is None else _number(midi, int, where, "midi")
+        note = Note(midi, _number(item["dur_s"], float, where, "dur_s"), tempo)
         syllables.append(Syllable(nucleus, note, onset, coda))
     return MusicalScore(syllables, max(phoneme_table.values()) + 1)
 

@@ -19,6 +19,8 @@ F0_QUANT_MAX_HZ = 2093.0
 F0_BINS = 128  # voiced indices 1..F0_BINS; 0 is unvoiced
 
 VOICING_THRESHOLD = 0.5
+F0_SEARCH_MIN_HZ = 60.0  # estimate_f0's pitch search range
+F0_SEARCH_MAX_HZ = 1200.0
 
 # mel_peak_pitch reads the dominant filter at or below this frequency, in
 # frames whose peak reaches this share of the track's maximum
@@ -188,32 +190,21 @@ def mel_project(spec: Spectrogram, mel_bins: int, fmin: float, fmax: float) -> S
 # -- pitch ------------------------------------------------------------------
 
 
-def estimate_f0(
-    audio: AudioBuffer,
-    cfg: StftConfig,
-    fmin: float = 60.0,
-    fmax: float = 1200.0,
-) -> PitchTrack:
+def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
     """Autocorrelation pitch tracker, frame-aligned with stft().
 
-    Per frame: normalized autocorrelation over the lag range of [fmin, fmax];
-    the smallest-lag local maximum within 90% of the global peak wins (a bare
-    argmax can land on a period multiple), refined parabolically. periodicity
-    is the clipped peak height; a frame is voiced iff it exceeds
-    VOICING_THRESHOLD.
+    Per frame: normalized autocorrelation over the lag range of
+    [F0_SEARCH_MIN_HZ, F0_SEARCH_MAX_HZ]; the smallest-lag local maximum
+    within 90% of the global peak wins (a bare argmax can land on a period
+    multiple), refined parabolically. periodicity is the clipped peak
+    height; a frame is voiced iff it exceeds VOICING_THRESHOLD.
     """
-    if fmin < 50:
-        raise ValueError("fmin must be >= 50 Hz")
-    if fmax > 2100:
-        raise ValueError("fmax must be <= 2100 Hz")
-    if fmin >= fmax:
-        raise ValueError("fmin must be below fmax")
     sr = audio.sample_rate
     frames = _frame_signal(audio.samples, cfg)
     frames = frames - frames.mean(axis=1, keepdims=True)
     win = cfg.win_size
-    lag_lo = max(2, int(sr / fmax))
-    lag_hi = min(int(math.ceil(sr / fmin)), win - 2)
+    lag_lo = max(2, int(sr / F0_SEARCH_MAX_HZ))
+    lag_hi = min(int(math.ceil(sr / F0_SEARCH_MIN_HZ)), win - 2)
     if lag_hi <= lag_lo:  # window too short for the requested range
         n = frames.shape[0]
         return PitchTrack(np.zeros(n), np.zeros(n))
@@ -262,7 +253,7 @@ def estimate_f0(
         p = float(np.clip(y1, 0.0, 1.0))
         periodicity[i] = p
         if p > VOICING_THRESHOLD:
-            f0[i] = float(np.clip(sr / lag, fmin, fmax))
+            f0[i] = float(np.clip(sr / lag, F0_SEARCH_MIN_HZ, F0_SEARCH_MAX_HZ))
     voiced = f0 > 0
     periodicity = np.where(voiced, periodicity, np.minimum(periodicity, VOICING_THRESHOLD))
     return PitchTrack(f0, periodicity, voiced)
@@ -287,7 +278,6 @@ def synth_tone(
     notes: list[tuple[float, float, float, float]],
     sample_rate: int = 24000,
     vibrato: tuple[float, float] | None = None,
-    total_seconds: float | None = None,
 ) -> AudioBuffer:
     """Sum of sine notes (freq_hz, amplitude, start_s, end_s).
 
@@ -296,11 +286,9 @@ def synth_tone(
     Phase is integrated per sample, so the instantaneous frequency follows
     that law exactly. If the mix peaks above 1 it is rescaled to peak 1.
     """
-    if total_seconds is None:
-        if not notes:
-            raise ValueError("an empty note list requires total_seconds")
-        total_seconds = max(end for _, _, _, end in notes)
-    n = int(round(total_seconds * sample_rate))
+    if not notes:
+        raise ValueError("synth_tone needs at least one note")
+    n = int(round(max(end for _, _, _, end in notes) * sample_rate))
     out = np.zeros(n)
     nyquist = sample_rate / 2.0
     for freq, amp, start, end in notes:
@@ -416,6 +404,10 @@ def save_pitch_json(path, track: PitchTrack) -> None:
 def load_pitch_json(path) -> PitchTrack:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "f0" not in payload or "periodicity" not in payload:
-        raise ValueError(f"{path}: pitch JSON needs 'f0' and 'periodicity' arrays")
-    return PitchTrack(np.asarray(payload["f0"]), np.asarray(payload["periodicity"]))
+    if not (isinstance(payload, dict) and "f0" in payload and "periodicity" in payload):
+        raise ValueError(f"{path}: pitch JSON must be an object with 'f0' and 'periodicity' arrays")
+    try:
+        return PitchTrack(np.asarray(payload["f0"], dtype=np.float64),
+                          np.asarray(payload["periodicity"], dtype=np.float64))
+    except TypeError:
+        raise ValueError(f"{path}: pitch JSON 'f0' and 'periodicity' must hold numbers") from None

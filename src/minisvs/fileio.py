@@ -13,6 +13,11 @@ import os
 import numpy as np
 
 
+def _is_count(value) -> bool:
+    # bool is an int subclass, not a count
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def save_matrix(path, arr: np.ndarray, **meta) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
@@ -34,9 +39,8 @@ def load_matrix(path):
     if not (isinstance(meta, dict) and "frames" in meta and ("dim" in meta or "F" in meta)):
         raise ValueError(f"{path}: sidecar must be an object declaring 'frames' and 'dim' (or 'F')")
     frames, dim = meta["frames"], meta.get("dim", meta.get("F"))
-    for value in (frames, dim):  # bool is an int subclass, not a count
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{path}: sidecar 'frames' and 'dim' (or 'F') must be non-negative ints")
+    if not (_is_count(frames) and _is_count(dim)):
+        raise ValueError(f"{path}: sidecar 'frames' and 'dim' (or 'F') must be non-negative ints")
     raw = np.fromfile(path, dtype="<f4")
     if raw.size != frames * dim:
         raise ValueError(f"{path}: expected {frames * dim} floats, found {raw.size}")
@@ -84,10 +88,15 @@ def load_checkpoint(path):
     for i, entry in enumerate(manifest["params"]):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: manifest params[{i}] must be an object")
-        shape = tuple(entry["shape"])
+        if not isinstance(entry.get("name"), str):
+            raise ValueError(f"{path}: manifest params[{i}] 'name' must be a string")
+        shape, offset = entry.get("shape"), entry.get("offset")
+        if not (isinstance(shape, list) and all(map(_is_count, shape))):
+            raise ValueError(f"{path}: manifest params[{i}] 'shape' must list non-negative ints")
+        if not _is_count(offset):
+            raise ValueError(f"{path}: manifest params[{i}] 'offset' must be a non-negative int")
         count = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        piece = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
+        piece = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         if piece.size != count:
             raise ValueError(f"{path}: truncated checkpoint at '{entry['name']}'")
         arrays[entry["name"]] = piece.reshape(shape).copy()

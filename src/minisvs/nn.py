@@ -232,15 +232,14 @@ class ScoreNet:
 class MelEncoder:
     """Log-mel frames -> continuous latent, frames x D."""
 
-    def __init__(self, mel_bins: int, latent_dim: int, width: int = 64, rng=None, dtype=np.float32):
+    def __init__(self, mel_bins: int, latent_dim: int, width: int = 64, rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
-        self.dtype = dtype
-        self.lin_in = Linear(mel_bins, width, rng, dtype)
-        self.block = GatedConvBlock(width, rng, None, dtype)
-        self.lin_out = Linear(width, latent_dim, rng, dtype)
+        self.lin_in = Linear(mel_bins, width, rng)
+        self.block = GatedConvBlock(width, rng)
+        self.lin_out = Linear(width, latent_dim, rng)
 
     def __call__(self, x):
-        h = self.lin_in(as_tensor(x, self.dtype)).tanh()
+        h = self.lin_in(x).tanh()
         h = self.block(h)
         return self.lin_out(h)
 
@@ -255,15 +254,14 @@ class MelEncoder:
 class MelDecoder:
     """Quantized latent -> log-mel frames."""
 
-    def __init__(self, mel_bins: int, latent_dim: int, width: int = 64, rng=None, dtype=np.float32):
+    def __init__(self, mel_bins: int, latent_dim: int, width: int = 64, rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
-        self.dtype = dtype
-        self.lin_in = Linear(latent_dim, width, rng, dtype)
-        self.block = GatedConvBlock(width, rng, None, dtype)
-        self.lin_out = Linear(width, mel_bins, rng, dtype)
+        self.lin_in = Linear(latent_dim, width, rng)
+        self.block = GatedConvBlock(width, rng)
+        self.lin_out = Linear(width, mel_bins, rng)
 
     def __call__(self, z):
-        h = self.lin_in(as_tensor(z, self.dtype)).tanh()
+        h = self.lin_in(z).tanh()
         h = self.block(h)
         return self.lin_out(h)
 
@@ -278,16 +276,15 @@ class MelDecoder:
 class MelPatchDiscriminator:
     """Small conv net scoring log-mel patches; exposes per-layer features."""
 
-    def __init__(self, mel_bins: int, width: int = 32, rng=None, dtype=np.float32):
+    def __init__(self, mel_bins: int, width: int = 32, rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
-        self.dtype = dtype
-        self.conv1 = Conv3(mel_bins, width, rng, dtype)
-        self.conv2 = Conv3(width, width, rng, dtype)
-        self.head = Linear(width, 1, rng, dtype)
+        self.conv1 = Conv3(mel_bins, width, rng)
+        self.conv2 = Conv3(width, width, rng)
+        self.head = Linear(width, 1, rng)
 
     def __call__(self, x):
         """Returns (per-frame scores, [layer features])."""
-        f1 = self.conv1(as_tensor(x, self.dtype)).relu()
+        f1 = self.conv1(x).relu()
         f2 = self.conv2(f1).relu()
         return self.head(f2), [f1, f2]
 

@@ -26,8 +26,9 @@ COUNT_EPS = 1e-5
 @dataclass
 class Codebook:
     entries: np.ndarray  # (K, D)
-    ema_counts: np.ndarray = field(default=None)
-    ema_sums: np.ndarray = field(default=None)
+    # EMA state: one count per entry and the entries themselves to start
+    ema_counts: np.ndarray = field(init=False)
+    ema_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float32)
@@ -35,14 +36,8 @@ class Codebook:
             raise ValueError("codebook entries must be a (K >= 1, D >= 1) matrix")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("codebook entries must be finite")
-        if self.ema_counts is None:
-            self.ema_counts = np.ones(self.entries.shape[0], dtype=np.float32)
-        if self.ema_sums is None:
-            self.ema_sums = self.entries.copy()
-        self.ema_counts = np.asarray(self.ema_counts, dtype=np.float32)
-        self.ema_sums = np.asarray(self.ema_sums, dtype=np.float32)
-        if np.any(self.ema_counts < 0):
-            raise ValueError("ema_counts must be non-negative")
+        self.ema_counts = np.ones(self.entries.shape[0], dtype=np.float32)
+        self.ema_sums = self.entries.copy()
 
     @property
     def size(self) -> int:

@@ -87,14 +87,7 @@ class LatentModels:
 
 
 def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels:
-    net = cond_mod.ConditionNet(
-        alphabet_size,
-        cfg.latent_dim,
-        feature_dim=cfg.feature_dim,
-        embed_dim=cfg.embed_dim,
-        blocks=2,
-        rng=rng,
-    )
+    net = cond_mod.ConditionNet(alphabet_size, cfg.latent_dim, cfg.feature_dim, cfg.embed_dim, rng)
     score = ScoreNet(
         cfg.latent_dim, cfg.embed_dim, cfg.width, cfg.blocks, cfg.time_dim, rng
     )
@@ -125,6 +118,11 @@ def _load_kind(path, kind: str):
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise ConfigError(f"{path}: not a {kind} checkpoint")
+    size = meta.get("alphabet_size")
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise ConfigError(f"{path}: meta 'alphabet_size' must be a positive int")
+    if not isinstance(meta.get("rng_state"), dict):
+        raise ConfigError(f"{path}: meta 'rng_state' must be an object")
     return arrays, meta
 
 
@@ -193,7 +191,7 @@ def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
     """An inference codec: its params are frozen and build no tape."""
     arrays, meta = _load_kind(path, "codec")
     cfg = config_from_dict(meta["config"])
-    models = build_codec_models(cfg, int(meta["alphabet_size"]), np.random.default_rng(0))
+    models = build_codec_models(cfg, meta["alphabet_size"], np.random.default_rng(0))
     _set_frozen_params(models.gen_named_params() + models.disc_named_params(), arrays)
     _restore_rvq(models.coder, arrays)
     return models, cfg, meta
@@ -203,7 +201,7 @@ def load_latent_checkpoint(path):
     """Inference condition and score nets: their params are frozen and build no tape."""
     arrays, meta = _load_kind(path, "latent")
     cfg = config_from_dict(meta["config"])
-    models = build_latent_models(cfg, int(meta["alphabet_size"]), np.random.default_rng(0))
+    models = build_latent_models(cfg, meta["alphabet_size"], np.random.default_rng(0))
     _set_frozen_params(models.named_params(), arrays)
     stats = (arrays["latent_stats.mean"].reshape(-1), arrays["latent_stats.std"].reshape(-1))
     return models, cfg, meta, stats
@@ -407,7 +405,8 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, gen_para
     if adversarial:
         disc_opt.zero_grad()
         opt.zero_grad()
-        real_scores, _ = models.disc(x.astype(np.float32))
+        # the generator step left the disc params alone, so the real batch's
+        # scores from above still hold; the generator loss did not use them
         fake_scores, _ = models.disc(x_hat.data)
         d_loss = losses.lsgan_d(real_scores, fake_scores)
         d_loss.backward()

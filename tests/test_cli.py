@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from minisvs import cli, losses, nn
+from minisvs import cli, diffusion, losses, nn
 from minisvs.config import save_config, config_from_dict
 
 FAST = {
@@ -108,6 +108,16 @@ def _garbage(n: int) -> bytes:
     return np.random.default_rng(7).integers(0, 256, n, dtype=np.uint8).tobytes()
 
 
+def _edited_codec(workdir, tmp_path, edit):
+    """A copy of the workdir codec checkpoint whose manifest edit(manifest) changed."""
+    ckpt = tmp_path / "codec.ckpt"
+    shutil.copy(workdir / "codec" / "codec.ckpt", ckpt)
+    manifest = json.loads((workdir / "codec" / "codec.ckpt.json").read_text())
+    edit(manifest)
+    (tmp_path / "codec.ckpt.json").write_text(json.dumps(manifest))
+    return ckpt
+
+
 class TestCorruptInputExits2:
     @pytest.mark.parametrize("command,name,content", [
         ("evaluate", "bad.wav", _garbage(64)),
@@ -133,25 +143,60 @@ class TestCorruptInputExits2:
         bad.write_text(json.dumps({"loss": 3}))
         assert cli.main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("syllables", [5, ["a"]], ids=["int", "list-of-str"])
-    def test_score_with_malformed_syllables(self, workdir, tmp_path, syllables):
+    @pytest.mark.parametrize("tempo,syllables", [
+        (120.0, 5),
+        (120.0, ["a"]),
+        ([120], [{"nucleus": "a", "midi": 60, "dur_s": 0.5}]),
+        (120.0, [{"nucleus": "a", "midi": 60, "dur_s": [0.5]}]),
+        (120.0, [{"nucleus": "a", "midi": [60], "dur_s": 0.5}]),
+        (120.0, [{"nucleus": ["a"], "midi": 60, "dur_s": 0.5}]),
+    ], ids=["int", "list-of-str", "list-tempo", "list-dur_s", "list-midi", "list-nucleus"])
+    def test_score_with_malformed_syllables(self, workdir, tmp_path, tempo, syllables):
         score = tmp_path / "bad.score.json"
-        score.write_text(json.dumps({"tempo": 120.0, "syllables": syllables}))
+        score.write_text(json.dumps({"tempo": tempo, "syllables": syllables}))
         assert cli.main(["sample", "--score", str(score),
                          "--codec", str(workdir / "codec" / "codec.ckpt"),
                          "--latent", str(workdir / "latent" / "latent.ckpt"),
                          "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
 
     def test_checkpoint_manifest_with_a_non_object_param(self, workdir, tmp_path):
-        ckpt = tmp_path / "codec.ckpt"
-        shutil.copy(workdir / "codec" / "codec.ckpt", ckpt)
-        manifest = json.loads((workdir / "codec" / "codec.ckpt.json").read_text())
-        manifest["params"] = [5]
-        (tmp_path / "codec.ckpt.json").write_text(json.dumps(manifest))
+        ckpt = _edited_codec(workdir, tmp_path, lambda m: m.update(params=[5]))
         assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
                          "--codec", str(ckpt),
                          "--latent", str(workdir / "latent" / "latent.ckpt"),
                          "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
+
+    @pytest.mark.parametrize("field,edit", [
+        ("shape", lambda m: m["params"][0].update(shape=5)),
+        ("offset", lambda m: m["params"][0].update(offset=[0])),
+        ("name", lambda m: m["params"][0].update(name=[1])),
+        ("alphabet_size", lambda m: m["meta"].update(alphabet_size=[14])),
+    ], ids=["param-shape", "param-offset", "param-name", "meta-alphabet_size"])
+    def test_checkpoint_field_of_the_wrong_type(self, workdir, tmp_path, capsys, field, edit):
+        ckpt = _edited_codec(workdir, tmp_path, edit)
+        assert cli.main(["codec", "encode", "--checkpoint", str(ckpt),
+                         "--wav", str(workdir / "corpus" / "song000.wav"),
+                         "--out", str(tmp_path / "s.hsc")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"'{field}'" in err
+
+    def test_checkpoint_meta_rng_state_of_the_wrong_type(self, workdir, tmp_path, capsys):
+        ckpt = _edited_codec(workdir, tmp_path, lambda m: m["meta"].update(rng_state=5))
+        assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
+                         "--out", str(tmp_path / "r"), "--steps", "26", "--resume", str(ckpt),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'rng_state'" in err
+
+    @pytest.mark.parametrize("payload", [5, {"f0": [1, 2], "periodicity": {"a": 1}}],
+                             ids=["int", "dict-periodicity"])
+    def test_pitch_json_of_the_wrong_type(self, workdir, tmp_path, payload):
+        pitch = tmp_path / "p.json"
+        pitch.write_text(json.dumps(payload))
+        wav = str(workdir / "corpus" / "song000.wav")
+        assert cli.main(["evaluate", "--gt", wav, "--pred", wav, "--gt-pitch", str(pitch),
+                         "--out", str(tmp_path / "r.json"),
+                         "--config", str(workdir / "cfg.json")]) == 2
 
     @pytest.mark.parametrize("sidecar", [5, {"frames": [1], "dim": 1}], ids=["int", "list-frames"])
     def test_matrix_sidecar_of_the_wrong_type(self, tmp_path, sidecar):
@@ -256,10 +301,15 @@ class TestSelfcheckSuites:
         results = cli.run_selfcheck(only=("gaussian-reverse-sampler",), verbose=False)
         assert results[0][1], results[0][2]
 
-    def test_drift_sign_flip_fails_gaussian_suite(self):
-        results = cli.run_selfcheck(
-            sabotage="flip-drift", only=("gaussian-reverse-sampler",), verbose=False
-        )
+    def test_drift_sign_flip_fails_gaussian_suite(self, monkeypatch):
+        real = diffusion.reverse_sample
+
+        def flipped(score_fn, *args, **kwargs):
+            # drift = 1/2 (z - mu) + s; this score negates it exactly
+            return real(lambda z, m, h, t: -score_fn(z, m, h, t) - (z - m), *args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "reverse_sample", flipped)
+        results = cli.run_selfcheck(only=("gaussian-reverse-sampler",), verbose=False)
         assert not results[0][1]
 
     def test_gradient_suite_passes_clean(self):
