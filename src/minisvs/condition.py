@@ -9,17 +9,21 @@ contract from externally supplied frame features and quantized F0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import as_tensor
 from .dsp import F0_BINS
-from .nn import Embedding, GatedConvBlock, Linear
+from .nn import Embedding, GatedConvBlock, Linear, Module
 
 ONSET_CODA_MAX_FRAMES = 3
 DURATION_TOKEN_MAX = 512
 TEMPO_MIN, TEMPO_MAX = 16, 256
+# the longest note a duration token expresses: DURATION_TOKEN_MAX 64th notes
+# at the slowest tempo, 120 s; a longer note is refused, not clamped
+NOTE_MAX_SECONDS = DURATION_TOKEN_MAX * (60.0 / TEMPO_MIN) / 16.0
 
 REST_PHONEME = 0  # reserved token for rests
 REST_MIDI = 0  # rest pitch marker
@@ -41,12 +45,13 @@ class Note:
     tempo: float  # bpm
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not (0 <= self.midi_pitch < MIDI_VOCAB):
-            raise ValueError(f"midi pitch {self.midi_pitch} outside 0..127")
-        if self.duration <= 0:
-            raise ValueError("note duration must be positive")
-        if self.tempo <= 0:
-            raise ValueError("tempo must be positive")
+            raise ValueError(f"'midi' {self.midi_pitch} outside 0..127")
+        if not (0 < self.duration <= NOTE_MAX_SECONDS):
+            raise ValueError(f"'dur_s' {self.duration!r} outside (0, {NOTE_MAX_SECONDS:g}] seconds")
+        if not (0 < self.tempo < math.inf):
+            raise ValueError(f"'tempo' {self.tempo!r} must be positive and finite")
 
     @property
     def is_rest(self) -> bool:
@@ -175,7 +180,7 @@ def expand_score(score: MusicalScore, hop_size: int, sample_rate: int) -> FrameG
     )
 
 
-class ConditionNet:
+class ConditionNet(Module):
     """Embeddings + enhanced residual stack + prior estimator.
 
     The supervised path sums a lyrics embedding with a melody embedding
@@ -185,38 +190,28 @@ class ConditionNet:
     a single linear layer on h_cond.
     """
 
-    def __init__(
-        self,
-        alphabet_size: int,
-        latent_dim: int,
-        feature_dim: int = 32,
-        embed_dim: int = 64,
-        rng=None,
-        dtype=np.float32,
-    ):
-        rng = np.random.default_rng(0) if rng is None else rng
-        self.embed_dim = embed_dim
-        self.latent_dim = latent_dim
+    def __init__(self, alphabet_size: int, latent_dim: int, feature_dim: int, embed_dim: int,
+                 rng, dtype=np.float32):
         self.dtype = dtype
-        self.phoneme_emb = Embedding(alphabet_size, embed_dim, rng, dtype)
-        self.pitch_emb = Embedding(MIDI_VOCAB, embed_dim, rng, dtype)
-        self.dur_emb = Embedding(DURATION_TOKEN_MAX + 1, embed_dim, rng, dtype)
-        self.tempo_emb = Embedding(TEMPO_MAX + 1, embed_dim, rng, dtype)
+        self.phoneme = Embedding(alphabet_size, embed_dim, rng, dtype)
+        self.pitch = Embedding(MIDI_VOCAB, embed_dim, rng, dtype)
+        self.dur = Embedding(DURATION_TOKEN_MAX + 1, embed_dim, rng, dtype)
+        self.tempo = Embedding(TEMPO_MAX + 1, embed_dim, rng, dtype)
         self.feat_proj = Linear(feature_dim, embed_dim, rng, dtype)
-        self.f0_emb = Embedding(F0_BINS + 1, embed_dim, rng, dtype)
+        self.f0 = Embedding(F0_BINS + 1, embed_dim, rng, dtype)
         self.enhanced = [GatedConvBlock(embed_dim, rng, None, dtype)
                          for _ in range(ENHANCED_BLOCKS)]
         self.prior = Linear(embed_dim, latent_dim, rng, dtype)
 
     # supervised sub-representations, also the contrastive anchors
     def lyrics_repr(self, grid: FrameGrid):
-        return self.phoneme_emb(grid.phoneme)
+        return self.phoneme(grid.phoneme)
 
     def melody_repr(self, grid: FrameGrid):
         return (
-            self.pitch_emb(grid.midi)
-            + self.dur_emb(grid.dur_token)
-            + self.tempo_emb(grid.tempo_token)
+            self.pitch(grid.midi)
+            + self.dur(grid.dur_token)
+            + self.tempo(grid.tempo_token)
         )
 
     # unsupervised counterparts
@@ -224,7 +219,7 @@ class ConditionNet:
         return self.feat_proj(as_tensor(frame_features, self.dtype))
 
     def melody_u_repr(self, quantized_f0):
-        return self.f0_emb(np.asarray(quantized_f0, dtype=np.int64))
+        return self.f0(np.asarray(quantized_f0, dtype=np.int64))
 
     def head(self, lyrics, melody, enhanced: bool) -> FrameCondition:
         """h_cond and mu_hat from a lyrics and a melody representation."""
@@ -248,30 +243,6 @@ class ConditionNet:
             )
         return self.head(self.lyrics_u_repr(feats), self.melody_u_repr(f0), enhanced)
 
-    def params(self, prefix: str = "cond"):
-        out = (
-            self.phoneme_emb.params(prefix + ".phoneme")
-            + self.pitch_emb.params(prefix + ".pitch")
-            + self.dur_emb.params(prefix + ".dur")
-            + self.tempo_emb.params(prefix + ".tempo")
-            + self.feat_proj.params(prefix + ".feat_proj")
-            + self.f0_emb.params(prefix + ".f0")
-        )
-        for i, blk in enumerate(self.enhanced):
-            out += blk.params(f"{prefix}.enhanced{i}")
-        return out + self.prior.params(prefix + ".prior")
-
-    def supervised_params(self, prefix: str = "cond"):
-        return (
-            self.phoneme_emb.params(prefix + ".phoneme")
-            + self.pitch_emb.params(prefix + ".pitch")
-            + self.dur_emb.params(prefix + ".dur")
-            + self.tempo_emb.params(prefix + ".tempo")
-        )
-
-    def unsupervised_params(self, prefix: str = "cond"):
-        return self.feat_proj.params(prefix + ".feat_proj") + self.f0_emb.params(prefix + ".f0")
-
 
 # -- score files ----------------------------------------------------------------
 
@@ -293,12 +264,14 @@ def score_to_json(score: MusicalScore, phoneme_table: dict[str, int]) -> dict:
     return {"tempo": tempo, "syllables": syllables}
 
 
-def _number(value, convert, where: str, name: str):
-    """convert(value); a value convert cannot take (a list, an object) is a ValueError."""
+def _number(value, where: str, name: str) -> float:
+    """value as a float; JSON that is not a number, or an integer past float range, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: '{name}' must be a number, got {value!r}")
     try:
-        return convert(value)
-    except TypeError:
-        raise ValueError(f"{where}: '{name}' must be a number, got {value!r}") from None
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: '{name}' is out of range") from None
 
 
 def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScore:
@@ -306,12 +279,14 @@ def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScor
         raise ValueError("score JSON needs 'tempo' and 'syllables'")
     if not isinstance(payload["syllables"], list):
         raise ValueError("score JSON: 'syllables' must be a list")
-    tempo = _number(payload["tempo"], float, "score JSON", "tempo")
+    tempo = _number(payload["tempo"], "score JSON", "tempo")
     syllables = []
     for i, item in enumerate(payload["syllables"]):
         where = f"syllable {i}"
         if not isinstance(item, dict):
             raise ValueError(f"{where}: must be an object")
+        if item.get("nucleus") is None:
+            raise ValueError(f"{where}: 'nucleus' is missing")
         for name in ("nucleus", "onset", "coda"):
             if not isinstance(item.get(name), (str, type(None))):
                 raise ValueError(f"{where}: '{name}' must be a phoneme name, got {item[name]!r}")
@@ -321,9 +296,14 @@ def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScor
             coda = phoneme_table[item["coda"]] if item.get("coda") else None
         except KeyError as exc:
             raise ValueError(f"{where}: unknown phoneme {exc}") from None
-        midi = item.get("midi")
-        midi = REST_MIDI if midi is None else _number(midi, int, where, "midi")
-        note = Note(midi, _number(item["dur_s"], float, where, "dur_s"), tempo)
+        midi = REST_MIDI if item.get("midi") is None else _number(item["midi"], where, "midi")
+        if not float(midi).is_integer():
+            raise ValueError(f"{where}: 'midi' must be a whole number, got {item['midi']!r}")
+        dur_s = _number(item.get("dur_s"), where, "dur_s")
+        try:
+            note = Note(int(midi), dur_s, tempo)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         syllables.append(Syllable(nucleus, note, onset, coda))
     return MusicalScore(syllables, max(phoneme_table.values()) + 1)
 

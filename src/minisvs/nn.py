@@ -33,7 +33,31 @@ def _uniform(rng, fan_in: int, shape, dtype) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class Linear:
+class Module:
+    """A layer whose parameters are its own attributes.
+
+    params(prefix) walks the attributes in the order __init__ assigns them:
+    a Tensor is a parameter named prefix.attr, a sub-layer is walked with
+    prefix prefix.attr, and item i of a list of sub-layers with prefix.attr{i}.
+    That order is the checkpoint layout and the optimizer's order.
+    """
+
+    def params(self, prefix: str = ""):
+        out = []
+        for attr, value in vars(self).items():
+            name = f"{prefix}.{attr}" if prefix else attr
+            if isinstance(value, Tensor):
+                out.append((name, value))
+            elif isinstance(value, Module):
+                out += value.params(name)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out += item.params(f"{name}{i}")
+        return out
+
+
+class Linear(Module):
     def __init__(self, n_in: int, n_out: int, rng, dtype=np.float32):
         self.w = Tensor(_uniform(rng, n_in, (n_in, n_out), dtype), requires_grad=True)
         self.b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
@@ -41,11 +65,8 @@ class Linear:
     def __call__(self, x):
         return as_tensor(x, self.w.dtype) @ self.w + self.b
 
-    def params(self, prefix: str):
-        return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
-
-class Conv3:
+class Conv3(Module):
     """Width-3 frame convolution, zero padded, length preserving."""
 
     def __init__(self, n_in: int, n_out: int, rng, dtype=np.float32):
@@ -55,22 +76,16 @@ class Conv3:
     def __call__(self, x):
         return conv1d3(as_tensor(x, self.w.dtype), self.w, self.b)
 
-    def params(self, prefix: str):
-        return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
-
-class Embedding:
+class Embedding(Module):
     def __init__(self, n_ids: int, dim: int, rng, dtype=np.float32):
         self.table = Tensor(_uniform(rng, dim, (n_ids, dim), dtype), requires_grad=True)
 
     def __call__(self, ids):
         return embedding(self.table, ids)
 
-    def params(self, prefix: str):
-        return [(prefix + ".table", self.table)]
 
-
-class GatedConvBlock:
+class GatedConvBlock(Module):
     """Residual block: x + proj(tanh(conv_f(x) + tf) * sigmoid(conv_g(x) + tg)).
 
     The optional time vector is injected additively into both gates, one
@@ -157,17 +172,6 @@ class GatedConvBlock:
             )
         return custom(out, parents, grad_fn, "gated_block")
 
-    def params(self, prefix: str):
-        out = (
-            self.conv_f.params(prefix + ".conv_f")
-            + self.conv_g.params(prefix + ".conv_g")
-            + self.proj.params(prefix + ".proj")
-        )
-        if self.time_f is not None:
-            out += self.time_f.params(prefix + ".time_f")
-            out += self.time_g.params(prefix + ".time_g")
-        return out
-
 
 def time_embedding(t: float, dim: int, dtype=np.float32) -> np.ndarray:
     """Sinusoidal embedding of a scalar diffusion time t in [0, 1]."""
@@ -177,31 +181,21 @@ def time_embedding(t: float, dim: int, dtype=np.float32) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(dtype)
 
 
-class ScoreNet:
+class ScoreNet(Module):
     """Conditional score estimator s(z_t, mu_hat, h_cond, t) -> frames x D.
 
     Additive input projections feed a stack of gated residual blocks; the
     diffusion time enters every block through a sinusoidal embedding.
     """
 
-    def __init__(
-        self,
-        latent_dim: int,
-        cond_dim: int,
-        width: int = 64,
-        blocks: int = 4,
-        time_dim: int = 64,
-        rng=None,
-        dtype=np.float32,
-    ):
-        rng = np.random.default_rng(0) if rng is None else rng
-        self.latent_dim = latent_dim
+    def __init__(self, latent_dim: int, cond_dim: int, width: int, blocks: int, time_dim: int,
+                 rng, dtype=np.float32):
         self.time_dim = time_dim
         self.dtype = dtype
         self.z_in = Linear(latent_dim, width, rng, dtype)
         self.mu_in = Linear(latent_dim, width, rng, dtype)
         self.cond_in = Linear(cond_dim, width, rng, dtype)
-        self.blocks = [GatedConvBlock(width, rng, time_dim, dtype) for _ in range(blocks)]
+        self.block = [GatedConvBlock(width, rng, time_dim, dtype) for _ in range(blocks)]
         self.out = Linear(width, latent_dim, rng, dtype)
 
     def __call__(self, z_t, mu_hat, h_cond, t: float):
@@ -214,26 +208,15 @@ class ScoreNet:
             )
         t_emb = Tensor(time_embedding(t, self.time_dim, self.dtype))
         h = self.z_in(z_t) + self.mu_in(mu_hat) + self.cond_in(h_cond)
-        for blk in self.blocks:
+        for blk in self.block:
             h = blk(h, t_emb)
         return self.out(h)
 
-    def params(self, prefix: str = "score"):
-        out = (
-            self.z_in.params(prefix + ".z_in")
-            + self.mu_in.params(prefix + ".mu_in")
-            + self.cond_in.params(prefix + ".cond_in")
-        )
-        for i, blk in enumerate(self.blocks):
-            out += blk.params(f"{prefix}.block{i}")
-        return out + self.out.params(prefix + ".out")
 
-
-class MelEncoder:
+class MelEncoder(Module):
     """Log-mel frames -> continuous latent, frames x D."""
 
-    def __init__(self, mel_bins: int, latent_dim: int, width: int = 64, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
+    def __init__(self, mel_bins: int, latent_dim: int, width: int, rng):
         self.lin_in = Linear(mel_bins, width, rng)
         self.block = GatedConvBlock(width, rng)
         self.lin_out = Linear(width, latent_dim, rng)
@@ -243,19 +226,11 @@ class MelEncoder:
         h = self.block(h)
         return self.lin_out(h)
 
-    def params(self, prefix: str = "enc"):
-        return (
-            self.lin_in.params(prefix + ".lin_in")
-            + self.block.params(prefix + ".block")
-            + self.lin_out.params(prefix + ".lin_out")
-        )
 
-
-class MelDecoder:
+class MelDecoder(Module):
     """Quantized latent -> log-mel frames."""
 
-    def __init__(self, mel_bins: int, latent_dim: int, width: int = 64, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
+    def __init__(self, mel_bins: int, latent_dim: int, width: int, rng):
         self.lin_in = Linear(latent_dim, width, rng)
         self.block = GatedConvBlock(width, rng)
         self.lin_out = Linear(width, mel_bins, rng)
@@ -265,19 +240,11 @@ class MelDecoder:
         h = self.block(h)
         return self.lin_out(h)
 
-    def params(self, prefix: str = "dec"):
-        return (
-            self.lin_in.params(prefix + ".lin_in")
-            + self.block.params(prefix + ".block")
-            + self.lin_out.params(prefix + ".lin_out")
-        )
 
-
-class MelPatchDiscriminator:
+class MelPatchDiscriminator(Module):
     """Small conv net scoring log-mel patches; exposes per-layer features."""
 
-    def __init__(self, mel_bins: int, width: int = 32, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
+    def __init__(self, mel_bins: int, width: int, rng):
         self.conv1 = Conv3(mel_bins, width, rng)
         self.conv2 = Conv3(width, width, rng)
         self.head = Linear(width, 1, rng)
@@ -287,13 +254,6 @@ class MelPatchDiscriminator:
         f1 = self.conv1(x).relu()
         f2 = self.conv2(f1).relu()
         return self.head(f2), [f1, f2]
-
-    def params(self, prefix: str = "disc"):
-        return (
-            self.conv1.params(prefix + ".conv1")
-            + self.conv2.params(prefix + ".conv2")
-            + self.head.params(prefix + ".head")
-        )
 
 
 ADAM_EPS = 1e-8  # added to the bias-corrected sqrt(v) before dividing

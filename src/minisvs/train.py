@@ -30,6 +30,7 @@ from .nn import (
     MelDecoder,
     MelEncoder,
     MelPatchDiscriminator,
+    Module,
     ScoreNet,
     grad_norm,
     set_params,
@@ -78,12 +79,9 @@ def build_codec_models(cfg: RunConfig, alphabet_size: int, rng) -> CodecModels:
 
 
 @dataclass
-class LatentModels:
+class LatentModels(Module):
     cond: cond_mod.ConditionNet
     score: ScoreNet
-
-    def named_params(self):
-        return self.cond.params("cond") + self.score.params("score")
 
 
 def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels:
@@ -202,7 +200,7 @@ def load_latent_checkpoint(path):
     arrays, meta = _load_kind(path, "latent")
     cfg = config_from_dict(meta["config"])
     models = build_latent_models(cfg, meta["alphabet_size"], np.random.default_rng(0))
-    _set_frozen_params(models.named_params(), arrays)
+    _set_frozen_params(models.params(), arrays)
     stats = (arrays["latent_stats.mean"].reshape(-1), arrays["latent_stats.std"].reshape(-1))
     return models, cfg, meta, stats
 
@@ -515,16 +513,22 @@ def train_latent(
     z_norm = [diffusion.normalize_latent(z, mean, std).astype(np.float32) for z in z_all]
 
     models = build_latent_models(cfg, alphabet_size, np.random.default_rng(seed))
-    named = models.named_params()
+    named = models.params()
     params = [p for _, p in named]
     opt = AdamW(params, cfg.latent_lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
+    # the grad_norm_sup and grad_norm_unsup columns: the layers that only the
+    # supervised, or only the unsupervised, condition path reads
+    cond = models.cond
+    norm_groups = [[p for layer in group for _, p in layer.params()]
+                   for group in ((cond.phoneme, cond.pitch, cond.dur, cond.tempo),
+                                 (cond.feat_proj, cond.f0))]
     data_rng = np.random.default_rng(seed + 2)
     sched = diffusion.NoiseSchedule(cfg.beta0, cfg.betaT)
 
     return _train_loop(
         "latent", out_dir, steps,
         lambda step: _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched,
-                                  data_rng, step, opt, params),
+                                  data_rng, step, opt, params, norm_groups),
         resumed,
         groups=[(named, opt, "step")],
         data_rng=data_rng,
@@ -543,7 +547,7 @@ def train_latent(
 
 
 def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_rng, step, opt,
-                 params):
+                 params, norm_groups):
     # windows are grouped by supervision kind so each group runs the
     # nets once on a stacked (B, W, ...) batch; t is drawn per group
     sup_picks, unsup_picks = [], []
@@ -609,8 +613,7 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
     opt.zero_grad()
     total.backward()
     gnorm = grad_norm(params)
-    g_sup = grad_norm([p for _, p in models.cond.supervised_params("cond")])
-    g_unsup = grad_norm([p for _, p in models.cond.unsupervised_params("cond")])
+    g_sup, g_unsup = (grad_norm(group) for group in norm_groups)
     opt.step()
     return [
         step,

@@ -118,6 +118,27 @@ def _edited_codec(workdir, tmp_path, edit):
     return ckpt
 
 
+def _syllable(**fields):
+    return [{"nucleus": "a", "midi": 60, "dur_s": 0.5, **fields}]
+
+
+# (tempo, syllables, what the error names) of score JSON every score reader refuses
+MALFORMED_SCORES = [
+    pytest.param(120.0, 5, "'syllables'", id="int"),
+    pytest.param(120.0, ["a"], "syllable 0", id="list-of-str"),
+    pytest.param([120], _syllable(), "'tempo'", id="list-tempo"),
+    pytest.param(120.0, _syllable(dur_s=[0.5]), "syllable 0: 'dur_s'", id="list-dur_s"),
+    pytest.param(120.0, _syllable(midi=[60]), "syllable 0: 'midi'", id="list-midi"),
+    pytest.param(120.0, _syllable(nucleus=["a"]), "syllable 0: 'nucleus'", id="list-nucleus"),
+    pytest.param(120.0, _syllable(dur_s=float("inf")), "syllable 0: 'dur_s'", id="inf-dur_s"),
+    pytest.param(120.0, _syllable(dur_s=1e300), "syllable 0: 'dur_s'", id="huge-dur_s"),
+    pytest.param(120.0, _syllable(dur_s=float("nan")), "syllable 0: 'dur_s'", id="nan-dur_s"),
+    pytest.param(float("nan"), _syllable(), "syllable 0: 'tempo'", id="nan-tempo"),
+    pytest.param(120.0, _syllable(midi=60.7), "syllable 0: 'midi'", id="fractional-midi"),
+    pytest.param(120.0, [{"midi": 60, "dur_s": 0.5}], "syllable 0: 'nucleus'", id="no-nucleus"),
+]
+
+
 class TestCorruptInputExits2:
     @pytest.mark.parametrize("command,name,content", [
         ("evaluate", "bad.wav", _garbage(64)),
@@ -143,21 +164,33 @@ class TestCorruptInputExits2:
         bad.write_text(json.dumps({"loss": 3}))
         assert cli.main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("tempo,syllables", [
-        (120.0, 5),
-        (120.0, ["a"]),
-        ([120], [{"nucleus": "a", "midi": 60, "dur_s": 0.5}]),
-        (120.0, [{"nucleus": "a", "midi": 60, "dur_s": [0.5]}]),
-        (120.0, [{"nucleus": "a", "midi": [60], "dur_s": 0.5}]),
-        (120.0, [{"nucleus": ["a"], "midi": 60, "dur_s": 0.5}]),
-    ], ids=["int", "list-of-str", "list-tempo", "list-dur_s", "list-midi", "list-nucleus"])
-    def test_score_with_malformed_syllables(self, workdir, tmp_path, tempo, syllables):
+    @pytest.mark.parametrize("tempo,syllables,named", MALFORMED_SCORES)
+    def test_score_with_malformed_syllables(self, workdir, tmp_path, capsys, tempo, syllables,
+                                            named):
         score = tmp_path / "bad.score.json"
         score.write_text(json.dumps({"tempo": tempo, "syllables": syllables}))
         assert cli.main(["sample", "--score", str(score),
                          "--codec", str(workdir / "codec" / "codec.ckpt"),
                          "--latent", str(workdir / "latent" / "latent.ckpt"),
                          "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-codec", "train-latent"])
+    @pytest.mark.parametrize("tempo,syllables,named", MALFORMED_SCORES)
+    def test_corpus_with_a_malformed_score(self, workdir, tmp_path, capsys, command, tempo,
+                                           syllables, named):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("phonemes.json", "song000.wav"):
+            shutil.copy(workdir / "corpus" / name, corpus / name)
+        (corpus / "song000.score.json").write_text(
+            json.dumps({"tempo": tempo, "syllables": syllables}))
+        argv = [command, "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                "--steps", "2", "--config", str(workdir / "cfg.json")]
+        if command == "train-latent":
+            argv += ["--codec", str(workdir / "codec" / "codec.ckpt")]
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_checkpoint_manifest_with_a_non_object_param(self, workdir, tmp_path):
         ckpt = _edited_codec(workdir, tmp_path, lambda m: m.update(params=[5]))

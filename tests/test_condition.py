@@ -193,7 +193,7 @@ class TestConditionNet:
         assert np.array_equal(net.condition(grid).h_cond.data, net.condition(grid).h_cond.data)
 
     def test_f0_table_covers_every_quantized_f0(self):
-        assert self._net().f0_emb.table.data.shape[0] == dsp.F0_BINS + 1
+        assert self._net().f0.table.data.shape[0] == dsp.F0_BINS + 1
         f0 = np.geomspace(1.0, 20000.0, 400)
         q = dsp.quantize_f0(dsp.PitchTrack(f0, np.ones_like(f0)))
         assert q.min() >= 0 and q.max() == dsp.F0_BINS

@@ -103,26 +103,6 @@ class TestForwardSample:
         assert np.abs(z_t.mean(0) - p.rho[0]).max() / np.abs(p.rho[0]).min() < 0.01
         assert abs(z_t.var(0).mean() - p.lam) / p.lam < 0.01
 
-    def test_moments_match_euler_maruyama_oracle(self):
-        # independent simulation of the forward SDE with 1000 steps
-        n = 100_000
-        for t_end in (0.25, 0.5, 1.0):
-            eps = np.random.default_rng(2).standard_normal((n, 4))
-            z_t, _ = df.forward_sample(
-                SCHED, np.repeat(self.Z0, n, 0), np.repeat(self.MU, n, 0), t_end, eps
-            )
-            sim = np.repeat(self.Z0, n, 0)
-            h = t_end / 1000
-            rng = np.random.default_rng(3)
-            for i in range(1000):
-                beta = df.beta_at(SCHED, i * h)
-                sim = sim + 0.5 * (self.MU - sim) * beta * h
-                sim = sim + math.sqrt(beta * h) * rng.standard_normal(sim.shape)
-            mean_err = np.abs(z_t.mean(0) - sim.mean(0)) / np.abs(sim.mean(0))
-            var_err = abs(z_t.var(0).mean() - sim.var(0).mean()) / sim.var(0).mean()
-            assert mean_err.max() < 0.02
-            assert var_err < 0.02
-
 
 class TestPriorLoss:
     def test_equal_inputs_half_log_2pi(self):

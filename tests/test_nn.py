@@ -37,6 +37,26 @@ class TestLayers:
             blk(Tensor(np.zeros((3, 4))), Tensor(np.zeros(6)))
 
 
+class TestModuleParams:
+    def test_walks_attributes_in_assignment_order(self):
+        rng = np.random.default_rng(0)
+
+        class Toy(nn.Module):
+            def __init__(self):
+                self.size = 3
+                self.scale = Tensor(np.ones(2))
+                self.head = nn.Linear(2, 2, rng)
+                self.stack = [nn.Embedding(4, 2, rng), nn.Embedding(5, 2, rng)]
+                self.absent = None
+
+        toy = Toy()
+        assert [n for n, _ in toy.params("toy")] == [
+            "toy.scale", "toy.head.w", "toy.head.b", "toy.stack0.table", "toy.stack1.table",
+        ]
+        assert [n for n, _ in toy.params()][:2] == ["scale", "head.w"]
+        assert toy.params()[1][1] is toy.head.w
+
+
 def _reference_block(blk, x, t_emb=None):
     """The gated block as the taped layer composition that the fused op replaced."""
     a = blk.conv_f(x)

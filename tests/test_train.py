@@ -191,6 +191,57 @@ class TestCodecTraining:
         _assert_divergence_left_log_only(str(exc.value), tmp_path, "codec")
 
 
+def _linear(name, n_in, n_out):
+    return [(name + ".w", (n_in, n_out)), (name + ".b", (n_out,))]
+
+
+def _conv3(name, n_in, n_out):
+    return [(name + ".w", (3, n_in, n_out)), (name + ".b", (n_out,))]
+
+
+def _block(name, width, time_dim=None):
+    out = (_conv3(name + ".conv_f", width, width) + _conv3(name + ".conv_g", width, width)
+           + _linear(name + ".proj", width, width))
+    if time_dim:
+        out += _linear(name + ".time_f", time_dim, width) + _linear(name + ".time_g", time_dim, width)
+    return out
+
+
+# RunConfig() with a 14-phoneme alphabet: the order of these lists is the
+# order of the checkpoint blob and of the optimizer moments
+CODEC_GEN_LAYOUT = (
+    _linear("enc.lin_in", 128, 64) + _block("enc.block", 64) + _linear("enc.lin_out", 64, 16)
+    + _linear("dec.lin_in", 16, 64) + _block("dec.block", 64) + _linear("dec.lin_out", 64, 128)
+    + _linear("lyrics_head", 16, 15) + _linear("note_head", 16, 128)
+)
+CODEC_DISC_LAYOUT = (
+    _conv3("disc.conv1", 128, 32) + _conv3("disc.conv2", 32, 32) + _linear("disc.head", 32, 1)
+)
+LATENT_LAYOUT = (
+    [("cond.phoneme.table", (14, 64)), ("cond.pitch.table", (128, 64)),
+     ("cond.dur.table", (513, 64)), ("cond.tempo.table", (257, 64))]
+    + _linear("cond.feat_proj", 32, 64) + [("cond.f0.table", (129, 64))]
+    + _block("cond.enhanced0", 64) + _block("cond.enhanced1", 64) + _linear("cond.prior", 64, 16)
+    + _linear("score.z_in", 16, 64) + _linear("score.mu_in", 16, 64)
+    + _linear("score.cond_in", 64, 64)
+    + [entry for i in range(4) for entry in _block(f"score.block{i}", 64, 64)]
+    + _linear("score.out", 64, 16)
+)
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("part,layout", [
+        ("gen", CODEC_GEN_LAYOUT), ("disc", CODEC_DISC_LAYOUT), ("latent", LATENT_LAYOUT),
+    ], ids=["codec-gen", "codec-disc", "latent"])
+    def test_named_params_in_checkpoint_order(self, part, layout):
+        cfg = config_from_dict({})
+        codec = train.build_codec_models(cfg, 14, np.random.default_rng(0))
+        latent = train.build_latent_models(cfg, 14, np.random.default_rng(0))
+        named = {"gen": codec.gen_named_params, "disc": codec.disc_named_params,
+                 "latent": latent.params}[part]()
+        assert [(name, p.data.shape) for name, p in named] == layout
+
+
 def _assert_divergence_left_log_only(message, out_dir, kind):
     """The run logged every step before the failing one and wrote no checkpoint."""
     match = re.search(rf"{kind} training diverged at step (\d+): .*in op '\w+'", message)
@@ -574,7 +625,7 @@ class TestInferenceBuildsNoTape:
     def test_loaded_params_do_not_require_grad(self, codec_ckpt, latent_ckpt):
         codec, _, _ = train.load_codec_checkpoint(codec_ckpt)
         latent, _, _, _ = train.load_latent_checkpoint(latent_ckpt)
-        named = codec.gen_named_params() + codec.disc_named_params() + latent.named_params()
+        named = codec.gen_named_params() + codec.disc_named_params() + latent.params()
         assert named and not any(p.requires_grad for _, p in named)
 
     def test_sampler_score_calls_and_decoder_build_no_tape(
