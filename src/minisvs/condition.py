@@ -287,15 +287,14 @@ def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScor
             raise ValueError(f"{where}: must be an object")
         if item.get("nucleus") is None:
             raise ValueError(f"{where}: 'nucleus' is missing")
+        ids = {}
         for name in ("nucleus", "onset", "coda"):
-            if not isinstance(item.get(name), (str, type(None))):
-                raise ValueError(f"{where}: '{name}' must be a phoneme name, got {item[name]!r}")
-        try:
-            nucleus = phoneme_table[item["nucleus"]]
-            onset = phoneme_table[item["onset"]] if item.get("onset") else None
-            coda = phoneme_table[item["coda"]] if item.get("coda") else None
-        except KeyError as exc:
-            raise ValueError(f"{where}: unknown phoneme {exc}") from None
+            value = item.get(name)  # an absent or null onset or coda is none
+            if not isinstance(value, (str, type(None))):
+                raise ValueError(f"{where}: '{name}' must be a phoneme name, got {value!r}")
+            if value is not None and value not in phoneme_table:
+                raise ValueError(f"{where}: '{name}' is an unknown phoneme {value!r}")
+            ids[name] = None if value is None else phoneme_table[value]
         midi = REST_MIDI if item.get("midi") is None else _number(item["midi"], where, "midi")
         if not float(midi).is_integer():
             raise ValueError(f"{where}: 'midi' must be a whole number, got {item['midi']!r}")
@@ -304,7 +303,7 @@ def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScor
             note = Note(int(midi), dur_s, tempo)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        syllables.append(Syllable(nucleus, note, onset, coda))
+        syllables.append(Syllable(ids["nucleus"], note, ids["onset"], ids["coda"]))
     return MusicalScore(syllables, max(phoneme_table.values()) + 1)
 
 

@@ -27,6 +27,11 @@ F0_SEARCH_MAX_HZ = 1200.0
 PEAK_SEARCH_FMAX_HZ = 1500.0
 PEAK_ENERGY_FLOOR_RATIO = 0.05
 
+# stft and estimate_f0 transform this many frames at a time, so no
+# (frames, fft bins) temporary is ever built; every output is the same for
+# any block size
+ANALYSIS_BLOCK_FRAMES = 32
+
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -129,23 +134,32 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
 
 
 def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Center-padded (reflect) frame matrix, (frames, win_size)."""
+    """Center-padded (reflect) frames, a read-only (frames, win_size) view."""
     half = cfg.win_size // 2
     if x.size > 1:
         padded = np.pad(x, (half, half), mode="reflect")
     else:
         padded = np.pad(x, (half, half))
-    n = frame_count(x.size, cfg)
-    idx = np.arange(cfg.win_size)[None, :] + cfg.hop_size * np.arange(n)[:, None]
-    return padded[idx]
+    if padded.size < cfg.win_size:  # no whole frame
+        return np.zeros((0, cfg.win_size))
+    return np.lib.stride_tricks.sliding_window_view(padded, cfg.win_size)[:: cfg.hop_size]
+
+
+def _blocks(n: int):
+    """Row slices of ANALYSIS_BLOCK_FRAMES frames that cover range(n)."""
+    for start in range(0, n, ANALYSIS_BLOCK_FRAMES):
+        yield slice(start, min(start + ANALYSIS_BLOCK_FRAMES, n))
 
 
 def stft(audio: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """Magnitude STFT with reflect-centered framing and a Hann window."""
     if len(audio) == 0:
         raise ValueError("cannot compute the STFT of empty audio")
-    frames = _frame_signal(audio.samples, cfg) * hann_window(cfg.win_size)
-    mag = np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1))
+    frames = _frame_signal(audio.samples, cfg)
+    window = hann_window(cfg.win_size)
+    mag = np.empty((frames.shape[0], cfg.bins))
+    for rows in _blocks(frames.shape[0]):
+        mag[rows] = np.abs(np.fft.rfft(frames[rows] * window, n=cfg.fft_size, axis=1))
     return Spectrogram(mag, "linear", cfg, audio.sample_rate)
 
 
@@ -165,15 +179,12 @@ def mel_filterbank(
         raise ValueError("mel_bins must be >= 1")
     if not (0 <= fmin < fmax <= sample_rate / 2):
         raise ValueError(f"require 0 <= fmin < fmax <= {sample_rate / 2}")
-    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), mel_bins + 2))
+    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), mel_bins + 2))[:, None]
     freqs = np.arange(cfg.bins) * sample_rate / cfg.fft_size
-    fb = np.zeros((mel_bins, cfg.bins))
-    for b in range(mel_bins):
-        lo, ctr, hi = pts[b], pts[b + 1], pts[b + 2]
-        rising = (freqs - lo) / max(ctr - lo, 1e-12)
-        falling = (hi - freqs) / max(hi - ctr, 1e-12)
-        fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
+    lo, ctr, hi = pts[:-2], pts[1:-1], pts[2:]
+    rising = (freqs - lo) / np.maximum(ctr - lo, 1e-12)
+    falling = (hi - freqs) / np.maximum(hi - ctr, 1e-12)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def mel_center_freqs(mel_bins: int, fmin: float, fmax: float) -> np.ndarray:
@@ -201,60 +212,50 @@ def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
     """
     sr = audio.sample_rate
     frames = _frame_signal(audio.samples, cfg)
-    frames = frames - frames.mean(axis=1, keepdims=True)
-    win = cfg.win_size
+    n, win = frames.shape
     lag_lo = max(2, int(sr / F0_SEARCH_MAX_HZ))
     lag_hi = min(int(math.ceil(sr / F0_SEARCH_MIN_HZ)), win - 2)
     if lag_hi <= lag_lo:  # window too short for the requested range
-        n = frames.shape[0]
         return PitchTrack(np.zeros(n), np.zeros(n))
 
     nfft = 1 << int(math.ceil(math.log2(2 * win)))
     taus = np.arange(lag_lo, lag_hi + 1)
-    # keep only the searched lags, and free the (frames, nfft) spectra before
-    # the energy terms below: they are the largest arrays evaluation holds
-    spec = np.fft.rfft(frames, n=nfft, axis=1)
-    power = spec * np.conj(spec)
-    del spec
-    raw = np.fft.irfft(power, n=nfft, axis=1)[:, taus]
-    del power
+    nac = np.empty((n, taus.size))
+    total = np.empty(n)
+    for rows in _blocks(n):
+        block = frames[rows] - frames[rows].mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(block, n=nfft, axis=1)
+        # the power spectrum as conj(spec) * spec, in this operand order:
+        # spec * conj(spec) and re**2 + im**2 round differently
+        raw = np.fft.irfft(np.conj(spec) * spec, n=nfft, axis=1)[:, lag_lo : lag_hi + 1]
+        # normalized cross-correlation: r(tau) / sqrt(e0(tau) * e1(tau))
+        csum = np.cumsum(block * block, axis=1)  # csum[:, k] is the energy of x[0 : k+1]
+        total[rows] = csum[:, -1]
+        e_head = csum[:, win - taus - 1]  # energy of x[0 : win-tau]
+        e_tail = csum[:, -1:] - csum[:, taus - 1]  # energy of x[tau : win]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q = raw / np.sqrt(e_head * e_tail)
+        nac[rows] = np.where(np.isfinite(q), q, 0.0)
 
-    # normalized cross-correlation: r(tau) / sqrt(e0(tau) * e1(tau))
-    sq = frames * frames
-    csum = np.concatenate([np.zeros((frames.shape[0], 1)), np.cumsum(sq, axis=1)], axis=1)
-    total = csum[:, -1:]
-    n = frames.shape[0]
-    f0 = np.zeros(n)
-    periodicity = np.zeros(n)
-    e_head = csum[:, win - taus] - csum[:, 0:1]  # energy of x[0 : win-tau]
-    e_tail = total - csum[:, taus]  # energy of x[tau : win]
+    # every frame at once; a frame without an interior local maximum gets its
+    # clipped maximum as periodicity and no pitch, a silent one gets zeros
+    interior = np.zeros(nac.shape, dtype=bool)
+    interior[:, 1:-1] = (nac[:, 1:-1] > nac[:, :-2]) & (nac[:, 1:-1] >= nac[:, 2:])
+    has_peak = interior.any(axis=1)
+    best = nac.max(axis=1, where=interior, initial=-np.inf, keepdims=True)
+    sel = np.argmax(interior & (nac >= 0.9 * best), axis=1)
+    # parabolic refinement around the selected lag
+    around = np.clip(sel[:, None] + np.array([-1, 0, 1]), 0, taus.size - 1)
+    y0, y1, y2 = np.take_along_axis(nac, around, axis=1).T
+    denom = y0 - 2.0 * y1 + y2
     with np.errstate(invalid="ignore", divide="ignore"):
-        nac = raw / np.sqrt(e_head * e_tail)
-    nac = np.where(np.isfinite(nac), nac, 0.0)
-
-    for i in range(n):
-        if total[i, 0] < 1e-10:
-            continue
-        r = nac[i]
-        interior = np.zeros(r.size, dtype=bool)
-        interior[1:-1] = (r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:])
-        if not interior.any():
-            periodicity[i] = float(np.clip(r.max(initial=0.0), 0.0, 1.0))
-            continue
-        peaks = np.flatnonzero(interior)
-        best = r[peaks].max()
-        sel = peaks[r[peaks] >= 0.9 * best][0]
-        # parabolic refinement around the selected lag
-        y0, y1, y2 = r[sel - 1], r[sel], r[sel + 1]
-        denom = y0 - 2.0 * y1 + y2
-        delta = 0.0 if abs(denom) < 1e-12 else 0.5 * (y0 - y2) / denom
-        delta = float(np.clip(delta, -0.5, 0.5))
-        lag = taus[sel] + delta
-        p = float(np.clip(y1, 0.0, 1.0))
-        periodicity[i] = p
-        if p > VOICING_THRESHOLD:
-            f0[i] = float(np.clip(sr / lag, F0_SEARCH_MIN_HZ, F0_SEARCH_MAX_HZ))
-    voiced = f0 > 0
+        delta = np.where(np.abs(denom) < 1e-12, 0.0, 0.5 * (y0 - y2) / denom)
+    lag = taus[sel] + np.clip(delta, -0.5, 0.5)
+    flat = np.clip(nac.max(axis=1, initial=0.0), 0.0, 1.0)
+    periodicity = np.where(has_peak, np.clip(y1, 0.0, 1.0), flat)
+    periodicity = np.where(total >= 1e-10, periodicity, 0.0)
+    voiced = has_peak & (periodicity > VOICING_THRESHOLD)
+    f0 = np.where(voiced, np.clip(sr / lag, F0_SEARCH_MIN_HZ, F0_SEARCH_MAX_HZ), 0.0)
     periodicity = np.where(voiced, periodicity, np.minimum(periodicity, VOICING_THRESHOLD))
     return PitchTrack(f0, periodicity, voiced)
 
@@ -346,22 +347,22 @@ def mel_peak_pitch(
         raise ValueError(f"no mel filters below {PEAK_SEARCH_FMAX_HZ} Hz")
     hi = int(np.flatnonzero(searchable)[-1]) + 1
     data = mel.data[:, :hi]
-    n = data.shape[0]
-    f0 = np.zeros(n)
-    periodicity = np.zeros(n)
     peak_all = data.max() if data.size else 0.0
     floor = PEAK_ENERGY_FLOOR_RATIO * max(peak_all, 1e-12)
-    for i in range(n):
-        row = data[i]
-        p = int(np.argmax(row))
-        if row[p] <= floor:
-            continue
-        lo_b = max(0, p - 1)
-        hi_b = min(hi, p + 2)
-        w = row[lo_b:hi_b]
-        f0[i] = float((w * centers[lo_b:hi_b]).sum() / w.sum())
-        periodicity[i] = float(min(1.0, row[p] / peak_all))
-    return PitchTrack(f0, periodicity, f0 > 0)
+    p = np.argmax(data, axis=1)
+    peak = data[np.arange(data.shape[0]), p]
+    voiced = peak > floor
+    # 3-point window p-1..p+1, summed left to right; its out-of-range points
+    # weigh 0, which leaves a 2-point window's sums exact
+    idx = p[:, None] + np.array([-1, 0, 1])
+    inside = (idx >= 0) & (idx < hi)
+    idx = np.clip(idx, 0, hi - 1)
+    w = np.where(inside, np.take_along_axis(data, idx, axis=1), 0.0)
+    wc = w * centers[idx]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f0 = np.where(voiced, (wc[:, 0] + wc[:, 1] + wc[:, 2]) / (w[:, 0] + w[:, 1] + w[:, 2]), 0.0)
+        periodicity = np.where(voiced, np.minimum(1.0, peak / peak_all), 0.0)
+    return PitchTrack(f0, periodicity, voiced)
 
 
 # -- file interfaces ----------------------------------------------------------

@@ -205,20 +205,16 @@ def load_latent_checkpoint(path):
     return models, cfg, meta, stats
 
 
-def _write_log(path, header: list[str], rows: list[list], start_step: int) -> None:
-    """Write the loss CSV. A run resumed at start_step > 0 keeps the rows an
-    earlier run logged in the same file for the steps before start_step."""
-    kept = []
-    if start_step > 0 and os.path.exists(path):
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) == header:
-                kept = [row for row in reader if int(float(row[0])) < start_step]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(kept)
-        writer.writerows(rows)
+def _kept_log_rows(path, header: list[str], start_step: int) -> list[list[str]]:
+    """The rows an earlier run logged in path for the steps before start_step,
+    which a run resumed at start_step > 0 keeps."""
+    if start_step == 0 or not os.path.exists(path):
+        return []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            return []
+        return [row for row in reader if int(float(row[0])) < start_step]
 
 
 def _train_loop(kind, out_dir, steps, step_fn, resumed, groups, data_rng, extra_arrays,
@@ -228,10 +224,10 @@ def _train_loop(kind, out_dir, steps, step_fn, resumed, groups, data_rng, extra_
     groups holds (named_params, optimizer, meta step key) per optimizer. A
     resumed (arrays, meta) pair restores their params and moments and the
     data rng, and training continues at its step. step_fn(step) runs one
-    step and returns its log row. The loss CSV is written however the loop
-    ends, so a diverging run leaves the rows of the steps before the
-    failing one; the checkpoint (params, extra_arrays(), optimizer moments)
-    is written only when every step ran.
+    step and returns its log row. Each row reaches the loss CSV as its step
+    ends, so a diverging or killed run leaves the rows of the steps before
+    the failing one; the checkpoint (params, extra_arrays(), optimizer
+    moments) is written only when every step ran.
     """
     start_step = 0
     if resumed is not None:
@@ -241,16 +237,20 @@ def _train_loop(kind, out_dir, steps, step_fn, resumed, groups, data_rng, extra_
             opt.load_state_arrays([n for n, _ in named], arrays, saved[key])
         data_rng.bit_generator.state = saved["rng_state"]
         start_step = int(saved["step"])
-    rows = []
     log_path = os.path.join(out_dir, f"{kind}_losses.csv")
-    try:
+    kept = _kept_log_rows(log_path, header, start_step)
+    with open(log_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(kept)
+        fh.flush()
         for step in range(start_step, steps):
             try:
-                rows.append(step_fn(step))
+                row = step_fn(step)
             except NumericalError as exc:
                 raise NumericalError(f"{kind} training diverged at step {step}: {exc}") from None
-    finally:
-        _write_log(log_path, header, rows, start_step)
+            writer.writerow(row)
+            fh.flush()
 
     arrays = {name: p.data for named, _, _ in groups for name, p in named}
     arrays.update(extra_arrays())

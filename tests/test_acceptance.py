@@ -216,6 +216,7 @@ def test_c05_ctc_dp_vs_enumeration():
     _report("C5", worst < 1e-10, f"50 instances, max |DP - enumeration| {worst:.2e} < 1e-10")
 
 
+@pytest.mark.slow
 def test_c06_rvq_properties_on_trained_codec(acc_cfg, corpus_dir, codec_run):
     models, cfg, _ = train.load_codec_checkpoint(codec_run[0])
     songs, _ = corpus.load_corpus(corpus_dir, cfg)
@@ -268,6 +269,7 @@ def _pitch_track_via_estimate_f0(mel_path, cfg):
     )
 
 
+@pytest.mark.slow
 def test_c07_toy_end_to_end(acc_cfg, corpus_dir, codec_run, latent_run, tmp_path_factory):
     codec_log = train.read_loss_log(codec_run[1])
     recon = codec_log["recon"]
@@ -328,6 +330,7 @@ def test_c07_toy_end_to_end(acc_cfg, corpus_dir, codec_run, latent_run, tmp_path
     )
 
 
+@pytest.mark.slow
 def test_c08_ablation_prior_direction(acc_cfg, corpus_dir, codec_run, tmp_path_factory):
     # Table-VI-style desk ablation exactly as specified: same seed/corpus,
     # 5000 steps per run, ordering by logged L_diff, majority over 3 seeds.
@@ -374,6 +377,7 @@ def test_c09_metric_unit_values():
     )
 
 
+@pytest.mark.slow
 def test_c10_determinism_and_selfcheck_budget(
     acc_cfg, corpus_dir, codec_run, latent_run, tmp_path_factory
 ):

@@ -1,5 +1,11 @@
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +142,38 @@ MALFORMED_SCORES = [
     pytest.param(float("nan"), _syllable(), "syllable 0: 'tempo'", id="nan-tempo"),
     pytest.param(120.0, _syllable(midi=60.7), "syllable 0: 'midi'", id="fractional-midi"),
     pytest.param(120.0, [{"midi": 60, "dur_s": 0.5}], "syllable 0: 'nucleus'", id="no-nucleus"),
+    pytest.param(120.0, _syllable(onset=""), "syllable 0: 'onset' is an unknown phoneme ''", id="empty-onset"),
+    pytest.param(120.0, _syllable(coda=""), "syllable 0: 'coda' is an unknown phoneme ''", id="empty-coda"),
 ]
+
+
+class TestStreamedLossLog:
+    def test_killed_run_leaves_the_rows_of_its_finished_steps(self, workdir, tmp_path):
+        out = tmp_path / "run"
+        log = out / "codec_losses.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minisvs", "train-codec", "--corpus", str(workdir / "corpus"),
+             "--out", str(out), "--steps", "100000", "--seed", "0",
+             "--config", str(workdir / "cfg.json")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120.0
+            while proc.poll() is None and time.monotonic() < deadline:
+                if log.exists() and len(log.read_text().splitlines()) >= 4:
+                    break
+                time.sleep(0.02)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+        rows = log.read_text().splitlines()
+        # the header and at least 3 rows, each as the 25-step run logged it
+        assert len(rows) >= 4
+        assert rows == (workdir / "codec" / "codec_losses.csv").read_text().splitlines()[:len(rows)]
+        assert sorted(p.name for p in out.iterdir()) == ["codec_losses.csv"]
 
 
 class TestCorruptInputExits2:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from minisvs import dsp
+from minisvs import corpus, dsp
+from minisvs.config import RunConfig
 
 CFG = dsp.StftConfig()
 SR = 24000
@@ -11,6 +13,123 @@ SR = 24000
 
 def _sine(freq, amp=0.5, seconds=1.0):
     return dsp.synth_tone([(freq, amp, 0.0, seconds)], SR)
+
+
+# -- the per-frame loop implementations that the blocked front-end replaced ---
+
+
+def _reference_frame_signal(x, cfg):
+    half = cfg.win_size // 2
+    if x.size > 1:
+        padded = np.pad(x, (half, half), mode="reflect")
+    else:
+        padded = np.pad(x, (half, half))
+    n = dsp.frame_count(x.size, cfg)
+    idx = np.arange(cfg.win_size)[None, :] + cfg.hop_size * np.arange(n)[:, None]
+    return padded[idx]
+
+
+def _reference_stft(audio, cfg):
+    frames = _reference_frame_signal(audio.samples, cfg) * dsp.hann_window(cfg.win_size)
+    return np.abs(np.fft.rfft(frames, n=cfg.fft_size, axis=1))
+
+
+def _reference_mel_filterbank(cfg, mel_bins, fmin, fmax, sample_rate):
+    pts = dsp.mel_to_hz(np.linspace(dsp.hz_to_mel(fmin), dsp.hz_to_mel(fmax), mel_bins + 2))
+    freqs = np.arange(cfg.bins) * sample_rate / cfg.fft_size
+    fb = np.zeros((mel_bins, cfg.bins))
+    for b in range(mel_bins):
+        lo, ctr, hi = pts[b], pts[b + 1], pts[b + 2]
+        rising = (freqs - lo) / max(ctr - lo, 1e-12)
+        falling = (hi - freqs) / max(hi - ctr, 1e-12)
+        fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return fb
+
+
+def _reference_estimate_f0(audio, cfg):
+    sr = audio.sample_rate
+    frames = _reference_frame_signal(audio.samples, cfg)
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    win = cfg.win_size
+    lag_lo = max(2, int(sr / dsp.F0_SEARCH_MAX_HZ))
+    lag_hi = min(int(math.ceil(sr / dsp.F0_SEARCH_MIN_HZ)), win - 2)
+    if lag_hi <= lag_lo:
+        n = frames.shape[0]
+        return dsp.PitchTrack(np.zeros(n), np.zeros(n))
+    nfft = 1 << int(math.ceil(math.log2(2 * win)))
+    taus = np.arange(lag_lo, lag_hi + 1)
+    spec = np.fft.rfft(frames, n=nfft, axis=1)
+    # the loop wrote `spec * np.conj(spec)`; numpy's temporary elision ran it
+    # as this product from 256 KiB of spectrum (8 frames) on, and below that
+    # it rounded as spec * conj(spec)
+    raw = np.fft.irfft(np.conj(spec) * spec, n=nfft, axis=1)[:, taus]
+    sq = frames * frames
+    csum = np.concatenate([np.zeros((frames.shape[0], 1)), np.cumsum(sq, axis=1)], axis=1)
+    total = csum[:, -1:]
+    n = frames.shape[0]
+    f0 = np.zeros(n)
+    periodicity = np.zeros(n)
+    e_head = csum[:, win - taus] - csum[:, 0:1]
+    e_tail = total - csum[:, taus]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nac = raw / np.sqrt(e_head * e_tail)
+    nac = np.where(np.isfinite(nac), nac, 0.0)
+    for i in range(n):
+        if total[i, 0] < 1e-10:
+            continue
+        r = nac[i]
+        interior = np.zeros(r.size, dtype=bool)
+        interior[1:-1] = (r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:])
+        if not interior.any():
+            periodicity[i] = float(np.clip(r.max(initial=0.0), 0.0, 1.0))
+            continue
+        peaks = np.flatnonzero(interior)
+        best = r[peaks].max()
+        sel = peaks[r[peaks] >= 0.9 * best][0]
+        y0, y1, y2 = r[sel - 1], r[sel], r[sel + 1]
+        denom = y0 - 2.0 * y1 + y2
+        delta = 0.0 if abs(denom) < 1e-12 else 0.5 * (y0 - y2) / denom
+        delta = float(np.clip(delta, -0.5, 0.5))
+        lag = taus[sel] + delta
+        p = float(np.clip(y1, 0.0, 1.0))
+        periodicity[i] = p
+        if p > dsp.VOICING_THRESHOLD:
+            f0[i] = float(np.clip(sr / lag, dsp.F0_SEARCH_MIN_HZ, dsp.F0_SEARCH_MAX_HZ))
+    voiced = f0 > 0
+    periodicity = np.where(voiced, periodicity, np.minimum(periodicity, dsp.VOICING_THRESHOLD))
+    return dsp.PitchTrack(f0, periodicity, voiced)
+
+
+def _reference_mel_peak_pitch(mel, mel_bins, fmin, fmax):
+    centers = dsp.mel_center_freqs(mel_bins, fmin, fmax)
+    hi = int(np.flatnonzero(centers <= dsp.PEAK_SEARCH_FMAX_HZ)[-1]) + 1
+    data = mel.data[:, :hi]
+    n = data.shape[0]
+    f0 = np.zeros(n)
+    periodicity = np.zeros(n)
+    peak_all = data.max() if data.size else 0.0
+    floor = dsp.PEAK_ENERGY_FLOOR_RATIO * max(peak_all, 1e-12)
+    for i in range(n):
+        row = data[i]
+        p = int(np.argmax(row))
+        if row[p] <= floor:
+            continue
+        lo_b = max(0, p - 1)
+        hi_b = min(hi, p + 2)
+        w = row[lo_b:hi_b]
+        f0[i] = float((w * centers[lo_b:hi_b]).sum() / w.sum())
+        periodicity[i] = float(min(1.0, row[p] / peak_all))
+    return dsp.PitchTrack(f0, periodicity, f0 > 0)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _same_track(got, want):
+    return (_same_bits(got.f0, want.f0) and _same_bits(got.periodicity, want.periodicity)
+            and _same_bits(got.voiced, want.voiced))
 
 
 class TestStft:
@@ -236,6 +355,117 @@ class TestMelPeakPitch:
         mel = dsp.Spectrogram(np.zeros((5, 128)), "mel", CFG, SR)
         track = dsp.mel_peak_pitch(mel, 128, 0.0, 12000.0)
         assert not track.voiced.any()
+
+
+def _signals():
+    """(id, AudioBuffer) pairs the blocked front-end must match bit for bit."""
+    rng = np.random.default_rng(3)
+    block = dsp.ANALYSIS_BLOCK_FRAMES
+    odd_frames = 2 * block + 5  # the last block is short
+    return [
+        ("silence", dsp.AudioBuffer(np.zeros(SR), SR)),
+        ("clipped-noise", dsp.AudioBuffer(np.clip(rng.normal(0.0, 0.7, SR), -1.0, 1.0), SR)),
+        ("vibrato", dsp.synth_tone([(330.0, 0.6, 0.0, 1.3)], SR, vibrato=(5.5, 80.0))),
+        ("shorter-than-a-window", _sine(500.0, seconds=1000 / SR)),
+        ("one-sample", dsp.AudioBuffer([0.25], SR)),
+        ("odd-block", dsp.AudioBuffer(rng.uniform(-0.5, 0.5, (odd_frames - 1) * CFG.hop_size), SR)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def seed_wavs(tmp_path_factory):
+    """The WAVs of the 3-song seed-0 corpus under the default config."""
+    out = tmp_path_factory.mktemp("corpus")
+    corpus.gen_corpus(out, 3, seed=0, cfg=RunConfig())
+    return [dsp.load_wav(out / f"song{i:03d}.wav") for i in range(3)]
+
+
+class TestBlockedFrontEndKeepsBits:
+    """stft, mel_project, estimate_f0 and mel_peak_pitch against the loops
+    they replaced, compared byte for byte."""
+
+    def _check_audio(self, audio, cfg=CFG):
+        assert _same_bits(dsp._frame_signal(audio.samples, cfg),
+                          _reference_frame_signal(audio.samples, cfg))
+        assert _same_track(dsp.estimate_f0(audio, cfg), _reference_estimate_f0(audio, cfg))
+        if len(audio) == 0:
+            return
+        spec = dsp.stft(audio, cfg)
+        want = _reference_stft(audio, cfg)
+        assert _same_bits(spec.data, want)
+        mel = dsp.mel_project(spec, 128, 0.0, 12000.0)
+        assert _same_bits(mel.data, want @ _reference_mel_filterbank(cfg, 128, 0.0, 12000.0, SR).T)
+        assert _same_track(dsp.mel_peak_pitch(mel, 128, 0.0, 12000.0),
+                           _reference_mel_peak_pitch(mel, 128, 0.0, 12000.0))
+
+    def test_seed_corpus_wavs(self, seed_wavs):
+        for audio in seed_wavs:
+            assert dsp.frame_count(len(audio), CFG) > dsp.ANALYSIS_BLOCK_FRAMES
+            self._check_audio(audio)
+
+    @pytest.mark.parametrize("name", [name for name, _ in _signals()])
+    def test_signals(self, name):
+        audio = dict(_signals())[name]
+        if name == "odd-block":
+            assert dsp.frame_count(len(audio), CFG) % dsp.ANALYSIS_BLOCK_FRAMES == 5
+        self._check_audio(audio)
+
+    @pytest.mark.parametrize("n", [0, 1, 777])
+    def test_odd_window_config(self, n):
+        cfg = dsp.StftConfig(fft_size=1024, win_size=801, hop_size=160)
+        samples = np.random.default_rng(n).uniform(-0.9, 0.9, n)
+        self._check_audio(dsp.AudioBuffer(samples, SR), cfg)
+
+    @pytest.mark.parametrize("args", [
+        (CFG, 128, 0.0, 12000.0, SR), (CFG, 40, 100.0, 8000.0, SR),
+        (dsp.StftConfig(1024, 801, 160), 1, 0.0, 8000.0, 16000),
+        (dsp.StftConfig(64, 64, 16), 200, 0.0, 12000.0, SR),
+    ], ids=["default", "40-bins", "one-bin", "more-filters-than-bins"])
+    def test_mel_filterbank(self, args):
+        assert _same_bits(dsp.mel_filterbank(*args), _reference_mel_filterbank(*args))
+
+    def _mels(self):
+        centers = dsp.mel_center_freqs(128, 0.0, 12000.0)
+        last = int(np.flatnonzero(centers <= dsp.PEAK_SEARCH_FMAX_HZ)[-1])
+        rng = np.random.default_rng(5)
+        data = rng.uniform(0.0, 1.0, (2 * dsp.ANALYSIS_BLOCK_FRAMES + 3, 128)) ** 4
+        data[::7] = 0.0  # all-zero rows
+        data[1::7, 0] = 3.0  # peak at bin 0
+        data[2::7, last] = 3.0  # peak at the last searchable bin
+        data[3::7, last + 1] = 50.0  # peak just past it, which the search ignores
+        data[4::7] *= 1e-3  # under the energy floor
+        return {"mixed": data, "all-zero": np.zeros((9, 128)), "no-frames": np.zeros((0, 128)),
+                "one-frame": data[1:2]}
+
+    @pytest.mark.parametrize("name", ["mixed", "all-zero", "no-frames", "one-frame"])
+    def test_mel_peak_pitch(self, name):
+        mel = dsp.Spectrogram(self._mels()[name], "mel", CFG, SR)
+        got = dsp.mel_peak_pitch(mel, 128, 0.0, 12000.0)
+        assert _same_track(got, _reference_mel_peak_pitch(mel, 128, 0.0, 12000.0))
+        if name == "mixed":
+            assert got.voiced.any() and not got.voiced.all()
+
+
+class TestAnalysisMemory:
+    """The front-end holds no (frames, win) or (frames, fft bins) temporary:
+    its peak traced allocation on a 20 s signal stays under a fixed multiple
+    of one (frames, win_size) float64 matrix. The blocked code peaks at 0.46
+    (estimate_f0) and 0.69 (stft, whose output alone is 0.5); the loops it
+    replaced peaked at 5.2 and 2.5."""
+
+    BOUND = {"estimate_f0": 0.6, "stft": 0.9}
+
+    @pytest.mark.parametrize("fn", ["estimate_f0", "stft"])
+    def test_peak_allocation_on_20_s(self, fn):
+        audio = dsp.synth_tone([(220.0, 0.6, 0.0, 20.0)], SR, vibrato=(5.0, 50.0))
+        matrix = dsp.frame_count(len(audio), CFG) * CFG.win_size * 8
+        tracemalloc.start()
+        try:
+            getattr(dsp, fn)(audio, CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / matrix < self.BOUND[fn]
 
 
 class TestWavIo:
