@@ -97,9 +97,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -251,7 +248,7 @@ class Tensor:
             return (g * (self.data > 0).astype(self.data.dtype),)
         return custom(np.maximum(self.data, 0.0), (self,), grad_fn, "relu")
 
-    def abs(self):
+    def __abs__(self):
         def grad_fn(g):
             return (g * np.sign(self.data),)
         return custom(np.abs(self.data), (self,), grad_fn, "abs")

@@ -207,22 +207,10 @@ def _dispatch(args) -> int:
 # -- selfcheck -----------------------------------------------------------------
 
 
-def run_selfcheck(verbose: bool = True, only=None):
-    """Numerical verification suites; returns [(name, passed, detail)].
-
-    `only` restricts to the named suites.
-    """
-    suites = [
-        ("gradient-checks", _suite_gradient_checks,),
-        ("ctc-brute-force", _suite_ctc,),
-        ("rvq-monotonicity", _suite_rvq,),
-        ("forward-moments", _suite_forward_moments,),
-        ("gaussian-reverse-sampler", _suite_gaussian_sampler,),
-    ]
-    if only is not None:
-        suites = [s for s in suites if s[0] in only]
+def run_selfcheck(verbose: bool = True):
+    """Runs SELFCHECK_SUITES; returns [(name, passed, detail)]."""
     results = []
-    for name, fn in suites:
+    for name, fn in SELFCHECK_SUITES:
         start = time.time()
         try:
             ok, detail = fn()
@@ -390,6 +378,15 @@ def _suite_gaussian_sampler():
     std_err = float(np.max(np.abs(out.std(0) - sigma) / sigma))
     ok = mean_err < 0.02 and std_err < 0.05
     return ok, f"|mean err| {mean_err:.4f} (<0.02), std rel err {std_err:.4f} (<0.05)"
+
+
+SELFCHECK_SUITES = (
+    ("gradient-checks", _suite_gradient_checks),
+    ("ctc-brute-force", _suite_ctc),
+    ("rvq-monotonicity", _suite_rvq),
+    ("forward-moments", _suite_forward_moments),
+    ("gaussian-reverse-sampler", _suite_gaussian_sampler),
+)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Run configuration: one JSON file drives every command.
 
 Unknown keys are rejected so typos fail loudly instead of silently using a
-default."""
+default, and every value must have its field's JSON type."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -99,6 +100,29 @@ class RunConfig:
         return asdict(self)
 
 
+def _check_values(payload: dict, cls, prefix: str) -> None:
+    """Unknown keys and values of the wrong JSON type raise ConfigError.
+
+    int fields take integers, not booleans; float fields take finite
+    numbers, and tau also Infinity; bool fields take booleans.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {'loss ' if prefix else ''}config keys: {sorted(unknown)}")
+    for name, value in payload.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if types[name] == "int":
+            ok, want = number and isinstance(value, int), "an integer"
+        elif types[name] == "float":
+            ok = number and (math.isfinite(value) or (name == "tau" and value == math.inf))
+            want = "a finite number" + (" or Infinity" if name == "tau" else "")
+        else:
+            ok, want = isinstance(value, bool), "true or false"
+        if not ok:
+            raise ConfigError(f"config key '{prefix}{name}' must be {want}, got {value!r}")
+
+
 def config_from_dict(payload: dict) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
@@ -106,18 +130,9 @@ def config_from_dict(payload: dict) -> RunConfig:
     loss_payload = payload.pop("loss", {})
     if not isinstance(loss_payload, dict):
         raise ConfigError("'loss' must be a JSON object")
-    known = {f.name for f in fields(RunConfig)} - {"loss"}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    loss_known = {f.name for f in fields(LossConfig)}
-    loss_unknown = set(loss_payload) - loss_known
-    if loss_unknown:
-        raise ConfigError(f"unknown loss config keys: {sorted(loss_unknown)}")
-    try:
-        return RunConfig(loss=LossConfig(**loss_payload), **payload)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    _check_values(payload, RunConfig, "")
+    _check_values(loss_payload, LossConfig, "loss.")
+    return RunConfig(loss=LossConfig(**loss_payload), **payload)
 
 
 def load_config(path) -> RunConfig:
@@ -127,8 +142,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return config_from_dict(payload)
-
-
-def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=1)

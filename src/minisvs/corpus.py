@@ -63,10 +63,9 @@ def _render_song(score: cond.MusicalScore, cfg: RunConfig, rng) -> dsp.AudioBuff
         vibrato = None
         if frames >= 24 and rng.random() < 0.25:
             vibrato = (VIBRATO_RATE_HZ, VIBRATO_DEPTH_CENTS)
-        tone = dsp.synth_tone([(freq, amp, 0.0, n / sr)], sr, vibrato=vibrato)
-        pieces.append(tone.samples[:n])
+        pieces.append(dsp.synth_tone(freq, amp, n, sr, vibrato).samples)
     samples = np.concatenate(pieces)
-    # drop one hop so frame_count(len) == total note frames under center padding
+    # drop one hop so the centered STFT gives exactly the score's frame count
     samples = samples[: len(samples) - hop]
     return dsp.AudioBuffer(samples, sr)
 
@@ -171,6 +170,13 @@ def load_corpus(corpus_dir, cfg: RunConfig) -> tuple[list[LoadedSong], dict[str,
             feats, _ = load_matrix(feats_path)
             if feats.shape[0] != grid.frames:
                 raise ValueError(f"{name}: feature file frame count mismatch")
+            if feats.shape[1] != cfg.feature_dim:
+                raise ValueError(
+                    f"{feats_path}: {feats.shape[1]} features per frame, feature_dim is "
+                    f"{cfg.feature_dim}"
+                )
+            if not np.all(np.isfinite(feats)):
+                raise ValueError(f"{feats_path}: feature file holds a non-finite value")
             feats = feats.astype(np.float32)
         else:
             feats = (lm @ proj + proj_bias).astype(np.float32)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class AudioBuffer:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class Spectrogram:
@@ -97,40 +93,29 @@ class Spectrogram:
                 f"linear spectrogram has {self.data.shape[1]} bins, config says {self.config.bins}"
             )
 
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
-
 
 @dataclass
 class PitchTrack:
-    f0: np.ndarray
+    f0: np.ndarray  # Hz; 0 marks an unvoiced frame
     periodicity: np.ndarray
-    voiced: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=np.float64).reshape(-1)
         self.periodicity = np.asarray(self.periodicity, dtype=np.float64).reshape(-1)
-        if self.voiced is None:
-            self.voiced = self.f0 > 0
-        self.voiced = np.asarray(self.voiced, dtype=bool).reshape(-1)
-        if not (len(self.f0) == len(self.periodicity) == len(self.voiced)):
+        if len(self.f0) != len(self.periodicity):
             raise ValueError("pitch track field lengths differ")
-        if np.any((self.f0 > 0) != self.voiced):
-            raise ValueError("voiced flags must match f0 > 0")
 
     def __len__(self):
         return self.f0.size
+
+    @property
+    def voiced(self) -> np.ndarray:
+        return self.f0 > 0
 
 
 def hann_window(n: int) -> np.ndarray:
     # periodic Hann, the usual STFT analysis window
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def frame_count(n_samples: int, cfg: StftConfig) -> int:
-    pad = 2 * (cfg.win_size // 2)
-    return (n_samples + pad - cfg.win_size) // cfg.hop_size + 1
 
 
 def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -257,7 +242,7 @@ def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
     voiced = has_peak & (periodicity > VOICING_THRESHOLD)
     f0 = np.where(voiced, np.clip(sr / lag, F0_SEARCH_MIN_HZ, F0_SEARCH_MAX_HZ), 0.0)
     periodicity = np.where(voiced, periodicity, np.minimum(periodicity, VOICING_THRESHOLD))
-    return PitchTrack(f0, periodicity, voiced)
+    return PitchTrack(f0, periodicity)
 
 
 def quantize_f0(track: PitchTrack) -> np.ndarray:
@@ -276,44 +261,30 @@ def quantize_f0(track: PitchTrack) -> np.ndarray:
 
 
 def synth_tone(
-    notes: list[tuple[float, float, float, float]],
+    freq: float,
+    amp: float,
+    n_samples: int,
     sample_rate: int = 24000,
     vibrato: tuple[float, float] | None = None,
 ) -> AudioBuffer:
-    """Sum of sine notes (freq_hz, amplitude, start_s, end_s).
+    """One sine note of n_samples, starting at phase 0.
 
-    Optional vibrato (rate_hz, depth_cents) modulates every note's
-    instantaneous frequency as f * 2^(depth/1200 * sin(2 pi rate (t-start))).
-    Phase is integrated per sample, so the instantaneous frequency follows
-    that law exactly. If the mix peaks above 1 it is rescaled to peak 1.
+    Optional vibrato (rate_hz, depth_cents) modulates the instantaneous
+    frequency as freq * 2^(depth/1200 * sin(2 pi rate t)). Phase is
+    integrated per sample, so the instantaneous frequency follows that law
+    exactly.
     """
-    if not notes:
-        raise ValueError("synth_tone needs at least one note")
-    n = int(round(max(end for _, _, _, end in notes) * sample_rate))
-    out = np.zeros(n)
-    nyquist = sample_rate / 2.0
-    for freq, amp, start, end in notes:
-        peak_f = freq
-        if vibrato is not None:
-            peak_f = freq * 2.0 ** (abs(vibrato[1]) / 1200.0)
-        if not (0.0 < freq and peak_f < nyquist):
-            raise ValueError(f"note frequency {freq} Hz would alias at {sample_rate} Hz")
-        i0 = max(0, int(round(start * sample_rate)))
-        i1 = min(n, int(round(end * sample_rate)))
-        if i1 <= i0:
-            continue
-        t = (np.arange(i0, i1) - i0) / sample_rate
-        if vibrato is None:
-            phase = 2.0 * np.pi * freq * t
-        else:
-            rate, depth = vibrato
-            inst = freq * 2.0 ** ((depth / 1200.0) * np.sin(2.0 * np.pi * rate * t))
-            phase = 2.0 * np.pi * np.concatenate([[0.0], np.cumsum(inst[:-1])]) / sample_rate
-        out[i0:i1] += amp * np.sin(phase)
-    peak = np.max(np.abs(out)) if n else 0.0
-    if peak > 1.0:
-        out = out / peak
-    return AudioBuffer(out, sample_rate)
+    peak_f = freq if vibrato is None else freq * 2.0 ** (abs(vibrato[1]) / 1200.0)
+    if not (0.0 < freq and peak_f < sample_rate / 2.0):
+        raise ValueError(f"note frequency {freq} Hz would alias at {sample_rate} Hz")
+    t = np.arange(n_samples) / sample_rate
+    if vibrato is None:
+        phase = 2.0 * np.pi * freq * t
+    else:
+        rate, depth = vibrato
+        inst = freq * 2.0 ** ((depth / 1200.0) * np.sin(2.0 * np.pi * rate * t))
+        phase = 2.0 * np.pi * np.concatenate([[0.0], np.cumsum(inst[:-1])]) / sample_rate
+    return AudioBuffer(amp * np.sin(phase), sample_rate)
 
 
 def midi_to_hz(midi: int) -> float:
@@ -362,7 +333,7 @@ def mel_peak_pitch(
     with np.errstate(invalid="ignore", divide="ignore"):
         f0 = np.where(voiced, (wc[:, 0] + wc[:, 1] + wc[:, 2]) / (w[:, 0] + w[:, 1] + w[:, 2]), 0.0)
         periodicity = np.where(voiced, np.minimum(1.0, peak / peak_all), 0.0)
-    return PitchTrack(f0, periodicity, voiced)
+    return PitchTrack(f0, periodicity)
 
 
 # -- file interfaces ----------------------------------------------------------
@@ -396,19 +367,17 @@ def save_wav(path, audio: AudioBuffer) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def save_pitch_json(path, track: PitchTrack) -> None:
-    payload = {"f0": track.f0.tolist(), "periodicity": track.periodicity.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
 def load_pitch_json(path) -> PitchTrack:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not (isinstance(payload, dict) and "f0" in payload and "periodicity" in payload):
         raise ValueError(f"{path}: pitch JSON must be an object with 'f0' and 'periodicity' arrays")
     try:
-        return PitchTrack(np.asarray(payload["f0"], dtype=np.float64),
-                          np.asarray(payload["periodicity"], dtype=np.float64))
+        track = PitchTrack(np.asarray(payload["f0"], dtype=np.float64),
+                           np.asarray(payload["periodicity"], dtype=np.float64))
     except TypeError:
         raise ValueError(f"{path}: pitch JSON 'f0' and 'periodicity' must hold numbers") from None
+    for name in ("f0", "periodicity"):
+        if not np.all(np.isfinite(getattr(track, name))):
+            raise ValueError(f"{path}: pitch JSON '{name}' holds a non-finite value")
+    return track

@@ -41,8 +41,7 @@ class CtcTarget:
 def recon_l1(x, x_hat):
     """Mean absolute difference over all entries."""
     _check_shapes(x, x_hat)
-    diff = x - x_hat
-    return diff.abs().mean() if isinstance(diff, Tensor) else np.abs(diff).mean()
+    return abs(x - x_hat).mean()
 
 
 def lsgan_d(real_scores, fake_scores):
@@ -64,8 +63,7 @@ def feature_matching(real_feats, fake_feats):
     total = None
     for rf, ff in zip(real_feats, fake_feats):
         _check_shapes(rf, ff)
-        diff = rf - ff
-        term = diff.abs().mean() if isinstance(diff, Tensor) else np.abs(diff).mean()
+        term = abs(rf - ff).mean()
         total = term if total is None else total + term
     if total is None:
         raise ValueError("feature lists are empty")
@@ -243,12 +241,12 @@ def draw_negatives(n: int, n_negatives: int, rng) -> np.ndarray:
 
 
 def contrastive_loss(h, h_tilde, negatives, tau_cont: float = 0.5):
-    """Symmetric frame-wise InfoNCE over two paired representation streams.
+    """Symmetric frame-wise InfoNCE over a batch of paired windows.
 
-    h and h_tilde are one (n, D) window or a (B, n, D) batch of windows,
-    as arrays or Tensors, and negatives holds K frame indices per frame,
-    (n, K) or (B, n, K), as draw_negatives gives them. For each frame t
-    and each direction, -log of exp(cos(anchor_t, positive_t)/tau) over
+    h and h_tilde are (B, n, D) batches of windows, as arrays or Tensors;
+    one window is a batch of one. negatives holds K frame indices per
+    frame, (B, n, K), one draw_negatives result per window. For each frame
+    t and each direction, -log of exp(cos(anchor_t, positive_t)/tau) over
     the sum of exp(cos(anchor_t, neg_k)/tau) over the anchor's negatives,
     taken from its own stream; terms are summed over frames, windows and
     the two directions. The value can be negative. Invariant to positive
@@ -264,18 +262,15 @@ def contrastive_loss(h, h_tilde, negatives, tau_cont: float = 0.5):
     h, h_tilde = as_tensor(h), as_tensor(h_tilde)
     if h.shape != h_tilde.shape:
         raise ValueError(f"paired streams differ in shape: {h.shape} vs {h_tilde.shape}")
-    if h.data.ndim not in (2, 3):
-        raise ValueError(f"streams must be frames x dim or windows x frames x dim, got {h.shape}")
-    single = h.data.ndim == 2
-    a = h.data[None] if single else h.data
-    b = h_tilde.data[None] if single else h_tilde.data
+    if h.data.ndim != 3:
+        raise ValueError(f"streams must be windows x frames x dim, got {h.shape}")
+    a, b = h.data, h_tilde.data
     n_win, n = a.shape[:2]
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 frames")
     unit_a, norm_a = _unit_rows(a)
     unit_b, norm_b = _unit_rows(b)
     neg = np.asarray(negatives, dtype=np.int64)
-    neg = neg[None] if single and neg.ndim == 2 else neg
     if neg.ndim != 3 or neg.shape[:2] != (n_win, n) or neg.size == 0 or not (
         0 <= neg.min() and neg.max() < n
     ):
@@ -310,7 +305,7 @@ def contrastive_loss(h, h_tilde, negatives, tau_cont: float = 0.5):
             d_unit = ((ds + ds.transpose(0, 2, 1)) @ unit - 2.0 * other) * (float(g) * inv_tau)
             # through the row normalisation u = x / |x|
             d_x = (d_unit - unit * (unit * d_unit).sum(axis=2, keepdims=True)) / norm
-            grads.append(d_x.reshape(tensor.shape).astype(tensor.dtype, copy=False))
+            grads.append(d_x.astype(tensor.dtype, copy=False))
         return tuple(grads)
 
     return custom(np.asarray(value, dtype=h.dtype), (h, h_tilde), grad_fn, "contrastive")

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dsp import PitchTrack, Spectrogram
+from .dsp import PitchTrack
 
 
 @dataclass
@@ -24,13 +24,9 @@ class MetricReport:
             json.dump(asdict(self), fh, indent=1)
 
 
-def _data(x) -> np.ndarray:
-    return x.data if isinstance(x, Spectrogram) else np.asarray(x, dtype=np.float64)
-
-
 def spec_mae(gt, pred) -> float:
     """Mean over frames of the mean absolute per-bin difference."""
-    a, b = _data(gt), _data(pred)
+    a, b = np.asarray(gt, dtype=np.float64), np.asarray(pred, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(
             f"spectrogram shapes differ ({a.shape} vs {b.shape}); no alignment is performed"

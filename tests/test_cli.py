@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minisvs import cli, diffusion, losses, nn
-from minisvs.config import save_config, config_from_dict
+from minisvs import cli, diffusion, fileio, losses, nn
+from minisvs.config import config_from_dict
+from minisvs.corpus import load_corpus
 
 FAST = {
     "mel_bins": 48,
@@ -32,7 +33,7 @@ def workdir(tmp_path_factory):
     """Corpus + tiny checkpoints built once through the CLI itself."""
     root = tmp_path_factory.mktemp("cli")
     cfg_path = root / "cfg.json"
-    save_config(cfg_path, config_from_dict(dict(FAST)))
+    cfg_path.write_text(json.dumps(FAST))
     assert cli.main(["gen-corpus", "--out", str(root / "corpus"), "--songs", "2",
                      "--seed", "0", "--config", str(cfg_path)]) == 0
     assert cli.main(["train-codec", "--corpus", str(root / "corpus"),
@@ -85,7 +86,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("change", [{"latent_lr": 5e-2}, {"loss": {"n_neg": 4}}])
     def test_latent_resume_with_contradicting_config_is_2(self, workdir, tmp_path, change):
         cfg_path = tmp_path / "other.json"
-        save_config(cfg_path, config_from_dict(dict(FAST, **change)))
+        cfg_path.write_text(json.dumps(dict(FAST, **change)))
         code = cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
                          "--codec", str(workdir / "codec" / "codec.ckpt"),
                          "--out", str(tmp_path / "r"), "--steps", "30",
@@ -101,7 +102,7 @@ class TestExitCodes:
         cfg_path, flag = workdir / "cfg.json", ["--adversarial"]
         if contradicts == "config":
             cfg_path, flag = tmp_path / "other.json", []
-            save_config(cfg_path, config_from_dict(dict(FAST, lr=5e-3)))
+            cfg_path.write_text(json.dumps(dict(FAST, lr=5e-3)))
         code = cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
                          "--out", str(tmp_path / "r"), "--steps", "30",
                          "--resume", str(workdir / "codec" / "codec.ckpt"),
@@ -268,6 +269,59 @@ class TestCorruptInputExits2:
                          "--out", str(tmp_path / "r.json"),
                          "--config", str(workdir / "cfg.json")]) == 2
 
+    @pytest.mark.parametrize("name,value", [
+        ("f0", [440.0, float("inf")]),
+        ("periodicity", [1.0, float("nan")]),
+    ], ids=["inf-f0", "nan-periodicity"])
+    def test_pitch_json_with_a_non_finite_value(self, workdir, tmp_path, capsys, name, value):
+        pitch = tmp_path / "p.json"
+        pitch.write_text(json.dumps(dict({"f0": [440.0, 0.0], "periodicity": [1.0, 0.0]},
+                                         **{name: value})))
+        wav = str(workdir / "corpus" / "song000.wav")
+        assert cli.main(["evaluate", "--gt", wav, "--pred", wav, "--gt-pitch", str(pitch),
+                         "--out", str(tmp_path / "r.json"),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(pitch) in err and f"'{name}'" in err
+
+    @pytest.mark.parametrize("change,named", [
+        ({"batch": 2.5}, "'batch'"),
+        ({"seed": "x"}, "'seed'"),
+        ({"codec_steps": True}, "'codec_steps'"),
+        ({"lr": float("nan")}, "'lr'"),
+        ({"lr": float("inf")}, "'lr'"),
+        ({"pin_zero_entry": 1}, "'pin_zero_entry'"),
+        ({"loss": {"n_neg": 2.5}}, "'loss.n_neg'"),
+    ], ids=["float-batch", "str-seed", "bool-codec_steps", "nan-lr", "inf-lr", "int-pin_zero_entry",
+            "float-loss-n_neg"])
+    def test_config_value_of_the_wrong_type(self, workdir, tmp_path, capsys, change, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(FAST, **change)))
+        assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
+                         "--out", str(tmp_path / "run"), "--steps", "2",
+                         "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["width-20", "nan-column", "nan-in-one-row"])
+    def test_corpus_feature_file_is_checked(self, workdir, tmp_path, capsys, defect):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workdir / "corpus", corpus)
+        songs, _ = load_corpus(corpus, config_from_dict(FAST))
+        feats = songs[0].features.astype(np.float64)
+        if defect == "width-20":
+            feats = np.ones((feats.shape[0], 20))
+        elif defect == "nan-column":
+            feats[:, 3] = np.nan
+        else:
+            feats[feats.shape[0] // 2, 5] = np.nan
+        fileio.save_matrix(corpus / "song000.feats", feats)
+        assert cli.main(["train-latent", "--corpus", str(corpus),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "run"), "--steps", "3",
+                         "--unlabeled-ratio", "0.5", "--config", str(workdir / "cfg.json")]) == 2
+        assert "song000.feats" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "latent.ckpt").exists()
+
     @pytest.mark.parametrize("sidecar", [5, {"frames": [1], "dim": 1}], ids=["int", "list-frames"])
     def test_matrix_sidecar_of_the_wrong_type(self, tmp_path, sidecar):
         mel = tmp_path / "m.f32"
@@ -366,9 +420,17 @@ class TestSampleAndEvaluate:
         assert code == 2
 
 
+def _run_suites(monkeypatch, names):
+    """run_selfcheck over the named suites only."""
+    suites = tuple(s for s in cli.SELFCHECK_SUITES if s[0] in names)
+    assert len(suites) == len(names)
+    monkeypatch.setattr(cli, "SELFCHECK_SUITES", suites)
+    return cli.run_selfcheck(verbose=False)
+
+
 class TestSelfcheckSuites:
-    def test_gaussian_suite_passes_clean(self):
-        results = cli.run_selfcheck(only=("gaussian-reverse-sampler",), verbose=False)
+    def test_gaussian_suite_passes_clean(self, monkeypatch):
+        results = _run_suites(monkeypatch, ("gaussian-reverse-sampler",))
         assert results[0][1], results[0][2]
 
     def test_drift_sign_flip_fails_gaussian_suite(self, monkeypatch):
@@ -379,11 +441,11 @@ class TestSelfcheckSuites:
             return real(lambda z, m, h, t: -score_fn(z, m, h, t) - (z - m), *args, **kwargs)
 
         monkeypatch.setattr(diffusion, "reverse_sample", flipped)
-        results = cli.run_selfcheck(only=("gaussian-reverse-sampler",), verbose=False)
+        results = _run_suites(monkeypatch, ("gaussian-reverse-sampler",))
         assert not results[0][1]
 
-    def test_gradient_suite_passes_clean(self):
-        results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
+    def test_gradient_suite_passes_clean(self, monkeypatch):
+        results = _run_suites(monkeypatch, ("gradient-checks",))
         assert results[0][1], results[0][2]
 
     def test_wrong_contrastive_backward_fails_gradient_suite(self, monkeypatch):
@@ -396,7 +458,7 @@ class TestSelfcheckSuites:
             return out
 
         monkeypatch.setattr(losses, "contrastive_loss", skewed)
-        results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
+        results = _run_suites(monkeypatch, ("gradient-checks",))
         assert not results[0][1]
 
     def test_wrong_gated_block_backward_fails_gradient_suite(self, monkeypatch):
@@ -409,9 +471,9 @@ class TestSelfcheckSuites:
             return out
 
         monkeypatch.setattr(nn.GatedConvBlock, "__call__", skewed)
-        results = cli.run_selfcheck(only=("gradient-checks",), verbose=False)
+        results = _run_suites(monkeypatch, ("gradient-checks",))
         assert not results[0][1]
 
-    def test_fast_suites_pass(self):
-        results = cli.run_selfcheck(only=("ctc-brute-force", "rvq-monotonicity"), verbose=False)
+    def test_fast_suites_pass(self, monkeypatch):
+        results = _run_suites(monkeypatch, ("ctc-brute-force", "rvq-monotonicity"))
         assert all(ok for _, ok, _ in results)

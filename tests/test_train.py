@@ -517,7 +517,7 @@ class TestCodecFileCommands:
             assert b <= a + 1e-12
 
     def test_wrong_sample_rate_rejected(self, cfg, codec_ckpt, tmp_path):
-        buf = dsp.synth_tone([(440.0, 0.4, 0.0, 0.3)], 16000)
+        buf = dsp.synth_tone(440.0, 0.4, 4800, 16000)
         wav = tmp_path / "wrong_sr.wav"
         dsp.save_wav(wav, buf)
         with pytest.raises(ConfigError):
@@ -676,8 +676,8 @@ class TestEvaluateFiles:
         }
 
     def test_octave_shift_is_1200_cents(self, cfg, tmp_path):
-        a = dsp.synth_tone([(220.0, 0.4, 0.0, 1.0)], 24000)
-        b = dsp.synth_tone([(440.0, 0.4, 0.0, 1.0)], 24000)
+        a = dsp.synth_tone(220.0, 0.4, 24000, 24000)
+        b = dsp.synth_tone(440.0, 0.4, 24000, 24000)
         pa, pb = tmp_path / "a.wav", tmp_path / "b.wav"
         dsp.save_wav(pa, a)
         dsp.save_wav(pb, b)
@@ -687,15 +687,15 @@ class TestEvaluateFiles:
     def test_pitch_json_override(self, cfg, corpus_dir, tmp_path):
         wav = str(corpus_dir / "song000.wav")
         track = dsp.estimate_f0(dsp.load_wav(wav), dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size))
-        shifted = dsp.PitchTrack(track.f0 * 2.0, track.periodicity)
         pj = tmp_path / "p.json"
-        dsp.save_pitch_json(pj, shifted)
+        pj.write_text(json.dumps({"f0": (track.f0 * 2.0).tolist(),
+                                  "periodicity": track.periodicity.tolist()}))
         report = train.evaluate_files(wav, wav, tmp_path / "r.json", cfg, pred_pitch=pj)
         assert abs(report.pitch_cents_rmse - 1200.0) < 1e-6
 
     def test_length_mismatch_cites_policy(self, cfg, tmp_path):
-        a = dsp.synth_tone([(220.0, 0.4, 0.0, 1.0)], 24000)
-        b = dsp.synth_tone([(220.0, 0.4, 0.0, 0.5)], 24000)
+        a = dsp.synth_tone(220.0, 0.4, 24000, 24000)
+        b = dsp.synth_tone(220.0, 0.4, 12000, 24000)
         pa, pb = tmp_path / "a.wav", tmp_path / "b.wav"
         dsp.save_wav(pa, a)
         dsp.save_wav(pb, b)
