@@ -69,9 +69,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class Tensor:
     """Array with an optional gradient and a backward edge into the tape."""
 
-    # keep numpy from consuming Tensor operands elementwise; reflected ops
-    # (__radd__ etc.) then run instead
+    # keep numpy from consuming Tensor operands elementwise (reflected ops,
+    # __radd__ etc., then run instead), and iteration from walking __getitem__
     __array_ufunc__ = None
+    __iter__ = None
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op")
 
@@ -137,14 +138,17 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _binary(self, other: "Tensor", out, grad_a, grad_b, op: str) -> "Tensor":
+    def _elementwise(self, out, op: str, grad_a, other=None, grad_b=None) -> "Tensor":
         """Join the elementwise op `op` with output `out` to the tape.
 
-        The one gradient rule of the two-parent ops: grad_a(g) and grad_b(g)
-        map the output gradient to each parent's broadcast-shaped gradient,
-        which is summed back to the parent's shape; a parent that does not
-        require grad gets None.
+        The one gradient rule of the elementwise ops: grad_a(g), and grad_b(g)
+        for a second operand `other`, map the output gradient to the
+        operand's gradient. A binary op's is broadcast-shaped and is summed
+        back to the operand's shape; an operand that does not require grad
+        gets None. A unary op's has the operand's shape already.
         """
+        if other is None:
+            return custom(out, (self,), lambda g: (grad_a(g),), op)
         a_shape, b_shape = self.data.shape, other.data.shape
         a_rg, b_rg = self.requires_grad, other.requires_grad
 
@@ -157,14 +161,14 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return self._binary(other, self.data + other.data, lambda g: g, lambda g: g, "add")
+        return self._elementwise(self.data + other.data, "add", lambda g: g, other, lambda g: g)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self._binary(other, self.data - other.data, lambda g: g, lambda g: -g, "sub")
+        return self._elementwise(self.data - other.data, "sub", lambda g: g, other, lambda g: -g)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -172,7 +176,7 @@ class Tensor:
     def __mul__(self, other):
         other = self._coerce(other)
         a, b = self.data, other.data
-        return self._binary(other, a * b, lambda g: g * b, lambda g: g * a, "mul")
+        return self._elementwise(a * b, "mul", lambda g: g * b, other, lambda g: g * a)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -180,7 +184,7 @@ class Tensor:
     def __truediv__(self, other):
         other = self._coerce(other)
         a, b = self.data, other.data
-        return self._binary(other, a / b, lambda g: g / b, lambda g: -g * a / (b * b), "div")
+        return self._elementwise(a / b, "div", lambda g: g / b, other, lambda g: -g * a / (b * b))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -190,11 +194,8 @@ class Tensor:
 
     def __pow__(self, p):
         p = float(p)
-
-        def grad_fn(g):
-            return (g * p * self.data ** (p - 1.0),)
         with np.errstate(all="ignore"):
-            return custom(self.data**p, (self,), grad_fn, "pow")
+            return self._elementwise(self.data**p, "pow", lambda g: g * p * self.data ** (p - 1.0))
 
     def __matmul__(self, other):
         a, b = self, self._coerce(other)
@@ -218,40 +219,26 @@ class Tensor:
 
     def exp(self):
         y = np.exp(self.data)
-
-        def grad_fn(g):
-            return (g * y,)
-        return custom(y, (self,), grad_fn, "exp")
+        return self._elementwise(y, "exp", lambda g: g * y)
 
     def log(self):
-        def grad_fn(g):
-            return (g / self.data,)
         with np.errstate(all="ignore"):
-            return custom(np.log(self.data), (self,), grad_fn, "log")
+            return self._elementwise(np.log(self.data), "log", lambda g: g / self.data)
 
     def tanh(self):
         y = np.tanh(self.data)
-
-        def grad_fn(g):
-            return (g * (1.0 - y * y),)
-        return custom(y, (self,), grad_fn, "tanh")
+        return self._elementwise(y, "tanh", lambda g: g * (1.0 - y * y))
 
     def sigmoid(self):
         y = _sigmoid(self.data)
-
-        def grad_fn(g):
-            return (g * y * (1.0 - y),)
-        return custom(y, (self,), grad_fn, "sigmoid")
+        return self._elementwise(y, "sigmoid", lambda g: g * y * (1.0 - y))
 
     def relu(self):
-        def grad_fn(g):
-            return (g * (self.data > 0).astype(self.data.dtype),)
-        return custom(np.maximum(self.data, 0.0), (self,), grad_fn, "relu")
+        y = np.maximum(self.data, 0.0)
+        return self._elementwise(y, "relu", lambda g: g * (self.data > 0).astype(self.data.dtype))
 
     def __abs__(self):
-        def grad_fn(g):
-            return (g * np.sign(self.data),)
-        return custom(np.abs(self.data), (self,), grad_fn, "abs")
+        return self._elementwise(np.abs(self.data), "abs", lambda g: g * np.sign(self.data))
 
     # -- reductions / shape -----------------------------------------------
 

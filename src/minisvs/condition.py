@@ -322,12 +322,15 @@ def save_phoneme_table(path, table: dict[str, int]) -> None:
         json.dump(table, fh, indent=1)
 
 
-def load_phoneme_table(path) -> dict[str, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        table = json.load(fh)
+def check_phoneme_table(table, where) -> dict[str, int]:
     if not isinstance(table, dict) or not table:
-        raise ValueError(f"{path}: phoneme table must be a non-empty object")
+        raise ValueError(f"{where}: phoneme table must be a non-empty object")
     for key, value in table.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{path}: phoneme '{key}' must map to a non-negative int id")
+            raise ValueError(f"{where}: phoneme '{key}' must map to a non-negative int id")
     return dict(table)
+
+
+def load_phoneme_table(path) -> dict[str, int]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return check_phoneme_table(json.load(fh), path)

@@ -185,5 +185,7 @@ def load_corpus(corpus_dir, cfg: RunConfig) -> tuple[list[LoadedSong], dict[str,
 
 
 def write_score_json(path, payload: dict) -> None:
+    """Strict JSON: a NaN or an infinity in payload raises ValueError, and no file is written."""
+    text = json.dumps(payload, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(text)

@@ -260,11 +260,12 @@ ADAM_EPS = 1e-8  # added to the bias-corrected sqrt(v) before dividing
 
 
 class AdamW:
-    """AdamW with decoupled weight decay applied before the moment update."""
+    """AdamW over (name, param) pairs, with decoupled weight decay applied
+    before the moment update; the names key the moments in a checkpoint."""
 
     def __init__(
         self,
-        params,
+        named_params,
         lr: float,
         beta1: float = 0.8,
         beta2: float = 0.99,
@@ -274,7 +275,8 @@ class AdamW:
             raise ValueError("lr must be positive")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
-        self.params = list(params)
+        self.names = [name for name, _ in named_params]
+        self.params = [p for _, p in named_params]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -307,16 +309,16 @@ class AdamW:
             denom += ADAM_EPS
             p.data -= (self.lr / bc1) * m / denom
 
-    def state_arrays(self, names) -> dict[str, np.ndarray]:
-        """Moment arrays keyed for checkpointing; names align with params."""
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Moment arrays keyed for checkpointing."""
         out = {}
-        for name, m, v in zip(names, self.m, self.v):
+        for name, m, v in zip(self.names, self.m, self.v):
             out["adam.m." + name] = m
             out["adam.v." + name] = v
         return out
 
-    def load_state_arrays(self, names, arrays: dict[str, np.ndarray], step: int):
-        for i, name in enumerate(names):
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int):
+        for i, name in enumerate(self.names):
             self.m[i] = arrays["adam.m." + name].astype(self.m[i].dtype).reshape(self.m[i].shape)
             self.v[i] = arrays["adam.v." + name].astype(self.v[i].dtype).reshape(self.v[i].shape)
         self.step_count = int(step)

@@ -37,6 +37,7 @@ from .nn import (
 )
 
 NOTE_ALPHABET = 127  # CTC note labels are MIDI ids 1..127; 0 doubles as blank
+RVQ_STATE = ("entries", "ema_counts", "ema_sums")  # a codebook's arrays in a checkpoint
 
 
 # -- model bundles ------------------------------------------------------------
@@ -60,8 +61,32 @@ class CodecModels:
             + self.note_head.params("note_head")
         )
 
-    def disc_named_params(self):
-        return self.disc.params("disc")
+    def params(self):
+        return self.gen_named_params() + self.disc.params("disc")
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The checkpoint state: generator and discriminator params, then each codebook."""
+        out = {name: p.data for name, p in self.params()}
+        for i, cb in enumerate(self.coder.codebooks):
+            for field in RVQ_STATE:
+                out[f"rvq.{i}.{field}"] = getattr(cb, field)
+        return out
+
+    def load(self, arrays: dict[str, np.ndarray]) -> None:
+        set_params(self.params(), arrays)
+        for i, cb in enumerate(self.coder.codebooks):
+            for field in RVQ_STATE:
+                shape = getattr(cb, field).shape
+                setattr(cb, field, arrays[f"rvq.{i}.{field}"].astype(np.float32).reshape(shape))
+
+    def encode(self, logmel) -> np.ndarray:
+        """The float64 latent (..., T, latent_dim) of log-mel frames."""
+        return self.encoder(logmel).data.astype(np.float64)
+
+    def decode(self, z) -> np.ndarray:
+        """The mel magnitudes that latent frames decode to."""
+        logmel = self.decoder(z.astype(np.float32)).data
+        return np.clip(np.expm1(logmel.astype(np.float64)), 0.0, None)
 
 
 def build_codec_models(cfg: RunConfig, alphabet_size: int, rng) -> CodecModels:
@@ -82,6 +107,20 @@ def build_codec_models(cfg: RunConfig, alphabet_size: int, rng) -> CodecModels:
 class LatentModels(Module):
     cond: cond_mod.ConditionNet
     score: ScoreNet
+    # per-dimension stats of the codec latents, which the score net sees normalized
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The checkpoint state: the params, then the latent stats."""
+        return {**{name: p.data for name, p in self.params()},
+                "latent_stats.mean": self.mean.reshape(1, -1),
+                "latent_stats.std": self.std.reshape(1, -1)}
+
+    def load(self, arrays: dict[str, np.ndarray]) -> None:
+        set_params(self.params(), arrays)
+        self.mean = arrays["latent_stats.mean"].reshape(-1).astype(np.float64)
+        self.std = arrays["latent_stats.std"].reshape(-1).astype(np.float64)
 
 
 def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels:
@@ -95,20 +134,38 @@ def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels
 # -- checkpoint plumbing -------------------------------------------------------
 
 
-def _rvq_arrays(coder: rvq.RvqCoder) -> dict[str, np.ndarray]:
-    out = {}
-    for i, cb in enumerate(coder.codebooks):
-        out[f"rvq.{i}.entries"] = cb.entries
-        out[f"rvq.{i}.ema_counts"] = cb.ema_counts
-        out[f"rvq.{i}.ema_sums"] = cb.ema_sums
-    return out
+# the meta fields a checkpoint records that the program checks, each with its
+# test and what the test asks for
+META_FIELDS = {
+    "alphabet_size": (lambda v: type(v) is int and v >= 1, "a positive int"),
+    "rng_state": (lambda v: isinstance(v, dict), "an object"),
+    "adversarial": (lambda v: isinstance(v, bool), "true or false"),
+    "prior_mode": (lambda v: v in ("data", "standard"), "'data' or 'standard'"),
+    "target_kind": (lambda v: v in ("z0", "zq"), "'z0' or 'zq'"),
+    "enhanced": (lambda v: isinstance(v, bool), "true or false"),
+    "unlabeled_ratio": (
+        lambda v: type(v) is not bool and isinstance(v, (int, float)) and 0 <= v <= 1,
+        "a number in [0, 1]"),
+}
 
 
-def _restore_rvq(coder: rvq.RvqCoder, arrays: dict[str, np.ndarray]) -> None:
-    for i, cb in enumerate(coder.codebooks):
-        cb.entries = arrays[f"rvq.{i}.entries"].astype(np.float32).reshape(cb.entries.shape)
-        cb.ema_counts = arrays[f"rvq.{i}.ema_counts"].astype(np.float32).reshape(cb.ema_counts.shape)
-        cb.ema_sums = arrays[f"rvq.{i}.ema_sums"].astype(np.float32).reshape(cb.ema_sums.shape)
+def _checked(name: str, value, where: str = ""):
+    ok, want = META_FIELDS[name]
+    if not ok(value):
+        raise ConfigError(f"{where}{name!r} must be {want}, not {value!r}")
+    return value
+
+
+def _recorded(path, meta: dict, name: str, given=None):
+    """A meta field of the checkpoint at path, checked; a given value must agree."""
+    if name not in meta:
+        raise ConfigError(f"{path}: checkpoint does not record {name}")
+    saved = _checked(name, meta[name], f"{path}: meta ")
+    if given not in (None, saved):
+        raise ConfigError(
+            f"{path}: checkpoint was trained with {name}={saved!r}, cannot resume with {given!r}"
+        )
+    return saved
 
 
 def _load_kind(path, kind: str):
@@ -116,24 +173,19 @@ def _load_kind(path, kind: str):
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise ConfigError(f"{path}: not a {kind} checkpoint")
-    size = meta.get("alphabet_size")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ConfigError(f"{path}: meta 'alphabet_size' must be a positive int")
-    if not isinstance(meta.get("rng_state"), dict):
-        raise ConfigError(f"{path}: meta 'rng_state' must be an object")
+    for name in ("alphabet_size", "rng_state"):
+        _recorded(path, meta, name)
     return arrays, meta
 
 
-def _resumed_mode(path, saved_meta: dict, name: str, given):
-    """The mode a checkpoint was trained with; a given value must agree."""
-    if name not in saved_meta:
-        raise ConfigError(f"{path}: checkpoint does not record {name}")
-    if given not in (None, saved_meta[name]):
-        raise ConfigError(
-            f"{path}: checkpoint was trained with {name}={saved_meta[name]!r}, "
-            f"cannot resume with {given!r}"
-        )
-    return saved_meta[name]
+def _recorded_songs(path, meta: dict, n_songs: int) -> set[int]:
+    """The unlabeled songs a latent checkpoint records, checked against the corpus size."""
+    songs = meta.get("unlabeled_songs")
+    if not (isinstance(songs, list) and all(type(s) is int and 0 <= s < n_songs for s in songs)
+            and len(set(songs)) == len(songs)):
+        raise ConfigError(f"{path}: meta 'unlabeled_songs' must be distinct song indices "
+                          f"below {n_songs}, not {songs!r}")
+    return set(songs)
 
 
 def _flat_config(payload: dict, prefix: str = "") -> dict:
@@ -146,16 +198,18 @@ def _flat_config(payload: dict, prefix: str = "") -> dict:
     return out
 
 
-def _check_resumed_config(path, saved_meta: dict, cfg: RunConfig, free) -> None:
-    """A resumed run must use the checkpoint's config, except the keys in free."""
-    given, saved = _flat_config(cfg.to_dict()), _flat_config(saved_meta["config"])
-    for key in sorted(given.keys() - set(free)):
+def _check_config(path, saved_config: dict, cfg: RunConfig, keys) -> None:
+    """cfg must agree on keys with the config the checkpoint at path was trained with."""
+    given, saved = _flat_config(cfg.to_dict()), _flat_config(saved_config)
+    for key in sorted(keys):
         if given[key] != saved.get(key):
             raise ConfigError(
                 f"{path}: checkpoint was trained with config {key}={saved.get(key)!r}, "
-                f"cannot resume with {given[key]!r}"
+                f"cannot run with {given[key]!r}"
             )
 
+
+CONFIG_KEYS = frozenset(_flat_config(RunConfig().to_dict()))
 
 # config keys a codec resume does not read: the run length, the seed (the
 # params and the data rng are restored), and the latent and sampler settings
@@ -175,34 +229,33 @@ LATENT_RESUME_FREE = frozenset({
     "steps", "tau", "max_frames",
 })
 
-
-def _set_frozen_params(named_params, arrays) -> None:
-    """set_params for an inference model: the params stop requiring grad, so
-    every forward through them builds no autograd tape: each op drops its
-    backward closure as soon as its output is built."""
-    set_params(named_params, arrays)
-    for _, p in named_params:
-        p.requires_grad = False
+# the signal and codec geometry a latent model shares with its frozen codec
+CODEC_GEOMETRY = frozenset({
+    "sample_rate", "fft_size", "win_size", "hop_size", "mel_bins", "fmin", "fmax",
+    "latent_dim", "quantizers", "codebook_size",
+})
 
 
-def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
-    """An inference codec: its params are frozen and build no tape."""
-    arrays, meta = _load_kind(path, "codec")
+def _load_models(path, kind: str, build):
+    """A checkpoint's models for inference: their params are frozen, so every
+    op through them drops its backward closure and builds no autograd tape."""
+    arrays, meta = _load_kind(path, kind)
     cfg = config_from_dict(meta["config"])
-    models = build_codec_models(cfg, meta["alphabet_size"], np.random.default_rng(0))
-    _set_frozen_params(models.gen_named_params() + models.disc_named_params(), arrays)
-    _restore_rvq(models.coder, arrays)
+    models = build(cfg, meta["alphabet_size"], np.random.default_rng(0))
+    models.load(arrays)
+    for _, p in models.params():
+        p.requires_grad = False
     return models, cfg, meta
 
 
+def load_codec_checkpoint(path) -> tuple[CodecModels, RunConfig, dict]:
+    return _load_models(path, "codec", build_codec_models)
+
+
 def load_latent_checkpoint(path):
-    """Inference condition and score nets: their params are frozen and build no tape."""
-    arrays, meta = _load_kind(path, "latent")
-    cfg = config_from_dict(meta["config"])
-    models = build_latent_models(cfg, meta["alphabet_size"], np.random.default_rng(0))
-    _set_frozen_params(models.params(), arrays)
-    stats = (arrays["latent_stats.mean"].reshape(-1), arrays["latent_stats.std"].reshape(-1))
-    return models, cfg, meta, stats
+    """(models, config, meta, (latent mean, latent std)) of an inference latent checkpoint."""
+    models, cfg, meta = _load_models(path, "latent", build_latent_models)
+    return models, cfg, meta, (models.mean, models.std)
 
 
 def _kept_log_rows(path, header: list[str], start_step: int) -> list[list[str]]:
@@ -217,24 +270,22 @@ def _kept_log_rows(path, header: list[str], start_step: int) -> list[list[str]]:
         return [row for row in reader if int(float(row[0])) < start_step]
 
 
-def _train_loop(kind, out_dir, steps, step_fn, resumed, groups, data_rng, extra_arrays,
-                meta, header):
+def _train_loop(kind, out_dir, steps, step_fn, resumed, models, opts, data_rng, meta, header):
     """The loop both trainers share; returns (checkpoint_path, log_path).
 
-    groups holds (named_params, optimizer, meta step key) per optimizer. A
-    resumed (arrays, meta) pair restores their params and moments and the
-    data rng, and training continues at its step. step_fn(step) runs one
-    step and returns its log row. Each row reaches the loss CSV as its step
-    ends, so a diverging or killed run leaves the rows of the steps before
-    the failing one; the checkpoint (params, extra_arrays(), optimizer
+    opts maps each optimizer's meta step key to it. A resumed (arrays, meta)
+    pair restores their moments and the data rng, and training continues at
+    its step; the caller has loaded the models from it. step_fn(step) runs
+    one step and returns its log row. Each row reaches the loss CSV as its
+    step ends, so a diverging or killed run leaves the rows of the steps
+    before the failing one; the checkpoint (models.arrays(), optimizer
     moments) is written only when every step ran.
     """
     start_step = 0
     if resumed is not None:
         arrays, saved = resumed
-        for named, opt, key in groups:
-            set_params(named, arrays)
-            opt.load_state_arrays([n for n, _ in named], arrays, saved[key])
+        for key, opt in opts.items():
+            opt.load_state_arrays(arrays, saved[key])
         data_rng.bit_generator.state = saved["rng_state"]
         start_step = int(saved["step"])
     log_path = os.path.join(out_dir, f"{kind}_losses.csv")
@@ -252,14 +303,13 @@ def _train_loop(kind, out_dir, steps, step_fn, resumed, groups, data_rng, extra_
             writer.writerow(row)
             fh.flush()
 
-    arrays = {name: p.data for named, _, _ in groups for name, p in named}
-    arrays.update(extra_arrays())
-    for named, opt, _ in groups:
-        arrays.update(opt.state_arrays([n for n, _ in named]))
+    arrays = models.arrays()
+    for opt in opts.values():
+        arrays.update(opt.state_arrays())
     meta = {
         "kind": kind,
         **meta,
-        **{key: opt.step_count for _, opt, key in groups},
+        **{key: opt.step_count for key, opt in opts.items()},
         "rng_state": data_rng.bit_generator.state,
     }
     ckpt_path = os.path.join(out_dir, f"{kind}.ckpt")
@@ -314,45 +364,37 @@ def train_codec(
     seed = cfg.seed if seed is None else seed
     resumed = None if resume is None else _load_kind(resume, "codec")
     if resumed is not None:
-        adversarial = _resumed_mode(resume, resumed[1], "adversarial", adversarial)
-        _check_resumed_config(resume, resumed[1], cfg, CODEC_RESUME_FREE)
+        adversarial = _recorded(resume, resumed[1], "adversarial", adversarial)
+        _check_config(resume, resumed[1]["config"], cfg, CONFIG_KEYS - CODEC_RESUME_FREE)
     adversarial = bool(adversarial)
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
 
     models = build_codec_models(cfg, alphabet_size, np.random.default_rng(seed))
-    gen_named = models.gen_named_params()
-    gen_params = [p for _, p in gen_named]
-    opt = AdamW(gen_params, cfg.lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
-    disc_named = models.disc_named_params()
-    disc_opt = AdamW([p for _, p in disc_named], cfg.lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
+    opt = AdamW(models.gen_named_params(), cfg.lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
+    disc_opt = AdamW(models.disc.params("disc"), cfg.lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
     data_rng = np.random.default_rng(seed + 1)
 
     if resumed is not None:
-        _restore_rvq(models.coder, resumed[0])
+        models.load(resumed[0])
     else:
         # seed the codebooks from the untrained encoder's latents
         sample = np.concatenate([s.logmel for s in songs])[: max(4 * cfg.codebook_size, 512)]
-        z0 = models.encoder(sample).data.astype(np.float64)
-        models.coder = rvq.init_codebooks(models.coder, z0, seed)
+        models.coder = rvq.init_codebooks(models.coder, models.encode(sample), seed)
 
     return _train_loop(
         "codec", out_dir, steps,
         lambda step: _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt,
-                                 gen_params, adversarial),
-        resumed,
-        groups=[(gen_named, opt, "step"), (disc_named, disc_opt, "disc_step")],
-        data_rng=data_rng,
-        extra_arrays=lambda: _rvq_arrays(models.coder),
+                                 adversarial),
+        resumed, models, {"step": opt, "disc_step": disc_opt}, data_rng,
         meta={"config": cfg.to_dict(), "alphabet_size": alphabet_size, "phoneme_table": table,
               "adversarial": adversarial},
         header=CODEC_LOG_HEADER,
     )
 
 
-def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, gen_params,
-                adversarial):
+def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversarial):
     picks = []
     for _ in range(cfg.batch):
         s = int(data_rng.integers(0, len(songs)))
@@ -397,7 +439,7 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, gen_para
     opt.zero_grad()
     disc_opt.zero_grad()
     total.backward()
-    gnorm = grad_norm(gen_params)
+    gnorm = grad_norm(opt.params)
     opt.step()
 
     if adversarial:
@@ -439,16 +481,6 @@ LATENT_LOG_HEADER = [
 ]
 
 
-def _frozen_latents(models: CodecModels, songs, target_kind: str):
-    outs = []
-    for song in songs:
-        z0 = models.encoder(song.logmel).data.astype(np.float64)
-        if target_kind == "zq":
-            z0 = rvq.quantize(models.coder, z0)
-        outs.append(z0)
-    return outs
-
-
 def train_latent(
     cfg: RunConfig,
     corpus_dir,
@@ -470,13 +502,6 @@ def train_latent(
     checkpoint raises ConfigError; only the keys in LATENT_RESUME_FREE, which
     latent training does not read on resume, may differ.
     """
-    if prior_mode not in (None, "data", "standard"):
-        raise ConfigError(f"unknown prior mode '{prior_mode}'")
-    if target_kind not in (None, "z0", "zq"):
-        raise ConfigError(f"unknown latent target '{target_kind}'")
-    if unlabeled_ratio is not None and not (0.0 <= unlabeled_ratio <= 1.0):
-        raise ConfigError("unlabeled ratio must lie in [0, 1]")
-    os.makedirs(out_dir, exist_ok=True)
     steps = cfg.latent_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
 
@@ -484,38 +509,40 @@ def train_latent(
              "target_kind": target_kind, "enhanced": enhanced}
     resumed = None if resume is None else _load_kind(resume, "latent")
     if resumed is not None:
-        modes = {name: _resumed_mode(resume, resumed[1], name, given)
+        modes = {name: _recorded(resume, resumed[1], name, given)
                  for name, given in modes.items()}
-        _check_resumed_config(resume, resumed[1], cfg, LATENT_RESUME_FREE)
+        _check_config(resume, resumed[1]["config"], cfg, CONFIG_KEYS - LATENT_RESUME_FREE)
     defaults = {"unlabeled_ratio": 0.0, "prior_mode": "data", "target_kind": "z0", "enhanced": True}
-    modes = {name: defaults[name] if v is None else v for name, v in modes.items()}
+    modes = {name: _checked(name, defaults[name] if v is None else v)
+             for name, v in modes.items()}
+    os.makedirs(out_dir, exist_ok=True)
 
     codec_models, codec_cfg, _ = load_codec_checkpoint(codec_ckpt)
-    _check_codec_compat(cfg, codec_cfg)
+    _check_config(codec_ckpt, codec_cfg.to_dict(), cfg, CODEC_GEOMETRY)
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
 
-    z_all = _frozen_latents(codec_models, songs, modes["target_kind"])
+    models = build_latent_models(cfg, alphabet_size, np.random.default_rng(seed))
+    z_all = [codec_models.encode(s.logmel) for s in songs]
+    if modes["target_kind"] == "zq":
+        z_all = [rvq.quantize(codec_models.coder, z) for z in z_all]
     if resumed is None:
         mean, std = diffusion.latent_stats(np.concatenate(z_all))
         # canonical f32 stats: the checkpoint stores f32, and resume must see
         # bit-identical normalized latents
-        mean = mean.astype(np.float32).astype(np.float64)
-        std = std.astype(np.float32).astype(np.float64)
+        models.mean = mean.astype(np.float32).astype(np.float64)
+        models.std = std.astype(np.float32).astype(np.float64)
         split_rng = np.random.default_rng(seed + 17)
         n_unlabeled = int(round(modes["unlabeled_ratio"] * len(songs)))
         unlabeled = set(split_rng.permutation(len(songs))[:n_unlabeled].tolist())
     else:
-        mean = resumed[0]["latent_stats.mean"].reshape(-1).astype(np.float64)
-        std = resumed[0]["latent_stats.std"].reshape(-1).astype(np.float64)
-        unlabeled = set(resumed[1]["unlabeled_songs"])
-    z_norm = [diffusion.normalize_latent(z, mean, std).astype(np.float32) for z in z_all]
+        models.load(resumed[0])
+        unlabeled = _recorded_songs(resume, resumed[1], len(songs))
+    z_norm = [diffusion.normalize_latent(z, models.mean, models.std).astype(np.float32)
+              for z in z_all]
 
-    models = build_latent_models(cfg, alphabet_size, np.random.default_rng(seed))
-    named = models.params()
-    params = [p for _, p in named]
-    opt = AdamW(params, cfg.latent_lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
+    opt = AdamW(models.params(), cfg.latent_lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
     # the grad_norm_sup and grad_norm_unsup columns: the layers that only the
     # supervised, or only the unsupervised, condition path reads
     cond = models.cond
@@ -528,12 +555,8 @@ def train_latent(
     return _train_loop(
         "latent", out_dir, steps,
         lambda step: _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched,
-                                  data_rng, step, opt, params, norm_groups),
-        resumed,
-        groups=[(named, opt, "step")],
-        data_rng=data_rng,
-        extra_arrays=lambda: {"latent_stats.mean": mean.reshape(1, -1),
-                              "latent_stats.std": std.reshape(1, -1)},
+                                  data_rng, step, opt, norm_groups),
+        resumed, models, {"step": opt}, data_rng,
         meta={
             "config": cfg.to_dict(),
             "alphabet_size": alphabet_size,
@@ -547,7 +570,7 @@ def train_latent(
 
 
 def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_rng, step, opt,
-                 params, norm_groups):
+                 norm_groups):
     # windows are grouped by supervision kind so each group runs the
     # nets once on a stacked (B, W, ...) batch; t is drawn per group
     sup_picks, unsup_picks = [], []
@@ -612,7 +635,7 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
 
     opt.zero_grad()
     total.backward()
-    gnorm = grad_norm(params)
+    gnorm = grad_norm(opt.params)
     g_sup, g_unsup = (grad_norm(group) for group in norm_groups)
     opt.step()
     return [
@@ -642,27 +665,6 @@ def _stack_grids(windows) -> cond_mod.FrameGrid:
     )
 
 
-def _check_codec_compat(cfg: RunConfig, codec_cfg: RunConfig) -> None:
-    keys = (
-        "sample_rate",
-        "fft_size",
-        "win_size",
-        "hop_size",
-        "mel_bins",
-        "fmin",
-        "fmax",
-        "latent_dim",
-        "quantizers",
-        "codebook_size",
-    )
-    for key in keys:
-        if getattr(cfg, key) != getattr(codec_cfg, key):
-            raise ConfigError(
-                f"config '{key}'={getattr(cfg, key)} conflicts with the codec "
-                f"checkpoint's {getattr(codec_cfg, key)}"
-            )
-
-
 # -- sampling ------------------------------------------------------------------
 
 
@@ -683,8 +685,9 @@ def sample_score(
     os.makedirs(out_dir, exist_ok=True)
     codec_models, codec_cfg, _ = load_codec_checkpoint(codec_ckpt)
     latent_models, cfg, meta, (mean, std) = load_latent_checkpoint(latent_ckpt)
-    _check_codec_compat(cfg, codec_cfg)
-    table = {str(k): int(v) for k, v in meta["phoneme_table"].items()}
+    _check_config(codec_ckpt, codec_cfg.to_dict(), cfg, CODEC_GEOMETRY)
+    table = cond_mod.check_phoneme_table(meta.get("phoneme_table"),
+                                         f"{latent_ckpt}: meta 'phoneme_table'")
     score = cond_mod.load_score(score_path, table)
     grid = cond_mod.expand_score(score, cfg.hop_size, cfg.sample_rate)
     if grid.frames > cfg.max_frames:
@@ -694,11 +697,11 @@ def sample_score(
     steps = cfg.steps if steps is None else steps
     tau = cfg.tau if tau is None else tau
     if target_kind is None:
-        target_kind = meta["target_kind"]
+        target_kind = _recorded(latent_ckpt, meta, "target_kind")
 
-    fc = latent_models.cond.condition(grid, bool(meta["enhanced"]))
+    fc = latent_models.cond.condition(grid, _recorded(latent_ckpt, meta, "enhanced"))
     h_cond = fc.h_cond.data
-    if meta["prior_mode"] == "standard":
+    if _recorded(latent_ckpt, meta, "prior_mode") == "standard":
         mu = np.zeros((grid.frames, cfg.latent_dim))
     else:
         mu = fc.mu_hat.data.astype(np.float64)
@@ -710,19 +713,16 @@ def sample_score(
         return latent_models.score(z, m, h, t).data
 
     z_prime = diffusion.reverse_sample(score_fn, mu, h_cond, sched, sampler_cfg)
-    z0 = diffusion.denormalize_latent(z_prime, mean.astype(np.float64), std.astype(np.float64))
+    z0 = diffusion.denormalize_latent(z_prime, mean, std)
     z_dec = rvq.quantize(codec_models.coder, z0) if target_kind == "zq" else z0
-    logmel_hat = codec_models.decoder(z_dec.astype(np.float32)).data
-    mel_hat = np.clip(np.expm1(logmel_hat.astype(np.float64)), 0.0, None)
+    mel_hat = codec_models.decode(z_dec)
 
     latent_path = os.path.join(out_dir, "latent.f32")
     mel_path = os.path.join(out_dir, "mel.f32")
     save_matrix(latent_path, z0, kind="latent")
     save_matrix(mel_path, mel_hat, kind="mel", sample_rate=cfg.sample_rate, hop=cfg.hop_size)
 
-    stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
-    mel_spec = dsp.Spectrogram(mel_hat, "mel", stft_cfg, cfg.sample_rate)
-    track = dsp.mel_peak_pitch(mel_spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
+    track = _mel_pitch(mel_hat, cfg)
     notes = []
     within = 0
     scored = 0
@@ -732,16 +732,16 @@ def sample_score(
         seg = track.f0[a:b][track.voiced[a:b]]
         med = float(np.median(seg)) if seg.size else 0.0
         target_hz = dsp.midi_to_hz(midi)
-        cents = 1200.0 * math.log2(med / target_hz) if med > 0 else float("inf")
+        cents = 1200.0 * math.log2(med / target_hz) if med > 0 else None
         scored += 1
-        if abs(cents) <= 100.0:
+        if cents is not None and abs(cents) <= 100.0:
             within += 1
         notes.append(
             {"midi": int(midi), "frames": int(b - a), "median_f0_hz": med, "cents_error": cents}
         )
     report = {
         "seed": seed,
-        "tau": tau,
+        "tau": None if math.isinf(tau) else tau,
         "steps": steps,
         "frames": int(grid.frames),
         "init_noise_variance": 0.0 if math.isinf(tau) else 1.0 / tau,
@@ -766,8 +766,7 @@ def encode_wav(codec_ckpt, wav_path, out_path) -> None:
             f"{wav_path}: sample rate {audio.sample_rate} != codec's {cfg.sample_rate}"
         )
     lm = corpus_mod.log_mel(audio, cfg)
-    z = models.encoder(lm).data.astype(np.float64)
-    codes = rvq.encode(models.coder, z)
+    codes = rvq.encode(models.coder, models.encode(lm))
     rvq.write_bitstream(out_path, codes, cfg.sample_rate, cfg.hop_size)
 
 
@@ -779,9 +778,7 @@ def decode_bitstream(codec_ckpt, bitstream_path, out_path, n_quantizers: int | N
             f"{bitstream_path}: stream (sr={sr}, hop={hop}) does not match the "
             f"codec (sr={cfg.sample_rate}, hop={cfg.hop_size})"
         )
-    z = rvq.decode(models.coder, codes, n_quantizers)
-    logmel_hat = models.decoder(z.astype(np.float32)).data
-    mel_hat = np.clip(np.expm1(logmel_hat.astype(np.float64)), 0.0, None)
+    mel_hat = models.decode(rvq.decode(models.coder, codes, n_quantizers))
     save_matrix(out_path, mel_hat, kind="mel", sample_rate=sr, hop=hop)
     return mel_hat
 
@@ -789,12 +786,19 @@ def decode_bitstream(codec_ckpt, bitstream_path, out_path, n_quantizers: int | N
 # -- evaluation ----------------------------------------------------------------
 
 
+def _mel_pitch(mel: np.ndarray, cfg: RunConfig) -> dsp.PitchTrack:
+    """The pitch track of mel magnitudes (T, mel_bins), from their peak bins."""
+    stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
+    spec = dsp.Spectrogram(mel, "mel", stft_cfg, cfg.sample_rate)
+    return dsp.mel_peak_pitch(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
+
+
 def _load_eval_input(path, cfg: RunConfig):
     """Returns (mel magnitudes (T, mel_bins), PitchTrack)."""
     path = str(path)
-    stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
     if path.endswith(".wav"):
         audio = dsp.load_wav(path)
+        stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
         spec = dsp.stft(audio, stft_cfg)
         mel = dsp.mel_project(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
         track = dsp.estimate_f0(audio, stft_cfg)
@@ -802,9 +806,8 @@ def _load_eval_input(path, cfg: RunConfig):
     data, meta = load_matrix(path)
     if meta.get("kind") != "mel":
         raise ConfigError(f"{path}: expected a WAV file or a mel feature file")
-    mel = dsp.Spectrogram(data.astype(np.float64), "mel", stft_cfg, cfg.sample_rate)
-    track = dsp.mel_peak_pitch(mel, cfg.mel_bins, cfg.fmin, cfg.fmax)
-    return mel.data, track
+    mel = data.astype(np.float64)
+    return mel, _mel_pitch(mel, cfg)
 
 
 def evaluate_files(

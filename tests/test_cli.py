@@ -115,13 +115,13 @@ def _garbage(n: int) -> bytes:
     return np.random.default_rng(7).integers(0, 256, n, dtype=np.uint8).tobytes()
 
 
-def _edited_codec(workdir, tmp_path, edit):
-    """A copy of the workdir codec checkpoint whose manifest edit(manifest) changed."""
-    ckpt = tmp_path / "codec.ckpt"
-    shutil.copy(workdir / "codec" / "codec.ckpt", ckpt)
-    manifest = json.loads((workdir / "codec" / "codec.ckpt.json").read_text())
+def _edited_checkpoint(workdir, tmp_path, edit, kind="codec"):
+    """A copy of the workdir checkpoint of kind whose manifest edit(manifest) changed."""
+    ckpt = tmp_path / f"{kind}.ckpt"
+    shutil.copy(workdir / kind / f"{kind}.ckpt", ckpt)
+    manifest = json.loads((workdir / kind / f"{kind}.ckpt.json").read_text())
     edit(manifest)
-    (tmp_path / "codec.ckpt.json").write_text(json.dumps(manifest))
+    (tmp_path / f"{kind}.ckpt.json").write_text(json.dumps(manifest))
     return ckpt
 
 
@@ -231,7 +231,7 @@ class TestCorruptInputExits2:
         assert named in capsys.readouterr().err
 
     def test_checkpoint_manifest_with_a_non_object_param(self, workdir, tmp_path):
-        ckpt = _edited_codec(workdir, tmp_path, lambda m: m.update(params=[5]))
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m.update(params=[5]))
         assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
                          "--codec", str(ckpt),
                          "--latent", str(workdir / "latent" / "latent.ckpt"),
@@ -244,7 +244,7 @@ class TestCorruptInputExits2:
         ("alphabet_size", lambda m: m["meta"].update(alphabet_size=[14])),
     ], ids=["param-shape", "param-offset", "param-name", "meta-alphabet_size"])
     def test_checkpoint_field_of_the_wrong_type(self, workdir, tmp_path, capsys, field, edit):
-        ckpt = _edited_codec(workdir, tmp_path, edit)
+        ckpt = _edited_checkpoint(workdir, tmp_path, edit)
         assert cli.main(["codec", "encode", "--checkpoint", str(ckpt),
                          "--wav", str(workdir / "corpus" / "song000.wav"),
                          "--out", str(tmp_path / "s.hsc")]) == 2
@@ -252,12 +252,70 @@ class TestCorruptInputExits2:
         assert str(ckpt) in err and f"'{field}'" in err
 
     def test_checkpoint_meta_rng_state_of_the_wrong_type(self, workdir, tmp_path, capsys):
-        ckpt = _edited_codec(workdir, tmp_path, lambda m: m["meta"].update(rng_state=5))
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update(rng_state=5))
         assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
                          "--out", str(tmp_path / "r"), "--steps", "26", "--resume", str(ckpt),
                          "--config", str(workdir / "cfg.json")]) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "'rng_state'" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("phoneme_table", []),
+        ("phoneme_table", {"a": -1}),
+        ("enhanced", "yes"),
+        ("target_kind", "zz"),
+        ("prior_mode", "xyz"),
+    ], ids=["phoneme_table-list", "phoneme_table-negative-id", "enhanced-str", "target_kind-zz",
+            "prior_mode-xyz"])
+    def test_latent_meta_read_by_sample(self, workdir, tmp_path, capsys, field, value):
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update({field: value}),
+                             kind="latent")
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"), "--latent", str(ckpt),
+                         "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"'{field}'" in err
+        assert not (tmp_path / "samp" / "report.json").exists()
+
+    @pytest.mark.parametrize("field", ["prior_mode", "enhanced", "target_kind"])
+    def test_latent_meta_without_a_mode_at_sample(self, workdir, tmp_path, capsys, field):
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].pop(field),
+                                  kind="latent")
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"), "--latent", str(ckpt),
+                         "--out", str(tmp_path / "samp"), "--steps", "2"]) == 2
+        assert f"{ckpt}: checkpoint does not record {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("unlabeled_songs", 5),
+        ("unlabeled_songs", [7]),
+        ("unlabeled_songs", [0, 0]),
+        ("unlabeled_ratio", "0.34"),
+        ("unlabeled_ratio", 1.5),
+        ("prior_mode", "xyz"),
+        ("enhanced", 1),
+    ], ids=["unlabeled_songs-int", "unlabeled_songs-past-the-corpus", "unlabeled_songs-repeated",
+            "unlabeled_ratio-str", "unlabeled_ratio-1.5", "prior_mode-xyz", "enhanced-int"])
+    def test_latent_meta_read_by_resume(self, workdir, tmp_path, capsys, field, value):
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update({field: value}),
+                             kind="latent")
+        assert cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "r"), "--steps", "26", "--resume", str(ckpt),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"'{field}'" in err
+        assert not (tmp_path / "r" / "latent.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["no", 0, None], ids=["str", "int", "null"])
+    def test_codec_meta_adversarial_read_by_resume(self, workdir, tmp_path, capsys, value):
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update(adversarial=value))
+        assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
+                         "--out", str(tmp_path / "r"), "--steps", "26", "--resume", str(ckpt),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'adversarial'" in err
+        assert not (tmp_path / "r" / "codec.ckpt").exists()
 
     @pytest.mark.parametrize("payload", [5, {"f0": [1, 2], "periodicity": {"a": 1}}],
                              ids=["int", "dict-periodicity"])
@@ -388,6 +446,18 @@ class TestSampleAndEvaluate:
         report = json.loads((out / "report.json").read_text())
         assert report["tau"] == 1.5 and report["steps"] == 6
         assert (out / "latent.f32").exists() and (out / "mel.f32").exists()
+
+    def test_sample_report_is_strict_json_for_an_infinite_tau(self, workdir, tmp_path):
+        out = tmp_path / "samp"
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--latent", str(workdir / "latent" / "latent.ckpt"),
+                         "--out", str(out), "--steps", "2", "--tau", "inf"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not a JSON value")
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report["tau"] is None and report["init_noise_variance"] == 0.0
 
     def test_sample_target_defaults_to_the_checkpoint_target(self, workdir, tmp_path):
         assert cli.main(["train-latent", "--corpus", str(workdir / "corpus"),

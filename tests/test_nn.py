@@ -198,7 +198,7 @@ class TestScoreNet:
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = nn.AdamW([p], lr=1e-2, weight_decay=0.0)
+        opt = nn.AdamW([("p", p)], lr=1e-2, weight_decay=0.0)
         p.grad = np.zeros(2)
         opt.step()
         assert np.array_equal(p.data, [1.0, -2.0])
@@ -208,7 +208,7 @@ class TestAdamW:
         g = 0.37
         lr = 1e-3
         p = Tensor(np.array([5.0]), requires_grad=True)
-        opt = nn.AdamW([p], lr=lr, beta1=0.8, beta2=0.99, weight_decay=0.0)
+        opt = nn.AdamW([("p", p)], lr=lr, beta1=0.8, beta2=0.99, weight_decay=0.0)
         p.grad = np.array([g])
         opt.step()
         expect = 5.0 - lr * g / (abs(g) + 1e-8)
@@ -216,14 +216,14 @@ class TestAdamW:
 
     def test_decoupled_weight_decay_applies_before_update(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
-        opt = nn.AdamW([p], lr=0.1, weight_decay=0.5)
+        opt = nn.AdamW([("p", p)], lr=0.1, weight_decay=0.5)
         p.grad = np.zeros(1)
         opt.step()
         assert abs(p.data[0] - 2.0 * (1 - 0.1 * 0.5)) < 1e-12
 
     def test_quadratic_bowl_descends(self):
         p = Tensor(np.array([0.5]), requires_grad=True)
-        opt = nn.AdamW([p], lr=2e-4, weight_decay=0.0)
+        opt = nn.AdamW([("p", p)], lr=2e-4, weight_decay=0.0)
         trail = []
         for _ in range(200):
             opt.zero_grad()
@@ -235,7 +235,7 @@ class TestAdamW:
 
     def test_nonfinite_grad_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = nn.AdamW([p], lr=1e-3)
+        opt = nn.AdamW([("p", p)], lr=1e-3)
         p.grad = np.array([np.inf])
         with pytest.raises(NumericalError):
             opt.step()
@@ -244,7 +244,7 @@ class TestAdamW:
         def run():
             rng = np.random.default_rng(7)
             p = Tensor(rng.standard_normal(4), requires_grad=True)
-            opt = nn.AdamW([p], lr=1e-3)
+            opt = nn.AdamW([("p", p)], lr=1e-3)
             for _ in range(50):
                 opt.zero_grad()
                 ((p - 1.0) * (p - 1.0)).sum().backward()
@@ -253,12 +253,29 @@ class TestAdamW:
 
         assert np.array_equal(run(), run())
 
+    def test_moments_are_keyed_by_param_name(self):
+        p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        opt = nn.AdamW([("a.w", p), ("b", q)], lr=1e-3)
+        p.grad, q.grad = np.full(2, 0.5), np.full(3, -2.0)
+        opt.step()
+        state = opt.state_arrays()
+        assert list(state) == ["adam.m.a.w", "adam.v.a.w", "adam.m.b", "adam.v.b"]
+        restored = nn.AdamW([("a.w", p), ("b", q)], lr=1e-3)
+        restored.load_state_arrays(state, opt.step_count)
+        for ours, theirs in ((restored.m, opt.m), (restored.v, opt.v)):
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        assert restored.step_count == 1
+
+    def test_bare_params_are_refused(self):
+        with pytest.raises(TypeError):
+            nn.AdamW([Tensor(np.zeros(2), requires_grad=True)], lr=1e-3)
+
     def test_validation(self):
         p = Tensor(np.zeros(1), requires_grad=True)
         with pytest.raises(ValueError):
-            nn.AdamW([p], lr=0.0)
+            nn.AdamW([("p", p)], lr=0.0)
         with pytest.raises(ValueError):
-            nn.AdamW([p], lr=1e-3, beta1=1.0)
+            nn.AdamW([("p", p)], lr=1e-3, beta1=1.0)
 
 
 class TestToyAutoencoder:

@@ -229,6 +229,41 @@ LATENT_LAYOUT = (
 )
 
 
+def _adam(layout):
+    return [(f"adam.{k}.{name}", shape) for name, shape in layout for k in ("m", "v")]
+
+
+# the whole blob of a RunConfig() checkpoint, in order: model state, then moments
+CODEC_MANIFEST = (
+    CODEC_GEN_LAYOUT + CODEC_DISC_LAYOUT
+    + [(f"rvq.{i}.{field}", shape) for i in range(8)
+       for field, shape in (("entries", (64, 16)), ("ema_counts", (64,)), ("ema_sums", (64, 16)))]
+    + _adam(CODEC_GEN_LAYOUT) + _adam(CODEC_DISC_LAYOUT)
+)
+LATENT_MANIFEST = (
+    LATENT_LAYOUT + [("latent_stats.mean", (1, 16)), ("latent_stats.std", (1, 16))]
+    + _adam(LATENT_LAYOUT)
+)
+CODEC_META = ["kind", "config", "alphabet_size", "phoneme_table", "adversarial", "step",
+              "disc_step", "rng_state"]
+LATENT_META = ["kind", "config", "alphabet_size", "phoneme_table", "unlabeled_ratio",
+               "prior_mode", "target_kind", "enhanced", "unlabeled_songs", "codec_checkpoint",
+               "step", "rng_state"]
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """Two-step RunConfig() checkpoints on a one-song corpus: codec, adversarial codec, latent."""
+    cfg = config_from_dict({})
+    root = tmp_path_factory.mktemp("default")
+    corpus.gen_corpus(root / "corpus", 1, seed=0, cfg=cfg)
+    codec, _ = train.train_codec(cfg, root / "corpus", root / "codec", steps=2, seed=0)
+    adv, _ = train.train_codec(cfg, root / "corpus", root / "adv", steps=2, seed=0,
+                               adversarial=True)
+    latent, _ = train.train_latent(cfg, root / "corpus", codec, root / "latent", steps=2, seed=0)
+    return {"codec": codec, "codec-adversarial": adv, "latent": latent}
+
+
 class TestCheckpointLayout:
     @pytest.mark.parametrize("part,layout", [
         ("gen", CODEC_GEN_LAYOUT), ("disc", CODEC_DISC_LAYOUT), ("latent", LATENT_LAYOUT),
@@ -237,9 +272,68 @@ class TestCheckpointLayout:
         cfg = config_from_dict({})
         codec = train.build_codec_models(cfg, 14, np.random.default_rng(0))
         latent = train.build_latent_models(cfg, 14, np.random.default_rng(0))
-        named = {"gen": codec.gen_named_params, "disc": codec.disc_named_params,
+        named = {"gen": codec.gen_named_params, "disc": lambda: codec.disc.params("disc"),
                  "latent": latent.params}[part]()
         assert [(name, p.data.shape) for name, p in named] == layout
+
+    @pytest.mark.parametrize("run,manifest,meta", [
+        ("codec", CODEC_MANIFEST, CODEC_META),
+        ("codec-adversarial", CODEC_MANIFEST, CODEC_META),
+        ("latent", LATENT_MANIFEST, LATENT_META),
+    ], ids=["codec", "codec-adversarial", "latent"])
+    def test_whole_manifest_in_order(self, default_runs, run, manifest, meta):
+        payload = json.loads(open(str(default_runs[run]) + ".json").read())
+        assert [(e["name"], tuple(e["shape"])) for e in payload["params"]] == manifest
+        assert list(payload["meta"]) == meta
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("run", ["codec", "codec-adversarial", "latent"])
+    def test_load_then_arrays_gives_back_the_checkpoint(self, default_runs, run):
+        arrays, meta = fileio.load_checkpoint(default_runs[run])
+        build = {"codec": train.build_codec_models, "latent": train.build_latent_models}
+        models = build[run.split("-")[0]](
+            config_from_dict(meta["config"]), meta["alphabet_size"], np.random.default_rng(3))
+        models.load(arrays)
+        out = models.arrays()
+        assert list(out) == [name for name in arrays if not name.startswith("adam.")]
+        for name, arr in out.items():
+            assert np.asarray(arr).astype("<f4").tobytes() == arrays[name].tobytes(), name
+            assert np.shape(arr) == arrays[name].shape, name
+
+    @pytest.mark.parametrize("kind", ["codec", "latent"])
+    def test_resume_restores_what_the_loader_restores(
+        self, monkeypatch, cfg, corpus_dir, codec_ckpt, latent_ckpt, tmp_path, kind
+    ):
+        seen = []
+        loop = train._train_loop
+
+        def capture(*args, **kwargs):
+            seen.append(args[5])  # the models the trainer resumed
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(train, "_train_loop", capture)
+        # resumed at its own step, the run trains no step and rewrites the checkpoint
+        if kind == "codec":
+            ckpt = codec_ckpt
+            out, _ = train.train_codec(cfg, corpus_dir, tmp_path, steps=30, resume=ckpt)
+            loaded = train.load_codec_checkpoint(ckpt)[0]
+        else:
+            ckpt = latent_ckpt
+            out, _ = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=30,
+                                        resume=ckpt)
+            loaded, _, _, stats = train.load_latent_checkpoint(ckpt)
+            assert all(s.dtype == np.float64 for s in stats)
+        (resumed,) = seen
+        assert [n for n, _ in resumed.params()] == [n for n, _ in loaded.params()]
+        for (name, p), (_, q) in zip(resumed.params(), loaded.params()):
+            assert p.data.dtype == q.data.dtype and np.array_equal(p.data, q.data), name
+        ours, theirs = resumed.arrays(), loaded.arrays()
+        assert list(ours) == list(theirs)
+        for name in ours:
+            assert np.array_equal(ours[name], theirs[name]), name
+        assert open(out, "rb").read() == open(ckpt, "rb").read()
+        assert open(str(out) + ".json").read() == open(str(ckpt) + ".json").read()
 
 
 def _assert_divergence_left_log_only(message, out_dir, kind):
@@ -588,6 +682,24 @@ class TestSampling:
         )
         assert json.loads(open(rep).read())["target"] == "z0"
 
+    def test_unpitched_notes_report_a_null_cents_error(
+        self, monkeypatch, corpus_dir, codec_ckpt, latent_ckpt, tmp_path
+    ):
+        monkeypatch.setattr(train.dsp, "mel_peak_pitch",
+                            lambda mel, *args: dsp.PitchTrack(np.zeros(len(mel.data)),
+                                                              np.zeros(len(mel.data))))
+        _, _, rep = train.sample_score(str(corpus_dir / "song000.score.json"), codec_ckpt,
+                                       latent_ckpt, tmp_path, steps=2, seed=0)
+        report = json.loads(open(rep).read(), parse_constant=_refuse_constant)
+        assert report["notes"] and all(n["cents_error"] is None for n in report["notes"])
+        assert report["notes_within_100_cents"] == 0
+
+    def test_infinite_tau_reports_null(self, corpus_dir, codec_ckpt, latent_ckpt, tmp_path):
+        _, _, rep = train.sample_score(str(corpus_dir / "song000.score.json"), codec_ckpt,
+                                       latent_ckpt, tmp_path, steps=2, tau=float("inf"), seed=0)
+        report = json.loads(open(rep).read(), parse_constant=_refuse_constant)
+        assert report["tau"] is None and report["init_noise_variance"] == 0.0
+
     def test_frame_overflow_rejected(self, corpus_dir, codec_ckpt, latent_ckpt, tmp_path):
         table = json.loads(open(corpus_dir / "phonemes.json").read())
         score = {
@@ -601,6 +713,10 @@ class TestSampling:
         path.write_text(json.dumps(score))
         with pytest.raises(ConfigError, match="frames"):
             train.sample_score(path, codec_ckpt, latent_ckpt, tmp_path, steps=4, seed=0)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
 
 
 def _record_outputs(monkeypatch, owner):
@@ -625,7 +741,7 @@ class TestInferenceBuildsNoTape:
     def test_loaded_params_do_not_require_grad(self, codec_ckpt, latent_ckpt):
         codec, _, _ = train.load_codec_checkpoint(codec_ckpt)
         latent, _, _, _ = train.load_latent_checkpoint(latent_ckpt)
-        named = codec.gen_named_params() + codec.disc_named_params() + latent.params()
+        named = codec.params() + latent.params()
         assert named and not any(p.requires_grad for _, p in named)
 
     def test_sampler_score_calls_and_decoder_build_no_tape(
