@@ -16,6 +16,7 @@ import numpy as np
 
 from .autodiff import as_tensor
 from .dsp import F0_BINS
+from .fileio import write_json
 from .nn import Embedding, GatedConvBlock, Linear, Module
 
 ONSET_CODA_MAX_FRAMES = 3
@@ -308,18 +309,12 @@ def score_from_json(payload: dict, phoneme_table: dict[str, int]) -> MusicalScor
 
 
 def save_score(path, score: MusicalScore, phoneme_table: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(score_to_json(score, phoneme_table), fh, indent=1)
+    write_json(path, score_to_json(score, phoneme_table))
 
 
 def load_score(path, phoneme_table: dict[str, int]) -> MusicalScore:
     with open(path, "r", encoding="utf-8") as fh:
         return score_from_json(json.load(fh), phoneme_table)
-
-
-def save_phoneme_table(path, table: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=1)
 
 
 def check_phoneme_table(table, where) -> dict[str, int]:

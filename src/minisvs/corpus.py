@@ -8,7 +8,6 @@ score's frame total equals the STFT frame count.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import condition as cond
 from . import dsp
 from .config import RunConfig
-from .fileio import load_matrix
+from .fileio import load_matrix, write_json
 
 FEATURE_PROJECTION_SEED = 12345  # fixed stand-in for an external feature extractor
 
@@ -80,7 +79,7 @@ def gen_corpus(out_dir, n_songs: int, seed: int, cfg: RunConfig | None = None):
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     table = dict(cond.TOY_PHONEMES)
-    cond.save_phoneme_table(os.path.join(out_dir, "phonemes.json"), table)
+    write_json(os.path.join(out_dir, "phonemes.json"), table)
     paths = []
     for i in range(n_songs):
         if i == 0:
@@ -182,10 +181,3 @@ def load_corpus(corpus_dir, cfg: RunConfig) -> tuple[list[LoadedSong], dict[str,
             feats = (lm @ proj + proj_bias).astype(np.float32)
         songs.append(LoadedSong(name, audio, score, grid, lm, f0q, feats))
     return songs, table
-
-
-def write_score_json(path, payload: dict) -> None:
-    """Strict JSON: a NaN or an infinity in payload raises ValueError, and no file is written."""
-    text = json.dumps(payload, indent=1, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

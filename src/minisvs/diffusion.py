@@ -116,7 +116,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:  # NaN fails this too
             raise ValueError("temperature tau must be >= 1")
 
 

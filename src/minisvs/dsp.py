@@ -6,12 +6,15 @@ interfaces. Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fileio import write_files
 
 # log-spaced F0 quantization range, C2..C7 as printed in the config contract
 F0_QUANT_MIN_HZ = 65.4
@@ -360,11 +363,13 @@ def load_wav(path) -> AudioBuffer:
 
 def save_wav(path, audio: AudioBuffer) -> None:
     pcm = np.clip(np.round(audio.samples * 32767.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(audio.sample_rate)
         wf.writeframes(pcm.tobytes())
+    write_files((path, [buf.getvalue()]))
 
 
 def load_pitch_json(path) -> PitchTrack:

@@ -1,4 +1,5 @@
-"""Raw f32 matrix files and parameter checkpoints.
+"""The atomic file writer every output goes through, raw f32 matrix files
+and parameter checkpoints.
 
 Matrices are raw little-endian float32 with a JSON sidecar carrying
 {frames, dim} plus whatever extra metadata the writer adds. Checkpoints
@@ -18,15 +19,38 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def write_files(*files) -> None:
+    """Write each (path, chunks) pair, chunks an iterable of bytes, to
+    path + ".tmp"; once all are written, os.replace them into place in the
+    order given. A write that fails leaves every earlier file as it was and
+    removes the temporary files."""
+    tmps = []
+    try:
+        for path, chunks in files:
+            tmps.append(str(path) + ".tmp")
+            with open(tmps[-1], "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def write_json(path, payload) -> None:
+    """Indented strict JSON: a NaN or an infinity raises ValueError before any write."""
+    write_files((path, [json.dumps(payload, indent=1, allow_nan=False).encode()]))
+
+
 def save_matrix(path, arr: np.ndarray, **meta) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("save_matrix expects a 2-D array")
-    with open(path, "wb") as fh:
-        fh.write(arr.astype("<f4").tobytes())
     sidecar = {"frames": int(arr.shape[0]), "dim": int(arr.shape[1]), **meta}
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
+    write_files((path, [arr.astype("<f4").tobytes()]),
+                (str(path) + ".json", [json.dumps(sidecar).encode()]))
 
 
 def load_matrix(path):
@@ -48,31 +72,13 @@ def load_matrix(path):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write <path> (f32 blob) and <path>.json (manifest), atomically.
-
-    Both are written to temporary files in the same directory and then moved
-    into place with os.replace, the manifest last. A write that fails leaves
-    any earlier pair untouched and removes its temporary files.
-    """
-    path = str(path)
-    blob_tmp, manifest_tmp = path + ".tmp", path + ".json.tmp"
-    entries = []
-    offset = 0
-    try:
-        with open(blob_tmp, "wb") as fh:
-            for name, arr in arrays.items():
-                blob = np.asarray(arr).astype("<f4").tobytes()
-                fh.write(blob)
-                entries.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
-                offset += len(blob)
-        with open(manifest_tmp, "w", encoding="utf-8") as fh:
-            json.dump({"meta": meta, "params": entries}, fh)
-        os.replace(blob_tmp, path)
-        os.replace(manifest_tmp, path + ".json")
-    finally:
-        for tmp in (blob_tmp, manifest_tmp):
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    """Write <path> (f32 blob, streamed one array at a time), then <path>.json (manifest)."""
+    entries, offset = [], 0
+    for name, arr in arrays.items():
+        entries.append({"name": name, "shape": list(np.shape(arr)), "offset": offset})
+        offset += 4 * int(np.size(arr))
+    write_files((path, (np.asarray(arr).astype("<f4").tobytes() for arr in arrays.values())),
+                (str(path) + ".json", [json.dumps({"meta": meta, "params": entries}).encode()]))
 
 
 def load_checkpoint(path):

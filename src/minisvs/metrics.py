@@ -3,8 +3,7 @@ RMSE and voiced/unvoiced F1. No time alignment is performed anywhere;
 length mismatches are errors by policy."""
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +17,6 @@ class MetricReport:
     periodicity_rmse: float
     vuv_f1: float
     frames_compared: int
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=1)
 
 
 def spec_mae(gt, pred) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import write_files
 from .losses import _values_of
 
 BITSTREAM_MAGIC = b"HSC1"
@@ -292,9 +293,7 @@ def write_bitstream(path, codes: CodecCodes, sample_rate: int, hop_size: int) ->
         hop_size,
     )
     body = codes.indices.T.astype("<u2").tobytes()  # frame-major
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
+    write_files((path, [header, body]))
 
 
 def read_bitstream(path):

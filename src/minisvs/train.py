@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import corpus as corpus_mod
 from . import diffusion, dsp, losses, metrics, rvq
 from .autodiff import NumericalError, Tensor, log_softmax, straight_through
 from .config import ConfigError, RunConfig, config_from_dict
-from .fileio import load_checkpoint, load_matrix, save_checkpoint, save_matrix
+from .fileio import load_checkpoint, load_matrix, save_checkpoint, save_matrix, write_json
 from .nn import (
     AdamW,
     Linear,
@@ -139,6 +139,9 @@ def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels
 META_FIELDS = {
     "alphabet_size": (lambda v: type(v) is int and v >= 1, "a positive int"),
     "rng_state": (lambda v: isinstance(v, dict), "an object"),
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "step": (lambda v: type(v) is int and v >= 0, "a non-negative int"),
+    "disc_step": (lambda v: type(v) is int and v >= 0, "a non-negative int"),
     "adversarial": (lambda v: isinstance(v, bool), "true or false"),
     "prior_mode": (lambda v: v in ("data", "standard"), "'data' or 'standard'"),
     "target_kind": (lambda v: v in ("z0", "zq"), "'z0' or 'zq'"),
@@ -168,12 +171,12 @@ def _recorded(path, meta: dict, name: str, given=None):
     return saved
 
 
-def _load_kind(path, kind: str):
-    """load_checkpoint, refusing a checkpoint of another kind."""
+def _load_kind(path, kind: str, step_keys=()):
+    """load_checkpoint, refusing another kind; a resume adds the step keys it reads."""
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise ConfigError(f"{path}: not a {kind} checkpoint")
-    for name in ("alphabet_size", "rng_state"):
+    for name in ("alphabet_size", "rng_state", "config", *step_keys):
         _recorded(path, meta, name)
     return arrays, meta
 
@@ -287,7 +290,7 @@ def _train_loop(kind, out_dir, steps, step_fn, resumed, models, opts, data_rng, 
         for key, opt in opts.items():
             opt.load_state_arrays(arrays, saved[key])
         data_rng.bit_generator.state = saved["rng_state"]
-        start_step = int(saved["step"])
+        start_step = saved["step"]
     log_path = os.path.join(out_dir, f"{kind}_losses.csv")
     kept = _kept_log_rows(log_path, header, start_step)
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
@@ -362,7 +365,7 @@ def train_codec(
     os.makedirs(out_dir, exist_ok=True)
     steps = cfg.codec_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
-    resumed = None if resume is None else _load_kind(resume, "codec")
+    resumed = None if resume is None else _load_kind(resume, "codec", ("step", "disc_step"))
     if resumed is not None:
         adversarial = _recorded(resume, resumed[1], "adversarial", adversarial)
         _check_config(resume, resumed[1]["config"], cfg, CONFIG_KEYS - CODEC_RESUME_FREE)
@@ -507,7 +510,7 @@ def train_latent(
 
     modes = {"unlabeled_ratio": unlabeled_ratio, "prior_mode": prior_mode,
              "target_kind": target_kind, "enhanced": enhanced}
-    resumed = None if resume is None else _load_kind(resume, "latent")
+    resumed = None if resume is None else _load_kind(resume, "latent", ("step",))
     if resumed is not None:
         modes = {name: _recorded(resume, resumed[1], name, given)
                  for name, given in modes.items()}
@@ -751,7 +754,7 @@ def sample_score(
         "notes_scored": scored,
     }
     report_path = os.path.join(out_dir, "report.json")
-    corpus_mod.write_score_json(report_path, report)
+    write_json(report_path, report)
     return latent_path, mel_path, report_path
 
 
@@ -806,6 +809,8 @@ def _load_eval_input(path, cfg: RunConfig):
     data, meta = load_matrix(path)
     if meta.get("kind") != "mel":
         raise ConfigError(f"{path}: expected a WAV file or a mel feature file")
+    if len(data) == 0:
+        raise ConfigError(f"{path}: mel feature file has no frames to evaluate")
     mel = data.astype(np.float64)
     return mel, _mel_pitch(mel, cfg)
 
@@ -820,5 +825,5 @@ def evaluate_files(
     if pred_pitch is not None:
         pred_track = dsp.load_pitch_json(pred_pitch)
     report = metrics.evaluate(gt_mel, pred_mel, gt_track, pred_track)
-    report.to_json(out_path)
+    write_json(out_path, asdict(report))
     return report

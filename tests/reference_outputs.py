@@ -17,7 +17,12 @@ resumed from 10); seed-1 samples of every song from each of the three
 latent checkpoints that were not resumed, with the evaluation of each
 against its WAV; and song 0 encoded to a bitstream and decoded at 1, 2 and
 4 quantizers.
+
+Every writer of the program runs here, so the script also checks that no
+temporary file survives: it exits non-zero if any `*.tmp` file is left
+under OUT_DIR.
 """
+import glob
 import os
 import sys
 
@@ -68,6 +73,10 @@ def main(out_dir: str) -> None:
     train.encode_wav(codec, os.path.join("corpus", "song000.wav"), bits)
     for n in (1, 2, 4):
         train.decode_bitstream(codec, bits, os.path.join("codec_files", f"song000.q{n}.mel"), n)
+
+    left = sorted(glob.glob("**/*.tmp", recursive=True))
+    if left:
+        sys.exit(f"temporary files left under {out_dir}: {left}")
 
 
 if __name__ == "__main__":

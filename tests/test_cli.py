@@ -294,8 +294,12 @@ class TestCorruptInputExits2:
         ("unlabeled_ratio", 1.5),
         ("prior_mode", "xyz"),
         ("enhanced", 1),
+        ("config", 5),
+        ("step", None),
+        ("step", -3),
     ], ids=["unlabeled_songs-int", "unlabeled_songs-past-the-corpus", "unlabeled_songs-repeated",
-            "unlabeled_ratio-str", "unlabeled_ratio-1.5", "prior_mode-xyz", "enhanced-int"])
+            "unlabeled_ratio-str", "unlabeled_ratio-1.5", "prior_mode-xyz", "enhanced-int",
+            "config-int", "step-null", "step-negative"])
     def test_latent_meta_read_by_resume(self, workdir, tmp_path, capsys, field, value):
         ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update({field: value}),
                              kind="latent")
@@ -315,6 +319,21 @@ class TestCorruptInputExits2:
                          "--config", str(workdir / "cfg.json")]) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "'adversarial'" in err
+        assert not (tmp_path / "r" / "codec.ckpt").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("config", 5),
+        ("step", None),
+        ("disc_step", None),
+        ("step", -3),
+    ], ids=["config-int", "step-null", "disc_step-null", "step-negative"])
+    def test_codec_meta_read_by_resume(self, workdir, tmp_path, capsys, field, value):
+        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update({field: value}))
+        assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
+                         "--out", str(tmp_path / "r"), "--steps", "26", "--resume", str(ckpt),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"'{field}'" in err
         assert not (tmp_path / "r" / "codec.ckpt").exists()
 
     @pytest.mark.parametrize("payload", [5, {"f0": [1, 2], "periodicity": {"a": 1}}],
@@ -387,6 +406,23 @@ class TestCorruptInputExits2:
         (tmp_path / "m.f32.json").write_text(json.dumps(sidecar))
         assert cli.main(["evaluate", "--gt", str(mel), "--pred", str(mel),
                          "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_evaluate_mel_file_with_no_frames(self, workdir, tmp_path, capsys):
+        mel = tmp_path / "m.f32"
+        fileio.save_matrix(mel, np.zeros((0, FAST["mel_bins"])), kind="mel")
+        assert cli.main(["evaluate", "--gt", str(mel), "--pred", str(mel),
+                         "--out", str(tmp_path / "r.json"),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        assert f"{mel}: mel feature file has no frames" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_sample_with_a_nan_tau(self, workdir, tmp_path, capsys):
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--latent", str(workdir / "latent" / "latent.ckpt"),
+                         "--out", str(tmp_path / "samp"), "--steps", "2", "--tau", "nan"]) == 2
+        assert "tau must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "samp" / "report.json").exists()
 
     @pytest.mark.parametrize("value", [[1], True, "1", -1],
                              ids=["list", "bool", "str", "negative"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minisvs import condition as cond
-from minisvs import dsp
+from minisvs import dsp, fileio
 from minisvs.autodiff import gradient_check
 
 HOP, SR = 256, 24000
@@ -270,7 +270,7 @@ class TestScoreJson:
 
     def test_phoneme_table_file_roundtrip(self, tmp_path):
         path = tmp_path / "ph.json"
-        cond.save_phoneme_table(path, self.TABLE)
+        fileio.write_json(path, self.TABLE)
         assert cond.load_phoneme_table(path) == self.TABLE
         path.write_text(json.dumps([]))
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from minisvs import corpus, dsp, fileio
+from minisvs import condition as cond
+from minisvs import corpus, dsp, fileio, rvq
 from minisvs.config import ConfigError, RunConfig, config_from_dict, load_config
 
 
@@ -108,10 +109,12 @@ class TestCheckpointFiles:
         fileio.save_checkpoint(path, old, {"step": 1})
         listing = sorted(p.name for p in tmp_path.iterdir())
 
-        def failing_dump(*args, **kwargs):
-            raise OSError("disk full")
+        def failing_open(file, mode="r", **kwargs):
+            if str(file).endswith(".json.tmp"):  # the manifest, after the blob
+                raise OSError("disk full")
+            return open(file, mode, **kwargs)
 
-        monkeypatch.setattr(fileio.json, "dump", failing_dump)
+        monkeypatch.setattr(fileio, "open", failing_open, raising=False)
         new = {"w": rng.standard_normal((2, 5)).astype(np.float32)}
         with pytest.raises(OSError, match="disk full"):
             fileio.save_checkpoint(path, new, {"step": 2})
@@ -120,6 +123,86 @@ class TestCheckpointFiles:
         assert meta == {"step": 1}
         assert np.array_equal(back["w"], old["w"])
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+class _FullDisk:
+    """An open() for fileio on a disk with room bytes free: a write past
+    them stores what fits, then raises OSError."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def __call__(self, file, mode="r", **kwargs):
+        self.fh = open(file, mode, **kwargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        stored = self.fh.write(chunk[: self.room])
+        self.room -= stored
+        if stored < len(chunk):
+            raise OSError("disk full")
+
+
+def _score(v):
+    notes = [cond.Syllable(1, cond.Note(60 + i, 0.25, 120.0)) for i in range(v)]
+    return cond.MusicalScore(notes, 14)
+
+
+# each writer writes version v (1 or 2, which differ) of its output at path
+WRITERS = {
+    "save_matrix": lambda path, v: fileio.save_matrix(
+        path, np.full((v + 2, 3), v, np.float32), kind="mel"),
+    "save_checkpoint": lambda path, v: fileio.save_checkpoint(
+        path, {"w": np.full((v, 3), v, np.float32), "b": np.full(v, -v, np.float32)},
+        {"step": v}),
+    "write_bitstream": lambda path, v: rvq.write_bitstream(
+        path, rvq.CodecCodes(np.full((2, 3 * v), v), 8, 4), 24000, 256),
+    "save_wav": lambda path, v: dsp.save_wav(path, dsp.AudioBuffer(np.full(50 * v, 0.1 * v))),
+    "save_score": lambda path, v: cond.save_score(path, _score(v), dict(cond.TOY_PHONEMES)),
+    "write_json": lambda path, v: fileio.write_json(path, {"v": [v] * 4 * v}),
+}
+
+
+class TestWriteFiles:
+    @pytest.mark.parametrize("fraction", [0.5, 1.0], ids=["midway", "at-the-last-byte"])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_write_that_fails_partway_keeps_the_earlier_file(
+            self, tmp_path, monkeypatch, writer, fraction):
+        write, path = WRITERS[writer], tmp_path / "out"
+        write(path, 2)
+        size = sum(p.stat().st_size for p in tmp_path.iterdir())
+        write(path, 1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(fileio, "open", _FullDisk(int(size * fraction) - 1), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, 2)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        write(path, 2)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != before
+
+    def test_files_are_replaced_in_the_order_given(self, tmp_path, monkeypatch):
+        moved = []
+        replace = fileio.os.replace
+        monkeypatch.setattr(fileio.os, "replace", lambda a, b: (moved.append(b), replace(a, b)))
+        fileio.write_files((tmp_path / "b", [b"1"]), (tmp_path / "a", [b"2", b"3"]))
+        assert moved == [tmp_path / "b", tmp_path / "a"]
+        assert (tmp_path / "a").read_bytes() == b"23"
+
+    def test_write_json_is_indented_strict_json(self, tmp_path):
+        path = tmp_path / "r.json"
+        fileio.write_json(path, {"a": [1, None]})
+        assert path.read_text() == '{\n "a": [\n  1,\n  null\n ]\n}'
+        with pytest.raises(ValueError):
+            fileio.write_json(path, {"a": float("nan")})
+        assert json.loads(path.read_text()) == {"a": [1, None]}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from minisvs import metrics
+from minisvs import fileio, metrics
 from minisvs.dsp import PitchTrack
 
 
@@ -127,9 +130,7 @@ class TestReport:
         assert report.vuv_f1 == 1.0
         assert report.frames_compared == 4
         out = tmp_path / "r.json"
-        report.to_json(out)
-        import json
-
+        fileio.write_json(out, asdict(report))
         payload = json.loads(out.read_text())
         assert set(payload) == {
             "mae",
