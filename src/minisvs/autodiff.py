@@ -364,6 +364,15 @@ def conv1d3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return custom(conv3_forward(xp, w.data, b.data), (x, w, b), grad_fn, "conv1d3")
 
 
+def concat(tensors) -> Tensor:
+    """Join tensors along axis 0; the gradient splits back at the same rows."""
+    cuts = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
+
+    def grad_fn(g):
+        return tuple(part if t.requires_grad else None for t, part in zip(tensors, np.split(g, cuts)))
+    return custom(np.concatenate([t.data for t in tensors]), tuple(tensors), grad_fn, "concat")
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     shifted = x.data - m

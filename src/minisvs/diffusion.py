@@ -41,9 +41,9 @@ def beta_at(sched: NoiseSchedule, t: float) -> float:
     return sched.beta0 + (sched.beta_t - sched.beta0) * t
 
 
-def integral_beta(sched: NoiseSchedule, t0: float, t1: float) -> float:
-    """Closed form of the schedule integral over [t0, t1]."""
-    if not (0.0 <= t0 <= t1 <= HORIZON):
+def integral_beta(sched: NoiseSchedule, t0, t1):
+    """Closed form of the schedule integral over [t0, t1], elementwise over arrays."""
+    if not np.all((0.0 <= t0) & (t0 <= t1) & (t1 <= HORIZON)):
         raise ValueError(f"bad integration range [{t0}, {t1}]")
     slope = sched.beta_t - sched.beta0
     return sched.beta0 * (t1 - t0) + 0.5 * slope * (t1 * t1 - t0 * t0)
@@ -51,35 +51,40 @@ def integral_beta(sched: NoiseSchedule, t0: float, t1: float) -> float:
 
 @dataclass
 class TransitionParams:
-    rho: object  # frames x D mean (ndarray or Tensor)
-    lam: float  # scalar variance in [0, 1)
+    rho: object  # mean, shaped like z0' (ndarray or Tensor)
+    lam: object  # float64 variance in [0, 1): a scalar, or (B, 1, 1) for a (B,) t
 
 
-def transition(sched: NoiseSchedule, z0_prime, mu_hat, t: float) -> TransitionParams:
+def transition(sched: NoiseSchedule, z0_prime, mu_hat, t) -> TransitionParams:
     """Gaussian transition of the forward SDE: mean rho_t, variance lam_t.
 
     rho_t = (1 - e^{-1/2 int beta}) mu + e^{-1/2 int beta} z0'
     lam_t = 1 - e^{-int beta}
+
+    t is a scalar, or (B,) with one time per window of a (B, frames, D)
+    batch; the float64 coefficients take z0's dtype where they scale it.
     """
     _check_shapes(z0_prime, mu_hat)
-    ib = integral_beta(sched, 0.0, t)
-    a = math.exp(-0.5 * ib)
-    lam = 1.0 - math.exp(-ib)
-    rho = (1.0 - a) * mu_hat + a * z0_prime
-    return TransitionParams(rho, lam)
+    t = np.asarray(t, dtype=np.float64)
+    ib = integral_beta(sched, 0.0, t[:, None, None] if t.ndim else t)
+    a = np.exp(-0.5 * ib)
+    dtype = _values_of(z0_prime).dtype
+    rho = (1.0 - a).astype(dtype) * mu_hat + a.astype(dtype) * z0_prime
+    return TransitionParams(rho, 1.0 - np.exp(-ib))
 
 
-def forward_sample(sched: NoiseSchedule, z0_prime, mu_hat, t: float, noise: np.ndarray):
+def forward_sample(sched: NoiseSchedule, z0_prime, mu_hat, t, noise: np.ndarray):
     """Draw z_t = rho_t + sqrt(lam_t) * noise and its score target.
 
     The target is the gradient of the log transition density at z_t,
     -(z_t - rho_t) / lam_t. t = 0 is rejected (the density degenerates).
     """
-    if t <= 0.0:
+    if np.any(t <= 0.0):
         raise ValueError("forward_sample requires t > 0 (lambda is singular at 0)")
     params = transition(sched, z0_prime, mu_hat, t)
-    z_t = params.rho + math.sqrt(params.lam) * noise
-    target = -(z_t - params.rho) / params.lam
+    dtype = _values_of(z0_prime).dtype
+    z_t = params.rho + np.sqrt(params.lam).astype(dtype) * noise
+    target = -(z_t - params.rho) / params.lam.astype(dtype)
     return z_t, target
 
 
@@ -89,22 +94,23 @@ def prior_loss(z0_prime, mu_hat):
     return (diff * diff * 0.5).mean() + HALF_LOG_2PI
 
 
-def diffusion_loss(score_fn, z0_prime, mu_hat, h_cond, sched: NoiseSchedule, t: float, noise):
-    """Lambda-weighted score-matching loss at one diffusion time t.
+def diffusion_loss(score_fn, z0_prime, mu_hat, h_cond, sched: NoiseSchedule, t, noise):
+    """Lambda-weighted score-matching loss, meaned over windows.
 
     z0_prime and mu_hat are (..., frames, D), one window or a stacked
-    (B, W, D) batch, and noise has their shape. z_t comes from the
-    closed-form forward solution; the squared error of score_fn(z_t, mu_hat,
-    h_cond, t) against -(z_t - rho_t)/lam_t is summed over the latent
-    dimension, meaned over the rest and multiplied by lam_t, which keeps the
-    objective finite as t -> 0 (divide by lam_t for the raw printed form).
-    The caller draws t and noise.
+    (B, W, D) batch, and noise has their shape. t is one diffusion time, or
+    a (B,) array with one per window. z_t comes from the closed-form forward
+    solution; the squared error of score_fn(z_t, mu_hat, h_cond, t) against
+    -(z_t - rho_t)/lam_t is summed over the latent dimension, meaned over
+    frames, multiplied by each window's lam_t, which keeps the objective
+    finite as t -> 0 (divide by lam_t for the raw printed form), and meaned
+    over windows. The caller draws t and noise.
     """
     noise = np.asarray(noise, dtype=_values_of(z0_prime).dtype)
     z_t, target = forward_sample(sched, z0_prime, mu_hat, t, noise)
     diff = score_fn(z_t, mu_hat, h_cond, t) - target
-    lam = 1.0 - math.exp(-integral_beta(sched, 0.0, t))
-    return (diff * diff).sum(axis=-1).mean() * lam
+    lam = 1.0 - np.exp(-integral_beta(sched, 0.0, t))
+    return ((diff * diff).sum(axis=-1).mean(axis=-1) * lam.astype(noise.dtype)).mean()
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,9 @@ class Embedding(Module):
 class GatedConvBlock(Module):
     """Residual block: x + proj(tanh(conv_f(x) + tf) * sigmoid(conv_g(x) + tg)).
 
-    The optional time vector is injected additively into both gates, one
-    linear per gate, broadcast over frames.
+    The optional time vector, (time_dim,) or one (B, 1, time_dim) row per
+    window, is injected additively into both gates, one linear per gate,
+    broadcast over frames.
 
     The block is one op, "gated_block". Its forward runs the numpy of the
     layer-by-layer composition above, op for op, with both convolutions
@@ -166,26 +167,30 @@ class GatedConvBlock(Module):
             return grads + (
                 gte,
                 matmul_weight_grad(te.data, gtf) if wtf.requires_grad else None,
-                gtf if btf.requires_grad else None,
+                _unbroadcast(gtf, btf.shape) if btf.requires_grad else None,
                 matmul_weight_grad(te.data, gtg) if wtg.requires_grad else None,
-                gtg if btg.requires_grad else None,
+                _unbroadcast(gtg, btg.shape) if btg.requires_grad else None,
             )
         return custom(out, parents, grad_fn, "gated_block")
 
 
-def time_embedding(t: float, dim: int, dtype=np.float32) -> np.ndarray:
-    """Sinusoidal embedding of a scalar diffusion time t in [0, 1]."""
+def time_embedding(t, dim: int, dtype=np.float32) -> np.ndarray:
+    """Sinusoidal embedding of a diffusion time t in [0, 1]: (dim,) for a
+    scalar t, (B, 1, dim) for a (B,) t, one row per window."""
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    ang = 1000.0 * float(t) * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)]).astype(dtype)
+    t = np.asarray(t, dtype=np.float64)
+    ang = 1000.0 * t[..., None, None] * freqs
+    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1).astype(dtype)
+    return emb if t.ndim else emb[0]
 
 
 class ScoreNet(Module):
     """Conditional score estimator s(z_t, mu_hat, h_cond, t) -> frames x D.
 
     Additive input projections feed a stack of gated residual blocks; the
-    diffusion time enters every block through a sinusoidal embedding.
+    diffusion time, a scalar or one per window of a (B, frames, D) batch,
+    enters every block through a sinusoidal embedding.
     """
 
     def __init__(self, latent_dim: int, cond_dim: int, width: int, blocks: int, time_dim: int,
@@ -198,7 +203,7 @@ class ScoreNet(Module):
         self.block = [GatedConvBlock(width, rng, time_dim, dtype) for _ in range(blocks)]
         self.out = Linear(width, latent_dim, rng, dtype)
 
-    def __call__(self, z_t, mu_hat, h_cond, t: float):
+    def __call__(self, z_t, mu_hat, h_cond, t):
         z_t = as_tensor(z_t, self.dtype)
         mu_hat = as_tensor(mu_hat, self.dtype)
         h_cond = as_tensor(h_cond, self.dtype)

@@ -21,7 +21,7 @@ import numpy as np
 from . import condition as cond_mod
 from . import corpus as corpus_mod
 from . import diffusion, dsp, losses, metrics, rvq
-from .autodiff import NumericalError, Tensor, log_softmax, straight_through
+from .autodiff import NumericalError, concat, log_softmax, straight_through
 from .config import ConfigError, RunConfig, config_from_dict
 from .fileio import load_checkpoint, load_matrix, save_checkpoint, save_matrix, write_json
 from .nn import (
@@ -125,20 +125,26 @@ class LatentModels(Module):
 
 def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels:
     net = cond_mod.ConditionNet(alphabet_size, cfg.latent_dim, cfg.feature_dim, cfg.embed_dim, rng)
-    score = ScoreNet(
-        cfg.latent_dim, cfg.embed_dim, cfg.width, cfg.blocks, cfg.time_dim, rng
-    )
+    score = ScoreNet(cfg.latent_dim, cfg.embed_dim, cfg.width, cfg.blocks, cfg.time_dim, rng)
     return LatentModels(net, score)
 
 
 # -- checkpoint plumbing -------------------------------------------------------
 
 
+def _is_rng_state(value) -> bool:
+    try:  # the data rng's bit generator refuses a malformed state
+        np.random.PCG64(0).state = value
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return False
+    return True
+
+
 # the meta fields a checkpoint records that the program checks, each with its
 # test and what the test asks for
 META_FIELDS = {
     "alphabet_size": (lambda v: type(v) is int and v >= 1, "a positive int"),
-    "rng_state": (lambda v: isinstance(v, dict), "an object"),
+    "rng_state": (_is_rng_state, "a PCG64 bit-generator state"),
     "config": (lambda v: isinstance(v, dict), "an object"),
     "step": (lambda v: type(v) is int and v >= 0, "a non-negative int"),
     "disc_step": (lambda v: type(v) is int and v >= 0, "a non-negative int"),
@@ -471,17 +477,8 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
 # -- latent training -----------------------------------------------------------
 
 
-LATENT_LOG_HEADER = [
-    "step",
-    "diff",
-    "prior",
-    "cont_lyrics",
-    "cont_melody",
-    "total",
-    "grad_norm",
-    "grad_norm_sup",
-    "grad_norm_unsup",
-]
+LATENT_LOG_HEADER = ["step", "diff", "prior", "cont_lyrics", "cont_melody", "total", "grad_norm",
+                     "grad_norm_sup", "grad_norm_unsup"]
 
 
 def train_latent(
@@ -574,84 +571,62 @@ def train_latent(
 
 def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_rng, step, opt,
                  norm_groups):
-    # windows are grouped by supervision kind so each group runs the
-    # nets once on a stacked (B, W, ...) batch; t is drawn per group
+    # windows are grouped by supervision kind, because the two kinds build
+    # their conditions differently; the score net then runs once on the
+    # stacked (B, W, ...) batch, supervised windows first, one t per window
     sup_picks, unsup_picks = [], []
     for _ in range(cfg.batch):
         s = int(data_rng.integers(0, len(songs)))
         o = int(data_rng.integers(0, songs[s].frames - win + 1))
         (unsup_picks if s in unlabeled else sup_picks).append((s, o))
 
-    data_prior = modes["prior_mode"] == "data"
     enhanced = modes["enhanced"]
-    l_diff = None
-    l_prior = None
-    cont_lyr = cont_mel = None
-    for picks, unsup in ((sup_picks, False), (unsup_picks, True)):
-        if not picks:
-            continue
-        z0p = np.stack([z_norm[s][o : o + win] for s, o in picks])
-        if unsup:
-            feats = np.stack([songs[s].features[o : o + win] for s, o in picks])
-            f0 = np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
-            fc = models.cond.condition_unsupervised(feats, f0, enhanced)
-        else:
-            grid_b = _stack_grids([(songs[s].grid, o, win) for s, o in picks])
-            # the supervised embeddings feed the condition head and, with
-            # contrastive terms on, the contrastive anchors too
-            h_lyr = models.cond.lyrics_repr(grid_b)
-            h_mel = models.cond.melody_repr(grid_b)
-            fc = models.cond.head(h_lyr, h_mel, enhanced)
-            if modes["unlabeled_ratio"] > 0.0:
-                h_lyr_u = models.cond.lyrics_u_repr(
-                    np.stack([songs[s].features[o : o + win] for s, o in picks])
-                )
-                h_mel_u = models.cond.melody_u_repr(
-                    np.stack([songs[s].f0_quant[o : o + win] for s, o in picks])
-                )
-                # window by window: its lyrics negatives, then its melody negatives
-                negs = [losses.draw_negatives(win, cfg.loss.n_neg, data_rng)
-                        for _ in range(2 * len(picks))]
-                cont_lyr = losses.contrastive_loss(
-                    h_lyr, h_lyr_u, np.stack(negs[0::2]), cfg.loss.tau_cont
-                )
-                cont_mel = losses.contrastive_loss(
-                    h_mel, h_mel_u, np.stack(negs[1::2]), cfg.loss.tau_cont
-                )
-        mu = fc.mu_hat if data_prior else np.zeros_like(z0p)
-        weight = len(picks) / float(cfg.batch)
-        t = float(data_rng.uniform(cfg.t_min, diffusion.HORIZON))
-        noise = data_rng.standard_normal(z0p.shape)
-        part = diffusion.diffusion_loss(models.score, z0p, mu, fc.h_cond, sched, t, noise)
-        l_diff = part * weight if l_diff is None else l_diff + part * weight
-        if data_prior:
-            p_part = diffusion.prior_loss(z0p, mu) * weight
-            l_prior = p_part if l_prior is None else l_prior + p_part
+    conds, cont_terms = [], []
+    if sup_picks:
+        grid_b = _stack_grids([(songs[s].grid, o, win) for s, o in sup_picks])
+        # the supervised embeddings feed the condition head and, with
+        # contrastive terms on, the contrastive anchors too
+        h_lyr = models.cond.lyrics_repr(grid_b)
+        h_mel = models.cond.melody_repr(grid_b)
+        conds.append(models.cond.head(h_lyr, h_mel, enhanced))
+        if modes["unlabeled_ratio"] > 0.0:
+            h_lyr_u = models.cond.lyrics_u_repr(
+                np.stack([songs[s].features[o : o + win] for s, o in sup_picks])
+            )
+            h_mel_u = models.cond.melody_u_repr(
+                np.stack([songs[s].f0_quant[o : o + win] for s, o in sup_picks])
+            )
+            # window by window: its lyrics negatives, then its melody negatives
+            negs = [losses.draw_negatives(win, cfg.loss.n_neg, data_rng)
+                    for _ in range(2 * len(sup_picks))]
+            n_sup = float(len(sup_picks))
+            cont_terms = [
+                losses.contrastive_loss(h, h_u, np.stack(neg), cfg.loss.tau_cont) / n_sup
+                for h, h_u, neg in ((h_lyr, h_lyr_u, negs[0::2]), (h_mel, h_mel_u, negs[1::2]))
+            ]
+    if unsup_picks:
+        feats = np.stack([songs[s].features[o : o + win] for s, o in unsup_picks])
+        f0 = np.stack([songs[s].f0_quant[o : o + win] for s, o in unsup_picks])
+        conds.append(models.cond.condition_unsupervised(feats, f0, enhanced))
 
-    lam_prior = cfg.lambda_prior if data_prior else 0.0
-    l_prior = 0.0 if l_prior is None else l_prior
-    cont_terms = []
-    if cont_lyr is not None:
-        n_sup = float(len(sup_picks))
-        cont_terms = [cont_lyr / n_sup, cont_mel / n_sup]
-    total = losses.latent_generator_total(l_diff, l_prior, lam_prior, cont_terms)
+    z0p = np.stack([z_norm[s][o : o + win] for s, o in sup_picks + unsup_picks])
+    h_cond = concat([fc.h_cond for fc in conds])
+    data_prior = modes["prior_mode"] == "data"
+    mu = concat([fc.mu_hat for fc in conds]) if data_prior else np.zeros_like(z0p)
+    t = data_rng.uniform(cfg.t_min, diffusion.HORIZON, size=cfg.batch)
+    noise = data_rng.standard_normal(z0p.shape)
+    l_diff = diffusion.diffusion_loss(models.score, z0p, mu, h_cond, sched, t, noise)
+    l_prior = diffusion.prior_loss(z0p, mu) if data_prior else 0.0
+    total = losses.latent_generator_total(l_diff, l_prior, cfg.lambda_prior, cont_terms)
 
     opt.zero_grad()
     total.backward()
     gnorm = grad_norm(opt.params)
     g_sup, g_unsup = (grad_norm(group) for group in norm_groups)
     opt.step()
-    return [
-        step,
-        float(l_diff.data),
-        float(l_prior.data) if isinstance(l_prior, Tensor) else float(l_prior),
-        float(cont_terms[0].data) if cont_terms else 0.0,
-        float(cont_terms[1].data) if cont_terms else 0.0,
-        float(total.data),
-        gnorm,
-        g_sup,
-        g_unsup,
-    ]
+    prior = float(l_prior.data) if data_prior else 0.0
+    cont = [float(c.data) for c in cont_terms] or [0.0, 0.0]
+    return [step, float(l_diff.data), prior, *cont, float(total.data), gnorm, g_sup, g_unsup]
 
 
 def _stack_grids(windows) -> cond_mod.FrameGrid:
@@ -801,6 +776,8 @@ def _load_eval_input(path, cfg: RunConfig):
     path = str(path)
     if path.endswith(".wav"):
         audio = dsp.load_wav(path)
+        if audio.samples.size == 0:
+            raise ConfigError(f"{path}: WAV file has no samples to evaluate")
         stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
         spec = dsp.stft(audio, stft_cfg)
         mel = dsp.mel_project(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)

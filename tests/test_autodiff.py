@@ -94,6 +94,7 @@ def test_per_op_gradients_match_finite_differences(seed):
         "getitem": lambda: (x[np.array([0, 2, 2])] * 1.7).sum(),
         "getitem_basic": lambda: (x[1:3, None, ::2] * 1.7).sum() + x[-1, 2] * x[0, ...].sum(),
         "reshape": lambda: (x.reshape(2, 10) ** 2.0).mean(axis=-1).sum(),
+        "concat": lambda: (ad.concat([x, table * 0.5]) * ad.concat([table, x]).tanh()).sum(),
     }
     tensors = [x, w, b, cw, cb, table]
     for name, f in cases.items():
@@ -120,6 +121,7 @@ _TAPE_OPS = {
     "embedding": lambda x, y, w, c: ad.embedding(x, np.array([0, 2, 2])),
     "conv1d3": lambda x, y, w, c: ad.conv1d3(x, w, c),
     "log_softmax": lambda x, y, w, c: ad.log_softmax(x),
+    "concat": lambda x, y, w, c: ad.concat([y, x]),
     "straight_through": lambda x, y, w, c: ad.straight_through(x, y.data),
     "custom": lambda x, y, w, c: ad.custom(2.0 * x.data, (x, y), lambda g: (2.0 * g, None), "double"),
 }

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minisvs import cli, diffusion, fileio, losses, nn
+from minisvs import cli, diffusion, dsp, fileio, losses, nn
 from minisvs.config import config_from_dict
 from minisvs.corpus import load_corpus
 
@@ -251,8 +251,13 @@ class TestCorruptInputExits2:
         err = capsys.readouterr().err
         assert str(ckpt) in err and f"'{field}'" in err
 
-    def test_checkpoint_meta_rng_state_of_the_wrong_type(self, workdir, tmp_path, capsys):
-        ckpt = _edited_checkpoint(workdir, tmp_path, lambda m: m["meta"].update(rng_state=5))
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["meta"].update(rng_state=5),
+        lambda m: m["meta"]["rng_state"]["state"].update(state="x"),
+        lambda m: m["meta"]["rng_state"].pop("state"),
+    ], ids=["int", "inner-state-str", "no-inner-state"])
+    def test_checkpoint_meta_rng_state_of_the_wrong_type(self, workdir, tmp_path, capsys, edit):
+        ckpt = _edited_checkpoint(workdir, tmp_path, edit)
         assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
                          "--out", str(tmp_path / "r"), "--steps", "26", "--resume", str(ckpt),
                          "--config", str(workdir / "cfg.json")]) == 2
@@ -414,6 +419,15 @@ class TestCorruptInputExits2:
                          "--out", str(tmp_path / "r.json"),
                          "--config", str(workdir / "cfg.json")]) == 2
         assert f"{mel}: mel feature file has no frames" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_evaluate_wav_with_no_samples(self, workdir, tmp_path, capsys):
+        wav = tmp_path / "empty.wav"
+        dsp.save_wav(wav, dsp.AudioBuffer(np.zeros(0), 24000))
+        assert cli.main(["evaluate", "--gt", str(wav), "--pred", str(wav),
+                         "--out", str(tmp_path / "r.json"),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        assert f"{wav}: WAV file has no samples to evaluate" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_sample_with_a_nan_tau(self, workdir, tmp_path, capsys):

@@ -193,17 +193,20 @@ class TestDiffusionLoss:
         )
         assert abs(float(loss) - floor) / floor < 0.05
 
-    def test_stacked_call_is_the_mean_of_per_window_calls(self):
+    @pytest.mark.parametrize("t", [0.42, np.array([0.05, 0.3, 0.42, 0.77, 1.0])],
+                             ids=["one-t", "t-per-window"])
+    def test_stacked_call_is_the_mean_of_per_window_calls(self, t):
         rng = np.random.default_rng(10)
         z0, mu, h = (rng.standard_normal((5, 12, 4)) for _ in range(3))
         noise = rng.standard_normal(z0.shape)
 
         def score(z, m, h_cond, t):
-            return np.tanh(z - m) * t + 0.3 * h_cond
+            return np.tanh(z - m) * np.reshape(t, np.shape(t) + (1, 1)) + 0.3 * h_cond
 
-        stacked = df.diffusion_loss(score, z0, mu, h, SCHED, 0.42, noise)
+        stacked = df.diffusion_loss(score, z0, mu, h, SCHED, t, noise)
+        ts = np.broadcast_to(t, 5)
         per_window = [
-            df.diffusion_loss(score, z0[b], mu[b], h[b], SCHED, 0.42, noise[b]) for b in range(5)
+            df.diffusion_loss(score, z0[b], mu[b], h[b], SCHED, ts[b], noise[b]) for b in range(5)
         ]
         assert abs(stacked - np.mean(per_window)) <= 1e-12 * abs(stacked)
 

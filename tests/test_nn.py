@@ -75,11 +75,12 @@ def _same_bits(got, want):
 
 class TestFusedGatedBlock:
     @staticmethod
-    def _setup(dtype, shape, timed, x_grad=True, t_grad=False):
+    def _setup(dtype, shape, timed, x_grad=True, t_grad=False, t_shape=(32,)):
         rng = np.random.default_rng(11)
         blk = nn.GatedConvBlock(shape[-1], rng, time_dim=32 if timed else None, dtype=dtype)
         x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=x_grad)
-        t_emb = Tensor(rng.standard_normal(32).astype(dtype), requires_grad=t_grad) if timed else None
+        t_emb = (Tensor(rng.standard_normal(t_shape).astype(dtype), requires_grad=t_grad)
+                 if timed else None)
         return blk, x, t_emb
 
     @staticmethod
@@ -95,13 +96,15 @@ class TestFusedGatedBlock:
         (False, True, False), (False, False, False),
         (True, True, True), (True, True, False), (True, False, True), (True, False, False),
     ], ids=["untimed-x", "untimed-const-x", "timed-x-t", "timed-x", "timed-t", "timed-const"])
-    @pytest.mark.parametrize("shape", [(461, 64), (2, 128, 64), (4, 128, 64)],
-                             ids=["461x64", "2x128x64", "4x128x64"])
+    @pytest.mark.parametrize("shape,t_shape", [
+        ((461, 64), (32,)), ((2, 128, 64), (32,)), ((4, 128, 64), (32,)),
+        ((4, 128, 64), (4, 1, 32)),
+    ], ids=["461x64", "2x128x64", "4x128x64", "4x128x64-t-per-window"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_and_every_gradient_match_the_composition_bit_for_bit(
-        self, dtype, shape, timed, x_grad, t_grad
+        self, dtype, shape, t_shape, timed, x_grad, t_grad
     ):
-        blk, x, t_emb = self._setup(dtype, shape, timed, x_grad, t_grad)
+        blk, x, t_emb = self._setup(dtype, shape, timed, x_grad, t_grad, t_shape)
         probe = np.random.default_rng(12).standard_normal(shape).astype(dtype)
         got = self._run(lambda b, x, t: b(x, t), blk, x, t_emb, probe)
         want = self._run(_reference_block, blk, x, t_emb, probe)
@@ -300,6 +303,11 @@ def test_time_embedding_shape_and_variation():
     b = nn.time_embedding(0.9, 16)
     assert a.shape == (16,)
     assert np.abs(a - b).max() > 0.1
+    # one row per window for a (B,) t, each the scalar embedding bit for bit
+    rows = nn.time_embedding(np.array([0.1, 0.9, 0.1]), 16)
+    assert rows.shape == (3, 1, 16) and rows.dtype == a.dtype
+    for row, want in zip(rows[:, 0], (a, b, a)):
+        assert row.tobytes() == want.tobytes()
 
 
 def test_set_params_shape_check():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from minisvs import condition, corpus, dsp, fileio, nn, rvq, train
+from minisvs import condition, corpus, diffusion, dsp, fileio, nn, rvq, train
 from minisvs.autodiff import NumericalError
 from minisvs.config import ConfigError, config_from_dict
 
@@ -536,11 +536,12 @@ class TestLatentTraining:
             for name in train.LATENT_LOG_HEADER:
                 assert np.array_equal(full[name][3:], res[name]), (change, name)
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
     def test_supervised_embeddings_run_once_per_step(
-        self, monkeypatch, cfg, corpus_dir, codec_ckpt, tmp_path
+        self, monkeypatch, cfg, corpus_dir, codec_ckpt, tmp_path, ratio
     ):
-        calls = {"lyrics_repr": 0, "melody_repr": 0}
-        for name in calls:
+        calls = {"lyrics_repr": 0, "melody_repr": 0, "score": 0, "diffusion_loss": 0}
+        for name in ("lyrics_repr", "melody_repr"):
             original = getattr(condition.ConditionNet, name)
 
             def counting(self, grid, _name=name, _original=original):
@@ -548,11 +549,25 @@ class TestLatentTraining:
                 return _original(self, grid)
 
             monkeypatch.setattr(condition.ConditionNet, name, counting)
+        score_call, loss = nn.ScoreNet.__call__, diffusion.diffusion_loss
+
+        def counting_score(self, *args):
+            calls["score"] += 1
+            return score_call(self, *args)
+
+        def counting_loss(*args):
+            calls["diffusion_loss"] += 1
+            return loss(*args)
+
+        monkeypatch.setattr(nn.ScoreNet, "__call__", counting_score)
+        monkeypatch.setattr(diffusion, "diffusion_loss", counting_loss)
         _, log = train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=4, seed=0,
-                                    unlabeled_ratio=0.5)
-        # every one of these steps has a supervised window and contrastive terms
-        assert np.all(train.read_loss_log(log)["cont_lyrics"] != 0.0)
-        assert calls == {"lyrics_repr": 4, "melody_repr": 4}
+                                    unlabeled_ratio=ratio)
+        # a step has contrastive terms exactly when it has a supervised window
+        cont = train.read_loss_log(log)["cont_lyrics"]
+        sup_steps = int(np.sum(cont != 0.0)) if ratio else 4
+        assert calls == {"lyrics_repr": sup_steps, "melody_repr": sup_steps, "score": 4,
+                         "diffusion_loss": 4}
 
     def test_divergence_keeps_the_log_and_writes_no_checkpoint(
         self, corpus_dir, codec_ckpt, tmp_path
