@@ -12,9 +12,10 @@ its backward is written by hand.
 CTC runs one log-space alpha/beta lattice over a batch of windows: the
 extended labels are padded to a common length, padding and illegal skips
 are masked with an additive -inf, and alpha and beta advance in the same
-frame loop. `ctc_loss_graph` takes a whole (B, W, C) head and scatters
-the state posterior straight back into it; `ctc_loss` is the one-window
-case on a numpy array.
+frame loop. `ctc_loss_graph` takes several whole (B, W, C) heads, each
+with its own alphabet, runs one lattice over all their windows and
+scatters each head's state posterior straight back into it; `ctc_loss` is
+the one-window case on a numpy array.
 """
 from __future__ import annotations
 
@@ -102,20 +103,25 @@ def _pad_targets(targets, n_frames: int):
     return padded, lengths
 
 
-def _ctc_lattice(logp: np.ndarray, ext: np.ndarray, lengths: np.ndarray):
+def _emissions(logp: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """(N, T, S): each window's log-probability of its extended-label states, per frame."""
+    return np.take_along_axis(logp, ext[:, None, :], axis=2)
+
+
+def _ctc_lattice(emit: np.ndarray, ext: np.ndarray, lengths: np.ndarray):
     """Log-space forward/backward lattices of N windows at once.
 
-    logp is (N, T, C); ext (N, S) holds blank-padded extended labels whose
-    first lengths[n] states are real. Padding states and illegal skips are
-    masked with an additive -inf, so they add exactly nothing to any
-    logaddexp. Returns alpha and beta as (N, T, S), -inf on padding, and
-    log Z as (N,).
+    emit is (N, T, S), the `_emissions` of ext (N, S), which holds
+    blank-padded extended labels whose first lengths[n] states are real.
+    The windows may come from heads with different alphabets. Padding
+    states and illegal skips are masked with an additive -inf, so they add
+    exactly nothing to any logaddexp. Returns alpha and beta as (N, T, S),
+    -inf on padding, and log Z as (N,).
     """
-    n, t_len, _ = logp.shape
-    s_len = ext.shape[1]
+    n, t_len, s_len = emit.shape
     neg = -np.inf
     real = np.arange(s_len) < lengths[:, None]
-    emit = np.where(real[:, None, :], np.take_along_axis(logp, ext[:, None, :], axis=2), neg)
+    emit = np.where(real[:, None, :], emit, neg)
     skip = np.zeros((n, s_len), dtype=bool)
     skip[:, 2:] = real[:, 2:] & (ext[:, 2:] != 0) & (ext[:, 2:] != ext[:, :-2])
 
@@ -183,44 +189,68 @@ def ctc_loss(log_probs: np.ndarray, target: CtcTarget) -> float:
         raise ValueError(f"log_probs must be frames x {target.alphabet + 1}, got {logp.shape}")
     _check_log_probs(logp.shape, [target])
     ext, lengths = _pad_targets([target], logp.shape[0])
-    _, _, log_z = _ctc_lattice(logp[None], ext, lengths)
+    _, _, log_z = _ctc_lattice(_emissions(logp[None], ext), ext, lengths)
     return -float(log_z[0])
 
 
-def ctc_loss_graph(log_probs: Tensor, targets) -> Tensor:
-    """Differentiable CTC summed over a batch of windows.
+def ctc_loss_graph(heads) -> list[Tensor]:
+    """Differentiable CTC of several heads over one batch of windows.
 
-    log_probs is a (B, W, C) log-softmax Tensor and targets holds one
-    CtcTarget per window. One lattice runs over every window; the gradient
-    is minus the state posterior, scattered straight into (B, W, C).
+    heads holds (log_probs, targets) pairs: a (B, W, C) log-softmax Tensor,
+    C set by the head's alphabet, and one CtcTarget per window. Every
+    head's windows share one lattice: their extended labels are padded to
+    one state count, which the lattice's -inf mask makes exact. Returns
+    one Tensor per head, its loss summed over its windows; the gradient is
+    minus the state posterior, scattered straight into (B, W, C).
     """
-    logp = log_probs.data.astype(np.float64)
-    targets = list(targets)
-    if logp.ndim != 3 or logp.shape[0] != len(targets):
-        raise ValueError(
-            f"log_probs must be windows x frames x symbols with one target per window; "
-            f"got {logp.shape} for {len(targets)} targets"
-        )
-    _check_log_probs(logp.shape, targets)
-    ext, lengths = _pad_targets(targets, logp.shape[1])
-    alpha, beta, log_z = _ctc_lattice(logp, ext, lengths)
+    heads = [(log_probs, list(targets)) for log_probs, targets in heads]
+    for log_probs, targets in heads:
+        shape = log_probs.data.shape
+        if len(shape) != 3 or shape[0] != len(targets):
+            raise ValueError(
+                f"log_probs must be windows x frames x symbols with one target per window; "
+                f"got {shape} for {len(targets)} targets"
+            )
+        _check_log_probs(shape, targets)
+    frames = sorted({log_probs.data.shape[1] for log_probs, _ in heads})
+    if len(frames) != 1:
+        raise ValueError(f"every head must cover the same frames, got {frames}")
+    padded = [_pad_targets(targets, frames[0]) for _, targets in heads]
+    rows = np.cumsum([0] + [len(targets) for _, targets in heads])
+    ext = np.zeros((rows[-1], max(head_ext.shape[1] for head_ext, _ in padded)), dtype=np.int64)
+    for (head_ext, _), a in zip(padded, rows):
+        ext[a : a + len(head_ext), : head_ext.shape[1]] = head_ext
+    emit = np.concatenate([_emissions(log_probs.data, ext[a:b]).astype(np.float64)
+                           for (log_probs, _), a, b in zip(heads, rows, rows[1:])])
+    alpha, beta, log_z = _ctc_lattice(emit, ext, np.concatenate([n for _, n in padded]))
+    out = []
+    for (log_probs, _), (head_ext, _), a, b in zip(heads, padded, rows, rows[1:]):
+        s_len = head_ext.shape[1]  # the head's own states; the rest is padding
+        out.append(_ctc_head(log_probs, head_ext, alpha[a:b, :, :s_len], beta[a:b, :, :s_len],
+                             log_z[a:b]))
+    return out
+
+
+def _ctc_head(log_probs: Tensor, ext, alpha, beta, log_z) -> Tensor:
+    """One head's summed CTC from its windows' rows of the shared lattice."""
     # in window order, as a chain of per-window terms would add up
     nll = (-log_z).astype(log_probs.data.dtype)
     total = nll[0]
     for term in nll[1:]:
         total = total + term
+    shape = log_probs.data.shape
 
     def grad_fn(g):
         with np.errstate(invalid="ignore"):
             posterior = np.exp(alpha + beta - log_z[:, None, None])  # (B, W, S)
         # states by frames, so each state's posterior is one contiguous row
         posterior = np.ascontiguousarray(posterior.transpose(0, 2, 1))
-        acc = np.zeros((logp.shape[0], logp.shape[2], logp.shape[1]))  # (B, C, W)
-        windows = np.arange(len(targets))
+        acc = np.zeros((shape[0], shape[2], shape[1]))  # (B, C, W)
+        windows = np.arange(shape[0])
         # one state at a time, so repeated symbols accumulate in state order
         for s in range(ext.shape[1]):
             acc[windows, ext[:, s]] += posterior[:, s]
-        grad = np.empty(logp.shape, dtype=log_probs.data.dtype)
+        grad = np.empty(shape, dtype=log_probs.data.dtype)
         np.multiply(acc.transpose(0, 2, 1), -float(g), out=grad, casting="same_kind")
         return (grad,)
 

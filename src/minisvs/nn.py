@@ -56,6 +56,24 @@ class Module:
                         out += item.params(f"{name}{i}")
         return out
 
+    def frozen(self):
+        """A copy whose parameters are constant Tensors over the same arrays.
+
+        Ops through it pass gradients only to their inputs, so a backward
+        pass computes no weight gradient for it; an in-place update of the
+        live layer's parameters shows in the copy too.
+        """
+        out = object.__new__(type(self))
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                value = Tensor(value.data)
+            elif isinstance(value, Module):
+                value = value.frozen()
+            elif isinstance(value, list):
+                value = [item.frozen() if isinstance(item, Module) else item for item in value]
+            setattr(out, attr, value)
+        return out
+
 
 class Linear(Module):
     def __init__(self, n_in: int, n_out: int, rng, dtype=np.float32):
@@ -342,9 +360,19 @@ def set_params(named_params, arrays: dict[str, np.ndarray]) -> None:
         tensor.data = arr.astype(tensor.data.dtype).copy()
 
 
-def grad_norm(params) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    return math.sqrt(total)
+def grad_norms(params, groups=()) -> list[float]:
+    """The gradient norm of params, then of each group, a subset of params.
+
+    Each gradient's float64 squared sum is taken once; every norm adds its
+    parameters' sums in its own order, so a group's norm has the bits it
+    would have on its own.
+    """
+    squares = {id(p): float((p.grad.astype(np.float64) ** 2).sum())
+               for p in params if p.grad is not None}
+    norms = []
+    for members in (params, *groups):
+        total = 0.0
+        for p in members:
+            total += squares.get(id(p), 0.0)
+        norms.append(math.sqrt(total))
+    return norms

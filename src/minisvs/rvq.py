@@ -160,6 +160,20 @@ def quantize(coder: RvqCoder, z: np.ndarray) -> np.ndarray:
     return zq
 
 
+def stage_reconstructions(selected: np.ndarray) -> np.ndarray:
+    """(C, frames, D): the running reconstruction after each stage.
+
+    A stage-by-stage add of the selected entries. It gives the bits of
+    np.cumsum(selected, axis=0), whose strided accumulate along the stage
+    axis is several times slower on codec-batch shapes.
+    """
+    out = np.empty_like(selected)
+    out[0] = selected[0]
+    for c in range(1, selected.shape[0]):
+        np.add(out[c - 1], selected[c], out=out[c])
+    return out
+
+
 def commitment_loss(z, quantized):
     """Sum over stages of the mean-per-frame squared quantization error.
 
@@ -240,7 +254,8 @@ def ema_update(
     statistics and entries become sums / max(counts, eps). Entries that
     received no assignment in this batch and whose EMA count sits under
     DEAD_CODE_THRESHOLD are reseeded from random frames of the stage's residual
-    when an rng is supplied.
+    when an rng is supplied. An id outside its stage's codebook raises a
+    ValueError that names the stage.
     """
     if not (0.0 <= decay < 1.0):
         raise ValueError("decay must lie in [0, 1)")
@@ -250,11 +265,20 @@ def ema_update(
         raise ValueError(f"residuals must be {coder.n_quantizers} x frames x {coder.dim}")
     if ids.shape != residuals.shape[:2]:
         raise ValueError(f"ids must be {residuals.shape[:2]}, got {ids.shape}")
-    for cb, r, stage_ids in zip(coder.codebooks, residuals, ids):
-        k = cb.size
-        counts = np.bincount(stage_ids, minlength=k).astype(np.float64)
-        sums = np.zeros((k, cb.dim))
-        np.add.at(sums, stage_ids, r)
+    sizes = np.array([cb.size for cb in coder.codebooks])
+    bad = (ids < 0) | (ids >= sizes[:, None])
+    if bad.any():
+        c, f = np.argwhere(bad)[0]
+        raise ValueError(f"stage {c}: id {ids[c, f]} at frame {f} is outside [0, {sizes[c]})")
+    # every stage's counts and sums in one scatter over stage-offset ids; a
+    # bincount adds each entry's frames in frame order, as np.add.at would
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    flat = (ids + starts[:-1, None]).ravel()
+    all_counts = np.bincount(flat, minlength=starts[-1]).astype(np.float64)
+    all_sums = np.stack([np.bincount(flat, weights=col, minlength=starts[-1])
+                         for col in residuals.reshape(-1, coder.dim).T], axis=1)
+    for cb, r, lo, hi in zip(coder.codebooks, residuals, starts, starts[1:]):
+        counts, sums = all_counts[lo:hi], all_sums[lo:hi]
         cb.ema_counts = (decay * cb.ema_counts + (1.0 - decay) * counts).astype(np.float32)
         cb.ema_sums = (decay * cb.ema_sums + (1.0 - decay) * sums).astype(np.float32)
         new_entries = cb.ema_sums / np.maximum(cb.ema_counts, COUNT_EPS)[:, None]

@@ -32,7 +32,7 @@ from .nn import (
     MelPatchDiscriminator,
     Module,
     ScoreNet,
-    grad_norm,
+    grad_norms,
     set_params,
 )
 
@@ -418,7 +418,7 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
     x_hat = models.decoder(zq_t)
     l_recon = losses.recon_l1(x.astype(np.float32), x_hat)
     # the running reconstruction after each stage; entries are constants
-    l_emb = rvq.commitment_loss(z.reshape(-1, cfg.latent_dim), np.cumsum(selected, axis=0))
+    l_emb = rvq.commitment_loss(z.reshape(-1, cfg.latent_dim), rvq.stage_reconstructions(selected))
 
     lyr_ls = log_softmax(models.lyrics_head(zq_t), axis=-1)
     note_ls = log_softmax(models.note_head(zq_t), axis=-1)
@@ -431,14 +431,18 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
         note_targets.append(
             losses.CtcTarget(_collapse_labels(grid.midi[o : o + win]), NOTE_ALPHABET)
         )
-    l_lyrics = losses.ctc_loss_graph(lyr_ls, lyr_targets) / float(cfg.batch)
-    l_note = losses.ctc_loss_graph(note_ls, note_targets) / float(cfg.batch)
+    l_lyrics, l_note = (
+        loss / float(cfg.batch)
+        for loss in losses.ctc_loss_graph([(lyr_ls, lyr_targets), (note_ls, note_targets)])
+    )
 
     parts = {"recon": l_recon, "emb": l_emb, "lyrics": l_lyrics, "note": l_note}
     adv_val = fm_val = 0.0
     if adversarial:
         real_scores, real_feats = models.disc(x.astype(np.float32))
-        fake_scores, fake_feats = models.disc(x_hat)
+        # the generator loss reaches the disc only through a frozen copy, so
+        # its backward computes no disc weight gradient
+        fake_scores, fake_feats = models.disc.frozen()(x_hat)
         parts["adv"] = losses.lsgan_g(fake_scores)
         parts["fm"] = losses.feature_matching([f.data for f in real_feats], fake_feats)
         adv_val = float(parts["adv"].data)
@@ -448,12 +452,10 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
     opt.zero_grad()
     disc_opt.zero_grad()
     total.backward()
-    gnorm = grad_norm(opt.params)
+    gnorm = grad_norms(opt.params)[0]
     opt.step()
 
     if adversarial:
-        disc_opt.zero_grad()
-        opt.zero_grad()
         # the generator step left the disc params alone, so the real batch's
         # scores from above still hold; the generator loss did not use them
         fake_scores, _ = models.disc(x_hat.data)
@@ -621,8 +623,7 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
 
     opt.zero_grad()
     total.backward()
-    gnorm = grad_norm(opt.params)
-    g_sup, g_unsup = (grad_norm(group) for group in norm_groups)
+    gnorm, g_sup, g_unsup = grad_norms(opt.params, norm_groups)
     opt.step()
     prior = float(l_prior.data) if data_prior else 0.0
     cont = [float(c.data) for c in cont_terms] or [0.0, 0.0]

@@ -115,7 +115,7 @@ class TestCtc:
         x = Tensor(rng.standard_normal((1, 7, 4)), requires_grad=True)
         target = losses.CtcTarget((1, 3, 2), 3)
         ls = log_softmax(x, axis=-1)
-        a = float(losses.ctc_loss_graph(ls, [target]).data)
+        a = float(losses.ctc_loss_graph([(ls, [target])])[0].data)
         b = losses.ctc_loss(ls.data[0], target)
         assert abs(a - b) < 1e-12
 
@@ -124,7 +124,7 @@ class TestCtc:
         x = Tensor(rng.standard_normal((1, 6, 4)), requires_grad=True)
         target = losses.CtcTarget((2, 2), 3)
         err = gradient_check(
-            lambda: losses.ctc_loss_graph(log_softmax(x, axis=-1), [target]),
+            lambda: losses.ctc_loss_graph([(log_softmax(x, axis=-1), [target])])[0],
             [x],
             n_points=12,
             rng=np.random.default_rng(5),
@@ -198,7 +198,7 @@ class TestBatchedCtc:
         targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
         logp = _log_softmax_np(rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0)
         ext, lengths = losses._pad_targets(targets, 128)
-        alpha, beta, log_z = losses._ctc_lattice(logp, ext, lengths)
+        alpha, beta, log_z = losses._ctc_lattice(losses._emissions(logp, ext), ext, lengths)
         for b, target in enumerate(targets):
             _, ref_alpha, ref_beta, ref_log_z = _reference_alpha_beta(logp[b], target.labels)
             s_len = ref_alpha.shape[1]
@@ -214,19 +214,53 @@ class TestBatchedCtc:
         targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
         logp = _log_softmax_np(rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0)
         lp = Tensor(logp.copy(), requires_grad=True)
-        loss = losses.ctc_loss_graph(lp, targets)
+        loss = losses.ctc_loss_graph([(lp, targets)])[0]
         loss.backward()
         ref_loss, ref_grad = _reference_loss_and_grad(logp, targets)
         assert abs(float(loss.data) - ref_loss) < 1e-12
         assert lp.grad.shape == logp.shape
         assert np.abs(lp.grad - ref_grad).max() < 1e-12
 
+    @pytest.mark.parametrize("order", [(14, 127), (127, 14)])
+    def test_one_lattice_for_two_heads_gives_the_bits_of_one_call_per_head(
+        self, order, monkeypatch
+    ):
+        # phonemes and notes, as in a codec step; the phoneme batch holds the
+        # window with the most states, so the note windows are padded to it
+        rng = np.random.default_rng(9)
+        heads = []
+        for alphabet in order:
+            targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
+            logits = rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0
+            heads.append((_log_softmax_np(logits).astype(np.float32), targets))
+        states = {alphabet: losses._pad_targets(targets, 128)[0].shape[1]
+                  for alphabet, (_, targets) in zip(order, heads)}
+        assert states[14] > states[127]
+
+        def run(pairs):
+            tensors = [Tensor(logp.copy(), requires_grad=True) for logp, _ in pairs]
+            out = losses.ctc_loss_graph([(t, targets) for t, (_, targets) in zip(tensors, pairs)])
+            sum(out[1:], out[0]).backward()
+            return [(o.data, t.grad) for o, t in zip(out, tensors)]
+
+        lattices = []
+        real_lattice = losses._ctc_lattice
+        monkeypatch.setattr(losses, "_ctc_lattice",
+                            lambda *a: lattices.append(a[0].shape) or real_lattice(*a))
+        shared = run(heads)
+        assert lattices == [(10, 128, states[14])]
+        for (value, grad), head in zip(shared, heads):
+            (one_value, one_grad), = run([head])
+            assert value.dtype == one_value.dtype == np.float32
+            assert value.tobytes() == one_value.tobytes()
+            assert grad.dtype == np.float32 and grad.tobytes() == one_grad.tobytes()
+
     def test_batched_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((4, 7, 4)), requires_grad=True)
         targets = [losses.CtcTarget(labels, 3) for labels in ((1, 3, 2), (2, 2), (), (3,))]
         err = gradient_check(
-            lambda: losses.ctc_loss_graph(log_softmax(x, axis=-1), targets),
+            lambda: losses.ctc_loss_graph([(log_softmax(x, axis=-1), targets)])[0],
             [x],
             n_points=24,
             rng=np.random.default_rng(7),
@@ -239,25 +273,28 @@ class TestBatchedCtc:
         targets = [losses.CtcTarget(labels, 4) for labels in ((1, 1, 2), (4,), ())]
         per_window = [losses.ctc_loss(logp[b], t) for b, t in enumerate(targets)]
         for b, target in enumerate(targets):
-            one = losses.ctc_loss_graph(Tensor(logp[b : b + 1]), [target])
+            one = losses.ctc_loss_graph([(Tensor(logp[b : b + 1]), [target])])[0]
             assert float(one.data) == per_window[b]
-        total = float(losses.ctc_loss_graph(Tensor(logp), targets).data)
+        total = float(losses.ctc_loss_graph([(Tensor(logp), targets)])[0].data)
         assert total == (per_window[0] + per_window[1]) + per_window[2]
 
     def test_infeasible_window_named(self):
         logp = _log_softmax_np(np.zeros((3, 3, 3)))
         targets = [losses.CtcTarget(labels, 2) for labels in ((1,), (2, 1), (1, 1, 2))]
         with pytest.raises(ValueError, match="window 2"):
-            losses.ctc_loss_graph(Tensor(logp), targets)
+            losses.ctc_loss_graph([(Tensor(logp), targets)])
 
     def test_shape_and_alphabet_mismatches_rejected(self):
         logp = Tensor(_log_softmax_np(np.zeros((2, 4, 3))))
         with pytest.raises(ValueError):
-            losses.ctc_loss_graph(logp, [losses.CtcTarget((1,), 2)])  # 2 windows, 1 target
+            losses.ctc_loss_graph([(logp, [losses.CtcTarget((1,), 2)])])  # 2 windows, 1 target
         with pytest.raises(ValueError):
-            losses.ctc_loss_graph(logp, [losses.CtcTarget((1,), 2), losses.CtcTarget((1,), 3)])
+            losses.ctc_loss_graph([(logp, [losses.CtcTarget((1,), 2), losses.CtcTarget((1,), 3)])])
         with pytest.raises(ValueError):
-            losses.ctc_loss_graph(Tensor(logp.data[0]), [losses.CtcTarget((1,), 2)])
+            losses.ctc_loss_graph([(Tensor(logp.data[0]), [losses.CtcTarget((1,), 2)])])
+        two = [losses.CtcTarget((1,), 2), losses.CtcTarget((2,), 2)]
+        with pytest.raises(ValueError, match="same frames"):  # heads over 4 and 3 frames
+            losses.ctc_loss_graph([(logp, two), (Tensor(logp.data[:, :3]), two)])
 
 
 def _reference_negatives(n, n_negatives, rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,60 @@ class TestModuleParams:
         ]
         assert [n for n, _ in toy.params()][:2] == ["scale", "head.w"]
         assert toy.params()[1][1] is toy.head.w
+
+
+class TestFrozen:
+    def test_constant_params_over_the_live_arrays(self):
+        net = nn.ScoreNet(4, 6, 8, 2, 8, np.random.default_rng(0))
+        frozen = net.frozen()
+        assert type(frozen) is nn.ScoreNet and frozen.time_dim == net.time_dim
+        live, cold = net.params("s"), frozen.params("s")
+        assert [n for n, _ in cold] == [n for n, _ in live]
+        for (_, p), (_, f) in zip(live, cold):
+            assert f is not p and f.data is p.data
+            assert p.requires_grad and not f.requires_grad
+        # an in-place update of the live layer shows in the copy
+        net.out.b.data += 1.0
+        assert np.array_equal(frozen.out.b.data, net.out.b.data)
+
+    def test_same_output_and_input_gradient_and_no_weight_gradient(self):
+        rng = np.random.default_rng(1)
+        disc = nn.MelPatchDiscriminator(6, 8, rng)
+        x = rng.standard_normal((2, 7, 6)).astype(np.float32)
+        runs = []
+        for net in (disc.frozen(), disc):
+            xt = Tensor(x.copy(), requires_grad=True)
+            scores, feats = net(xt)
+            loss = (scores * scores).mean() + abs(feats[1]).mean()
+            loss.backward()
+            runs.append((scores.data, feats[0].data, loss.data, xt.grad))
+            # the frozen pass leaves every weight gradient, its own and the live one's, unset
+            assert all((p.grad is None) == (net is not disc) for _, p in disc.params())
+            assert all(p.grad is None for _, p in net.params()) == (net is not disc)
+        for cold, live in zip(*runs):
+            assert live.tobytes() == cold.tobytes()
+
+
+class TestGradNorms:
+    def test_groups_read_as_their_own_norms(self):
+        rng = np.random.default_rng(2)
+        params = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                  for s in ((3, 4), (5,), (2, 2), (6,))]
+        for p, scale in zip(params[:3], (1.0, 1e-3, 1e3)):
+            p.grad = (rng.standard_normal(p.shape) * scale).astype(np.float32)
+        groups = [[params[2], params[0]], [params[3]], [params[1]]]
+
+        def reference(members):
+            total = 0.0
+            for p in members:
+                if p.grad is not None:
+                    total += float((p.grad.astype(np.float64) ** 2).sum())
+            return math.sqrt(total)
+
+        got = nn.grad_norms(params, groups)
+        assert got == [reference(params)] + [reference(g) for g in groups]
+        assert got[2] == 0.0
+        assert nn.grad_norms(params) == got[:1]
 
 
 def _reference_block(blk, x, t_emb=None):

@@ -165,6 +165,15 @@ class TestCommitment:
         b = rvq.commitment_loss(z, np.cumsum(sel, axis=0))
         assert abs(a - b) <= 1e-12 * abs(a)
 
+    @pytest.mark.parametrize("shape", [(8, 512, 16), (4, 25, 3), (1, 3, 2)])
+    def test_stage_reconstructions_are_cumsum_bit_for_bit(self, shape):
+        scale = np.logspace(0, -3, shape[0])[:, None, None]  # residual stages shrink
+        sel = np.random.default_rng(shape[0]).standard_normal(shape) * scale
+        got = rvq.stage_reconstructions(sel)
+        want = np.cumsum(sel, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_tensor_form_and_gradient(self):
         z, _, sel = self._encoded(12)
         prefix = np.cumsum(sel, axis=0)
@@ -266,11 +275,36 @@ def _reference_ema_from_batch(coder, batch, decay, rng=None):
         r = r - old_entries[ids]
 
 
+def _reference_ema(coder, residuals, ids, decay, rng=None):
+    """EMA update from given ids, one np.add.at scatter per stage: the reference."""
+    for cb, r, stage_ids in zip(coder.codebooks, residuals, ids):
+        counts = np.bincount(stage_ids, minlength=cb.size).astype(np.float64)
+        sums = np.zeros((cb.size, cb.dim))
+        np.add.at(sums, stage_ids, r)
+        cb.ema_counts = (decay * cb.ema_counts + (1.0 - decay) * counts).astype(np.float32)
+        cb.ema_sums = (decay * cb.ema_sums + (1.0 - decay) * sums).astype(np.float32)
+        new_entries = cb.ema_sums / np.maximum(cb.ema_counts, rvq.COUNT_EPS)[:, None]
+        if rng is not None:
+            dead = (counts == 0) & (cb.ema_counts < rvq.DEAD_CODE_THRESHOLD)
+            if coder.pin_zero:
+                dead[0] = False
+            if dead.any():
+                new_entries[dead] = r[rng.integers(0, r.shape[0], size=int(dead.sum()))]
+                cb.ema_counts[dead] = 1.0
+                cb.ema_sums[dead] = new_entries[dead]
+        cb.entries = new_entries.astype(np.float32)
+        if coder.pin_zero:
+            cb.entries[0] = 0.0
+            cb.ema_sums[0] = 0.0
+
+
 class TestEmaUpdate:
+    @pytest.mark.parametrize("sizes", [(16, 16, 16), (16, 5, 12)])
     @pytest.mark.parametrize("pin_zero", [False, True])
-    def test_byte_identical_to_searching_the_batch_again(self, pin_zero):
+    def test_byte_identical_to_searching_the_batch_again(self, pin_zero, sizes):
         rng = np.random.default_rng(15)
-        books = [rng.standard_normal((16, 4)).astype(np.float32) * 0.5**c for c in range(3)]
+        books = [rng.standard_normal((k, 4)).astype(np.float32) * 0.5**c
+                 for c, k in enumerate(sizes)]
         ours = _coder_from_entries(*books, pin_zero=pin_zero)
         ref = _coder_from_entries(*books, pin_zero=pin_zero)
         ours_rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
@@ -284,6 +318,44 @@ class TestEmaUpdate:
         # dead entries were reseeded, from the same draws
         assert ours_rng.bit_generator.state != np.random.default_rng(16).bit_generator.state
         assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_codec_batch_matches_a_per_stage_add_at_scatter(self):
+        # codec-batch shapes: 8 stages of 64 entries, 512 frames of 16 dims;
+        # ids crowd onto few entries, so every stage has dead codes to reseed
+        rng = np.random.default_rng(17)
+        books = [rng.standard_normal((64, 16)).astype(np.float32) for _ in range(8)]
+        ours = _coder_from_entries(*books, pin_zero=True)
+        ref = _coder_from_entries(*books, pin_zero=True)
+        for cb in ours.codebooks + ref.codebooks:
+            cb.ema_counts[:] = 0.5  # under DEAD_CODE_THRESHOLD from the start
+        ours_rng, ref_rng = np.random.default_rng(18), np.random.default_rng(18)
+        for step in range(3):
+            data = np.random.default_rng(200 + step)
+            residuals = data.standard_normal((8, 512, 16)) * 3.0
+            ids = data.integers(0, 40, size=(8, 512)) // 3 * 3
+            rvq.ema_update(ours, residuals, ids, decay=0.95, rng=ours_rng)
+            _reference_ema(ref, residuals, ids, 0.95, rng=ref_rng)
+            for a, b in zip(ours.codebooks, ref.codebooks):
+                for name in ("entries", "ema_counts", "ema_sums"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (step, name)
+        assert ours_rng.bit_generator.state != np.random.default_rng(18).bit_generator.state
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sizes,bad", [
+        ((16, 16, 16), 16), ((16, 16, 16), -1), ((16, 16, 16), 99),
+        # with stage-offset ids, id 5 of the 5-entry stage would land on entry
+        # 0 of the next stage, although the larger stage 0 holds an entry 5
+        ((8, 5, 4), 5),
+    ])
+    def test_out_of_range_id_names_its_stage(self, sizes, bad):
+        coder = _coder_from_entries(*(np.zeros((k, 2)) for k in sizes))
+        ids = np.zeros((3, 6), dtype=np.int64)
+        ids[1, 4] = bad
+        before = [cb.entries.copy() for cb in coder.codebooks]
+        match = rf"stage 1: id {bad} at frame 4 is outside \[0, {sizes[1]}\)"
+        with pytest.raises(ValueError, match=match):
+            rvq.ema_update(coder, np.zeros((3, 6, 2)), ids)
+        assert all(np.array_equal(cb.entries, b) for cb, b in zip(coder.codebooks, before))
 
     def test_residual_and_id_shapes_checked(self):
         coder = _coder_from_entries(BOOK1, BOOK2)

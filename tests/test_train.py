@@ -111,6 +111,32 @@ class TestCodecTraining:
         assert np.all(data["adv"] > 0)
         assert np.all(data["fm"] > 0)
 
+    def test_generator_backward_computes_no_disc_gradient(
+        self, cfg, corpus_dir, tmp_path, monkeypatch
+    ):
+        built, disc_grads = [], []
+        build, norms = train.build_codec_models, train.grad_norms
+
+        def build_and_keep(*args):
+            models = build(*args)
+            built.append((models, [p.data.copy() for _, p in models.disc.params()]))
+            return models
+
+        def grad_norms(params, groups=()):
+            # runs right after the generator backward
+            disc_grads.append([p.grad for _, p in built[0][0].disc.params()])
+            return norms(params, groups)
+
+        monkeypatch.setattr(train, "build_codec_models", build_and_keep)
+        monkeypatch.setattr(train, "grad_norms", grad_norms)
+        train.train_codec(cfg, corpus_dir, tmp_path, steps=3, seed=6, adversarial=True)
+        assert len(disc_grads) == 3
+        assert all(g is None for step in disc_grads for g in step)
+        # the disc step still trains the disc, from its own backward
+        (models, start), = built
+        for (_, p), before in zip(models.disc.params(), start):
+            assert p.grad is not None and not np.array_equal(p.data, before)
+
     def test_resume_follows_the_checkpoint_adversarial_flag(self, cfg, corpus_dir, tmp_path):
         _, log_full = train.train_codec(
             cfg, corpus_dir, tmp_path / "full", steps=6, seed=5, adversarial=True
