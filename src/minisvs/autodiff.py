@@ -45,25 +45,19 @@ def matmul_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without boolean masks.
+    """The logistic 1 / (1 + e^-x) as 0.5 tanh(x / 2) + 0.5, in one new array.
 
-    Both branches share e = exp(-|x|), so neither overflows, and every
-    element, signed zeros, infinities and NaNs included, gets the bits the
-    masked two-branch form gives it. min(x, -x) is -|x| that keeps a NaN's
-    sign bit, and max(0, NaN) keeps the NaN; exp underflowing to 0 for
-    large |x| is exact, not an error.
+    tanh saturates instead of overflowing, so ±inf gives 1 and 0, ±0 gives
+    0.5 and NaN stays NaN, with no floating-point warning; only a subnormal
+    input underflows when halved, which numpy's default error state ignores.
+    Against the float64 logistic it is within 6e-8 in float32 and 2.3e-16
+    in float64. x may be a strided view; the result is contiguous.
     """
-    flat = x.reshape(-1)  # a 0-d input would make the ufuncs return scalars
-    e = np.negative(flat)
-    np.minimum(flat, e, out=e)
-    with np.errstate(under="ignore"):
-        np.exp(e, out=e)
-    d = e + 1.0
-    # the numerator is 1 where x >= 0 and e elsewhere; since e <= 1 where
-    # x >= 0, max(mask, e) picks it without a branch on the random signs
-    n = np.maximum((flat >= 0).astype(flat.dtype), e)
-    n /= d
-    return n.reshape(x.shape)
+    y = np.multiply(x, 0.5, out=np.empty(x.shape, x.dtype))
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 class Tensor:
@@ -312,56 +306,39 @@ def embedding(table: Tensor, ids) -> Tensor:
     return custom(table.data[ids], (table,), grad_fn, "embedding")
 
 
-def conv3_pad(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (..., T, C_in) with one zero frame on each side, for kernel w (3, C_in, C_out)."""
-    if w.shape[0] != 3:
-        raise ValueError("conv1d3 expects a kernel of width 3")
-    if x.shape[-1] != w.shape[1]:
-        raise ValueError(f"conv1d3: channel mismatch {x.shape[-1]} vs {w.shape[1]}")
-    t = x.shape[-2]
-    # zero padding by slice assignment; np.pad's generic path would cost
-    # about a tenth of a ScoreNet call
-    xp = np.zeros(x.shape[:-2] + (t + 2, x.shape[-1]), dtype=x.dtype)
-    xp[..., 1 : t + 1, :] = x
-    return xp
-
-
-def conv3_forward(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Width-3 convolution of the padded input xp; the output has T frames."""
-    t = xp.shape[-2] - 2
-    y = xp[..., 0:t, :] @ w[0] + xp[..., 1 : t + 1, :] @ w[1] + xp[..., 2 : t + 2, :] @ w[2]
-    y += b
-    return y
-
-
-def conv3_backward(g, xp, w, need_x: bool, need_w: bool, need_b: bool) -> tuple:
-    """Gradients (x, w, b) of conv3_forward for output gradient g; None where not needed."""
-    t = g.shape[-2]
-    gx = None
-    if need_x:
-        gxp = np.zeros_like(xp)
-        for k in range(3):
-            gxp[..., k : k + t, :] += g @ w[k].T
-        gx = gxp[..., 1 : t + 1, :]
-    gw = None
-    if need_w:
-        gw = np.empty_like(w)
-        for k in range(3):
-            gw[k] = matmul_weight_grad(xp[..., k : k + t, :], g)
-    gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if need_b else None
-    return gx, gw, gb
-
-
 def conv1d3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Width-3 convolution over the frame axis (second-to-last), zero padded.
 
     x: (..., T, C_in), w: (3, C_in, C_out), b: (C_out,). Output keeps T.
     """
-    xp = conv3_pad(x.data, w.data)
+    if w.data.shape[0] != 3:
+        raise ValueError("conv1d3 expects a kernel of width 3")
+    if x.data.shape[-1] != w.data.shape[1]:
+        raise ValueError(f"conv1d3: channel mismatch {x.data.shape[-1]} vs {w.data.shape[1]}")
+    t = x.data.shape[-2]
+    # zero padding by slice assignment; np.pad's generic path would cost
+    # about a tenth of a ScoreNet call
+    xp = np.zeros(x.data.shape[:-2] + (t + 2, x.data.shape[-1]), dtype=x.data.dtype)
+    xp[..., 1 : t + 1, :] = x.data
+    k = w.data
+    y = xp[..., 0:t, :] @ k[0] + xp[..., 1 : t + 1, :] @ k[1] + xp[..., 2 : t + 2, :] @ k[2]
+    y += b.data
 
     def grad_fn(g):
-        return conv3_backward(g, xp, w.data, x.requires_grad, w.requires_grad, b.requires_grad)
-    return custom(conv3_forward(xp, w.data, b.data), (x, w, b), grad_fn, "conv1d3")
+        gx = gw = gb = None
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for i in range(3):
+                gxp[..., i : i + t, :] += g @ w.data[i].T
+            gx = gxp[..., 1 : t + 1, :]
+        if w.requires_grad:
+            gw = np.empty_like(w.data)
+            for i in range(3):
+                gw[i] = matmul_weight_grad(xp[..., i : i + t, :], g)
+        if b.requires_grad:
+            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+        return gx, gw, gb
+    return custom(y, (x, w, b), grad_fn, "conv1d3")
 
 
 def concat(tensors) -> Tensor:

@@ -19,9 +19,6 @@ from .autodiff import (
     _unbroadcast,
     as_tensor,
     conv1d3,
-    conv3_backward,
-    conv3_forward,
-    conv3_pad,
     custom,
     embedding,
     matmul_weight_grad,
@@ -103,6 +100,20 @@ class Embedding(Module):
         return embedding(self.table, ids)
 
 
+def _im2col3(x: np.ndarray) -> np.ndarray:
+    """(..., T, 3C) from x (..., T, C): frame t holds x[t-1], x[t] and x[t+1],
+    zero past either end of each window, so (im2col3(x) @ w.reshape(3C, -1))
+    is the zero-padded width-3 convolution of x with kernel w (3, C, C_out)."""
+    c = x.shape[-1]
+    col = np.empty(x.shape[:-1] + (3 * c,), dtype=x.dtype)
+    col[..., :1, :c] = 0.0
+    col[..., 1:, :c] = x[..., :-1, :]
+    col[..., c : 2 * c] = x
+    col[..., :-1, 2 * c :] = x[..., 1:, :]
+    col[..., -1:, 2 * c :] = 0.0
+    return col
+
+
 class GatedConvBlock(Module):
     """Residual block: x + proj(tanh(conv_f(x) + tf) * sigmoid(conv_g(x) + tg)).
 
@@ -110,11 +121,15 @@ class GatedConvBlock(Module):
     window, is injected additively into both gates, one linear per gate,
     broadcast over frames.
 
-    The block is one op, "gated_block". Its forward runs the numpy of the
-    layer-by-layer composition above, op for op, with both convolutions
-    reading one padded input. Its backward is written by hand with the
-    formulas and the summation order the tape gives that composition, so
-    values and gradients have the same bits as the composition's.
+    The block is one op, "gated_block". Both gates are one GEMM: the (N, 3C)
+    im2col array of x against [conv_f.w | conv_g.w] as (3C, 2C), and the
+    time linears are one (time_dim, 2C) GEMM. Biases, time terms, the
+    projection bias and the residual are added in place. The backward is
+    one GEMM for the input gradient, followed by the two shifted adds, and
+    one for both kernels' gradients, over an im2col array rebuilt from x;
+    the closure keeps only x, tanh, sigmoid and their product. Summation
+    order differs from the layer-by-layer composition, so values agree with
+    it to rounding, not bit for bit.
     """
 
     def __init__(self, width: int, rng, time_dim: int | None = None, dtype=np.float32):
@@ -130,64 +145,99 @@ class GatedConvBlock(Module):
         wf, bf, wg, bg = self.conv_f.w, self.conv_f.b, self.conv_g.w, self.conv_g.b
         wp, bp = self.proj.w, self.proj.b
         x = as_tensor(x, wf.dtype)
-        xp = conv3_pad(x.data, wf.data)
-        a = cf = conv3_forward(xp, wf.data, bf.data)
-        g = cg = conv3_forward(xp, wg.data, bg.data)
-        # the composition's op outputs, in op order, for naming a non-finite one
-        steps = [("conv1d3", cf), ("conv1d3", cg)]
+        c = wf.shape[-1]
+        if x.shape[-1] != c:
+            raise ValueError(f"gated block: {x.shape[-1]} input channels, width {c}")
+        # every GEMM runs on 2-D (frames, channels) arrays: with a stacked
+        # (B, T, .) operand numpy loops over the windows, which measured slower
+        lead = x.shape[:-1]
+        w = np.concatenate([wf.data, wg.data], axis=-1).reshape(3 * c, 2 * c)
+        h = _im2col3(x.data).reshape(-1, 3 * c) @ w
+        h += np.concatenate([bf.data, bg.data])
         parents = (x, wf, bf, wg, bg, wp, bp)
+        te = wtf = btf = wtg = btg = t_shape = None
         if t_emb is not None:
             te = as_tensor(t_emb, wf.dtype)
             wtf, btf, wtg, btg = self.time_f.w, self.time_f.b, self.time_g.w, self.time_g.b
-            mf = te.data @ wtf.data
-            tf = mf + btf.data
-            a = cf + tf
-            mg = te.data @ wtg.data
-            tg = mg + btg.data
-            g = cg + tg
-            steps += [("matmul", mf), ("add", tf), ("add", a),
-                      ("matmul", mg), ("add", tg), ("add", g)]
+            wt = np.concatenate([wtf.data, wtg.data], axis=-1)
+            tt = te.data @ wt
+            tt += np.concatenate([btf.data, btg.data])
+            gates = h.reshape(lead + (2 * c,))
+            gates += tt
+            t_shape = tt.shape
             parents += (te, wtf, btf, wtg, btg)
-        th = np.tanh(a)
-        sg = _sigmoid(g)
+        th = np.tanh(h[:, :c])
+        sg = _sigmoid(h[:, c:])
         prod = th * sg
-        pm = prod @ wp.data
-        p = pm + bp.data
-        out = x.data + p
-        # tanh and sigmoid bound their outputs, so a non-finite value in any
-        # op output shows in a gate pre-activation or in the block output
-        if not (np.isfinite(a.sum()) and np.isfinite(g.sum()) and np.isfinite(out.sum())):
+        out = (prod @ wp.data).reshape(lead + (c,))
+        out += bp.data
+        out += x.data
+        # tanh and sigmoid bound their outputs, so every intermediate is
+        # finite when h and out are; otherwise name the first non-finite one
+        # by the op of the layer composition above that made it, in its order
+        if not (np.isfinite(h.sum()) and np.isfinite(out.sum())):
+            hc = _im2col3(x.data).reshape(-1, 3 * c) @ w + np.concatenate([bf.data, bg.data])
+            steps = [("conv1d3", hc[:, :c]), ("conv1d3", hc[:, c:])]
+            if te is not None:
+                m = te.data @ wt
+                for half in (slice(None, c), slice(c, None)):
+                    steps += [("matmul", m[..., half]), ("add", tt[..., half]),
+                              ("add", gates[..., half])]
+            pm = prod @ wp.data
             steps += [("tanh", th), ("sigmoid", sg), ("mul", prod),
-                      ("matmul", pm), ("add", p), ("add", out)]
+                      ("matmul", pm), ("add", pm + bp.data), ("add", out)]
             for op, arr in steps:
                 _check_finite(op, arr)
 
         def grad_fn(gout):
-            # reverse op order: residual, proj, product, tanh and sigmoid,
-            # then each gate's conv and time linear; x sums its three terms
-            # as the tape would, residual first, then conv_f, then conv_g
-            gm = gout @ wp.data.T
-            ga = gm * sg * (1.0 - th * th)
-            gg = gm * th * sg * (1.0 - sg)
-            gx_f, gwf, gbf = conv3_backward(ga, xp, wf.data, x.requires_grad,
-                                            wf.requires_grad, bf.requires_grad)
-            gx_g, gwg, gbg = conv3_backward(gg, xp, wg.data, x.requires_grad,
-                                            wg.requires_grad, bg.requires_grad)
-            gx = (gout + gx_f) + gx_g if x.requires_grad else None
-            gwp = matmul_weight_grad(prod, gout) if wp.requires_grad else None
-            gbp = _unbroadcast(gout, bp.data.shape) if bp.requires_grad else None
-            grads = (gx, gwf, gbf, gwg, gbg, gwp, gbp)
-            if t_emb is None:
+            gs = gout.reshape(-1, c) @ wp.data.T
+            gs *= sg
+            # gh = [ga | gg], the gradients of the two gate pre-activations:
+            # ga = (1 - th^2) gs and gg = gs th (1 - sg); each half is written
+            # once, from operands outside gh, so numpy copies no input
+            gh = np.empty((gs.shape[0], 2 * c), dtype=gs.dtype)
+            tmp = th * th
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(tmp, gs, out=gh[:, :c])
+            gs *= th
+            np.subtract(1.0, sg, out=tmp)
+            np.multiply(gs, tmp, out=gh[:, c:])
+            gx = None
+            if x.requires_grad:
+                wcat = np.concatenate([wf.data, wg.data], axis=-1).reshape(3 * c, 2 * c)
+                gcol = (gh @ wcat.T).reshape(lead + (3 * c,))
+                gx = gcol[..., c : 2 * c] + gout
+                gx[..., :-1, :] += gcol[..., 1:, :c]
+                gx[..., 1:, :] += gcol[..., :-1, 2 * c :]
+            gw = gb = None
+            if wf.requires_grad or wg.requires_grad:
+                gw = matmul_weight_grad(_im2col3(x.data), gh)
+            if bf.requires_grad or bg.requires_grad:
+                gb = gh.sum(axis=0)
+            grads = (
+                gx,
+                gw[:, :c].reshape(3, c, c) if wf.requires_grad else None,
+                gb[:c] if bf.requires_grad else None,
+                gw[:, c:].reshape(3, c, c) if wg.requires_grad else None,
+                gb[c:] if bg.requires_grad else None,
+                matmul_weight_grad(prod, gout) if wp.requires_grad else None,
+                _unbroadcast(gout, bp.data.shape) if bp.requires_grad else None,
+            )
+            if te is None:
                 return grads
-            gtf = _unbroadcast(ga, tf.shape)
-            gtg = _unbroadcast(gg, tg.shape)
-            gte = gtf @ wtf.data.T + gtg @ wtg.data.T if te.requires_grad else None
+            gt = _unbroadcast(gh.reshape(lead + (2 * c,)), t_shape)
+            gte = gt @ np.concatenate([wtf.data, wtg.data], axis=-1).T if te.requires_grad else None
+            gwt = gbt = None
+            if wtf.requires_grad or wtg.requires_grad:
+                gwt = matmul_weight_grad(te.data, gt)
+            if btf.requires_grad or btg.requires_grad:
+                gbt = _unbroadcast(gt, (2 * c,))
             return grads + (
                 gte,
-                matmul_weight_grad(te.data, gtf) if wtf.requires_grad else None,
-                _unbroadcast(gtf, btf.shape) if btf.requires_grad else None,
-                matmul_weight_grad(te.data, gtg) if wtg.requires_grad else None,
-                _unbroadcast(gtg, btg.shape) if btg.requires_grad else None,
+                gwt[:, :c] if wtf.requires_grad else None,
+                gbt[:c] if btf.requires_grad else None,
+                gwt[:, c:] if wtg.requires_grad else None,
+                gbt[c:] if btg.requires_grad else None,
             )
         return custom(out, parents, grad_fn, "gated_block")
 
@@ -341,23 +391,19 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int):
+        """Copy the moments of state_arrays() back; the checkpoint reader has
+        checked that each is present with its moment's shape."""
         for i, name in enumerate(self.names):
-            self.m[i] = arrays["adam.m." + name].astype(self.m[i].dtype).reshape(self.m[i].shape)
-            self.v[i] = arrays["adam.v." + name].astype(self.v[i].dtype).reshape(self.v[i].shape)
+            self.m[i] = arrays["adam.m." + name].astype(self.m[i].dtype)
+            self.v[i] = arrays["adam.v." + name].astype(self.v[i].dtype)
         self.step_count = int(step)
 
 
 def set_params(named_params, arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into live parameter tensors, shape checked."""
+    """Copy checkpoint arrays into live parameter tensors; the checkpoint
+    reader has checked that each is present with its tensor's shape."""
     for name, tensor in named_params:
-        if name not in arrays:
-            raise KeyError(f"checkpoint missing parameter '{name}'")
-        arr = arrays[name]
-        if tuple(arr.shape) != tuple(tensor.data.shape):
-            raise ValueError(
-                f"shape mismatch for '{name}': checkpoint {arr.shape} vs model {tensor.data.shape}"
-            )
-        tensor.data = arr.astype(tensor.data.dtype).copy()
+        tensor.data = arrays[name].astype(tensor.data.dtype)
 
 
 def grad_norms(params, groups=()) -> list[float]:

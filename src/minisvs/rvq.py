@@ -56,6 +56,10 @@ class RvqCoder:
         dims = {cb.dim for cb in codebooks}
         if len(dims) != 1:
             raise ValueError(f"all codebooks must share one dimension, got {sorted(dims)}")
+        # codes and the bitstream header carry one K for every stage
+        sizes = [cb.size for cb in codebooks]
+        if len(set(sizes)) != 1:
+            raise ValueError(f"all codebooks must share one size, got sizes {sizes}")
         self.codebooks = codebooks
         self.pin_zero = pin_zero
         if pin_zero:
@@ -147,10 +151,7 @@ def decode(coder: RvqCoder, codes: CodecCodes, n_quantizers: int | None = None) 
         raise ValueError("codes are inconsistent with this coder (K or D differs)")
     out = np.zeros((codes.frames, coder.dim))
     for c in range(c_use):
-        ids = codes.indices[c]
-        if ids.size and ids.max() >= coder.codebooks[c].size:
-            raise ValueError(f"stage {c} index out of range")
-        out += coder.codebooks[c].entries[ids]
+        out += coder.codebooks[c].entries[codes.indices[c]]
     return out
 
 
@@ -265,14 +266,14 @@ def ema_update(
         raise ValueError(f"residuals must be {coder.n_quantizers} x frames x {coder.dim}")
     if ids.shape != residuals.shape[:2]:
         raise ValueError(f"ids must be {residuals.shape[:2]}, got {ids.shape}")
-    sizes = np.array([cb.size for cb in coder.codebooks])
-    bad = (ids < 0) | (ids >= sizes[:, None])
+    k = coder.codebook_size
+    bad = (ids < 0) | (ids >= k)
     if bad.any():
         c, f = np.argwhere(bad)[0]
-        raise ValueError(f"stage {c}: id {ids[c, f]} at frame {f} is outside [0, {sizes[c]})")
+        raise ValueError(f"stage {c}: id {ids[c, f]} at frame {f} is outside [0, {k})")
     # every stage's counts and sums in one scatter over stage-offset ids; a
     # bincount adds each entry's frames in frame order, as np.add.at would
-    starts = np.concatenate(([0], np.cumsum(sizes)))
+    starts = np.arange(coder.n_quantizers + 1) * k
     flat = (ids + starts[:-1, None]).ravel()
     all_counts = np.bincount(flat, minlength=starts[-1]).astype(np.float64)
     all_sums = np.stack([np.bincount(flat, weights=col, minlength=starts[-1])

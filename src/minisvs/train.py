@@ -76,8 +76,7 @@ class CodecModels:
         set_params(self.params(), arrays)
         for i, cb in enumerate(self.coder.codebooks):
             for field in RVQ_STATE:
-                shape = getattr(cb, field).shape
-                setattr(cb, field, arrays[f"rvq.{i}.{field}"].astype(np.float32).reshape(shape))
+                setattr(cb, field, arrays[f"rvq.{i}.{field}"].astype(np.float32))
 
     def encode(self, logmel) -> np.ndarray:
         """The float64 latent (..., T, latent_dim) of log-mel frames."""
@@ -107,9 +106,10 @@ def build_codec_models(cfg: RunConfig, alphabet_size: int, rng) -> CodecModels:
 class LatentModels(Module):
     cond: cond_mod.ConditionNet
     score: ScoreNet
-    # per-dimension stats of the codec latents, which the score net sees normalized
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None
+    # per-dimension stats of the codec latents, which the score net sees
+    # normalized; 0 and 1 until training or a checkpoint sets them
+    mean: np.ndarray
+    std: np.ndarray
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The checkpoint state: the params, then the latent stats."""
@@ -126,7 +126,7 @@ class LatentModels(Module):
 def build_latent_models(cfg: RunConfig, alphabet_size: int, rng) -> LatentModels:
     net = cond_mod.ConditionNet(alphabet_size, cfg.latent_dim, cfg.feature_dim, cfg.embed_dim, rng)
     score = ScoreNet(cfg.latent_dim, cfg.embed_dim, cfg.width, cfg.blocks, cfg.time_dim, rng)
-    return LatentModels(net, score)
+    return LatentModels(net, score, np.zeros(cfg.latent_dim), np.ones(cfg.latent_dim))
 
 
 # -- checkpoint plumbing -------------------------------------------------------
@@ -245,13 +245,33 @@ CODEC_GEOMETRY = frozenset({
 })
 
 
+def _restore(path, checkpoint, models, opts: dict) -> None:
+    """Load the (arrays, meta) of the checkpoint at path into models and into
+    opts, the optimizers keyed by their meta step keys. An array that the
+    models or the moments read is checked here, once: a missing or
+    mis-shaped one is refused by file and name before anything is loaded."""
+    arrays, meta = checkpoint
+    expected = models.arrays()
+    for opt in opts.values():
+        expected.update(opt.state_arrays())
+    for name, live in expected.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint has no array '{name}'")
+        if arrays[name].shape != np.shape(live):
+            raise ValueError(f"{path}: checkpoint array '{name}' has shape "
+                             f"{arrays[name].shape}, the model's is {np.shape(live)}")
+    models.load(arrays)
+    for key, opt in opts.items():
+        opt.load_state_arrays(arrays, meta[key])
+
+
 def _load_models(path, kind: str, build):
     """A checkpoint's models for inference: their params are frozen, so every
     op through them drops its backward closure and builds no autograd tape."""
     arrays, meta = _load_kind(path, kind)
     cfg = config_from_dict(meta["config"])
     models = build(cfg, meta["alphabet_size"], np.random.default_rng(0))
-    models.load(arrays)
+    _restore(path, (arrays, meta), models, {})
     for _, p in models.params():
         p.requires_grad = False
     return models, cfg, meta
@@ -283,8 +303,8 @@ def _train_loop(kind, out_dir, steps, step_fn, resumed, models, opts, data_rng, 
     """The loop both trainers share; returns (checkpoint_path, log_path).
 
     opts maps each optimizer's meta step key to it. A resumed (arrays, meta)
-    pair restores their moments and the data rng, and training continues at
-    its step; the caller has loaded the models from it. step_fn(step) runs
+    pair restores the data rng, and training continues at its step; the
+    caller has restored the models and opts from it. step_fn(step) runs
     one step and returns its log row. Each row reaches the loss CSV as its
     step ends, so a diverging or killed run leaves the rows of the steps
     before the failing one; the checkpoint (models.arrays(), optimizer
@@ -292,9 +312,7 @@ def _train_loop(kind, out_dir, steps, step_fn, resumed, models, opts, data_rng, 
     """
     start_step = 0
     if resumed is not None:
-        arrays, saved = resumed
-        for key, opt in opts.items():
-            opt.load_state_arrays(arrays, saved[key])
+        saved = resumed[1]
         data_rng.bit_generator.state = saved["rng_state"]
         start_step = saved["step"]
     log_path = os.path.join(out_dir, f"{kind}_losses.csv")
@@ -386,7 +404,7 @@ def train_codec(
     data_rng = np.random.default_rng(seed + 1)
 
     if resumed is not None:
-        models.load(resumed[0])
+        _restore(resume, resumed, models, {"step": opt, "disc_step": disc_opt})
     else:
         # seed the codebooks from the untrained encoder's latents
         sample = np.concatenate([s.logmel for s in songs])[: max(4 * cfg.codebook_size, 512)]
@@ -526,6 +544,7 @@ def train_latent(
     win = min(cfg.window, min(s.frames for s in songs))
 
     models = build_latent_models(cfg, alphabet_size, np.random.default_rng(seed))
+    opt = AdamW(models.params(), cfg.latent_lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
     z_all = [codec_models.encode(s.logmel) for s in songs]
     if modes["target_kind"] == "zq":
         z_all = [rvq.quantize(codec_models.coder, z) for z in z_all]
@@ -539,12 +558,11 @@ def train_latent(
         n_unlabeled = int(round(modes["unlabeled_ratio"] * len(songs)))
         unlabeled = set(split_rng.permutation(len(songs))[:n_unlabeled].tolist())
     else:
-        models.load(resumed[0])
+        _restore(resume, resumed, models, {"step": opt})
         unlabeled = _recorded_songs(resume, resumed[1], len(songs))
     z_norm = [diffusion.normalize_latent(z, models.mean, models.std).astype(np.float32)
               for z in z_all]
 
-    opt = AdamW(models.params(), cfg.latent_lr, cfg.beta1, cfg.beta2, cfg.weight_decay)
     # the grad_norm_sup and grad_norm_unsup columns: the layers that only the
     # supervised, or only the unsupervised, condition path reads
     cond = models.cond

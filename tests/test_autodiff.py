@@ -187,7 +187,7 @@ def test_gradient_accumulates_over_shared_subexpression():
 
 
 def _masked_sigmoid(x):
-    """The two-branch sigmoid with boolean masks that the kernel replaced."""
+    """The two-branch logistic with boolean masks, the form the kernel replaced."""
     y = np.empty_like(x)
     pos = x >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -196,23 +196,32 @@ def _masked_sigmoid(x):
     return y
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sigmoid_is_bit_identical_to_the_masked_form(dtype):
+def _tanh_sigmoid(x):
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1.2e-7), (np.float64, 1e-15)])
+def test_sigmoid_is_bit_identical_to_the_tanh_form(dtype, tol):
     rng = np.random.default_rng(6)
     special = [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan, 30.0, -30.0, 1e-30, -1e-30]
     x = np.concatenate([rng.standard_normal(5000) * 10.0, special]).astype(dtype)
-    with np.errstate(all="ignore"):
-        ref = _masked_sigmoid(x)
     with np.errstate(all="raise"):  # no warning from any input, NaN and ±inf included
         got = ad._sigmoid(x)
+        ref = _tanh_sigmoid(x)
     assert got.dtype == dtype and got.shape == x.shape
     assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
-    # through the op, on a finite 2-D batch and on a 0-d tensor
-    batch = x[:4000].reshape(40, 100)
+    with np.errstate(all="ignore"):
+        masked = _masked_sigmoid(x)
+    assert np.nanmax(np.abs(got - masked)) <= tol
+    # ±0, ±1e4, ±inf, then NaN, the only NaN out
+    assert got[5000:5006].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(got[5006]) and np.isnan(got).sum() == 1
+    # through the op, on a strided finite 2-D batch and on a 0-d tensor
+    batch = x[:4000].reshape(40, 100)[:, ::2]
     assert np.array_equal(ad.Tensor(batch).sigmoid().data.view(np.uint8),
-                          _masked_sigmoid(batch).view(np.uint8))
+                          _tanh_sigmoid(batch).view(np.uint8))
     scalar = np.asarray(x[0])
-    assert np.array_equal(ad.Tensor(scalar).sigmoid().data, _masked_sigmoid(scalar))
+    assert np.array_equal(ad.Tensor(scalar).sigmoid().data, _tanh_sigmoid(scalar))
 
 
 def _padded_conv_reference(x, w, b, g):

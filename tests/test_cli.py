@@ -264,6 +264,46 @@ class TestCorruptInputExits2:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "'rng_state'" in err
 
+    @pytest.mark.parametrize("kind,name,command", [
+        ("codec", "dec.lin_in.w", "encode"),
+        ("codec", "rvq.1.ema_sums", "encode"),
+        ("latent", "latent_stats.std", "sample"),
+        ("latent", "adam.m.cond.phoneme.table", "resume"),
+        ("codec", "adam.v.disc.conv1.w", "resume"),
+    ], ids=["param", "rvq-state", "latent-stats", "latent-adam-moment", "codec-adam-moment"])
+    @pytest.mark.parametrize("defect", ["missing", "mis-shaped"])
+    def test_checkpoint_array_missing_or_mis_shaped(self, workdir, tmp_path, capsys, kind, name,
+                                                    command, defect):
+        def edit(manifest):
+            entries = manifest["params"]
+            entry = next(e for e in entries if e["name"] == name)
+            if defect == "missing":
+                entries.remove(entry)
+            else:
+                entry["shape"] = [1]
+        ckpt = _edited_checkpoint(workdir, tmp_path, edit, kind)
+        corpus = str(workdir / "corpus")
+        codec = str(ckpt if kind == "codec" else workdir / "codec" / "codec.ckpt")
+        out = tmp_path / "out"
+        argv = {
+            "encode": ["codec", "encode", "--checkpoint", codec,
+                       "--wav", str(workdir / "corpus" / "song000.wav"), "--out", str(out)],
+            "sample": ["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                       "--codec", codec, "--latent", str(ckpt), "--out", str(out), "--steps", "2"],
+            "resume": ["train-codec", "--corpus", corpus] if kind == "codec" else
+                      ["train-latent", "--corpus", corpus, "--codec", codec],
+        }[command]
+        if command == "resume":
+            argv += ["--out", str(out), "--steps", "26", "--resume", str(ckpt),
+                     "--config", str(workdir / "cfg.json")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        if defect == "missing":
+            assert f"{ckpt}: checkpoint has no array '{name}'" in err
+        else:
+            assert f"{ckpt}: checkpoint array '{name}' has shape (1,), the model's is (" in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("field,value", [
         ("phoneme_table", []),
         ("phoneme_table", {"a": -1}),

@@ -82,6 +82,12 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             rvq.encode(coder, np.zeros((3, 5)))
 
+    def test_codebooks_of_unequal_sizes_rejected(self):
+        # codes carry one K, so a later stage's id past the first stage's
+        # size could not be encoded
+        with pytest.raises(ValueError, match=r"one size, got sizes \[4, 40\]"):
+            _coder_from_entries(np.zeros((4, 2)), np.ones((40, 2)))
+
     def test_out_of_range_codes_rejected(self):
         coder = _coder_from_entries(BOOK1)
         with pytest.raises(ValueError):
@@ -299,7 +305,7 @@ def _reference_ema(coder, residuals, ids, decay, rng=None):
 
 
 class TestEmaUpdate:
-    @pytest.mark.parametrize("sizes", [(16, 16, 16), (16, 5, 12)])
+    @pytest.mark.parametrize("sizes", [(16, 16, 16), (40, 40, 40)])
     @pytest.mark.parametrize("pin_zero", [False, True])
     def test_byte_identical_to_searching_the_batch_again(self, pin_zero, sizes):
         rng = np.random.default_rng(15)
@@ -342,10 +348,8 @@ class TestEmaUpdate:
         assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("sizes,bad", [
-        ((16, 16, 16), 16), ((16, 16, 16), -1), ((16, 16, 16), 99),
-        # with stage-offset ids, id 5 of the 5-entry stage would land on entry
-        # 0 of the next stage, although the larger stage 0 holds an entry 5
-        ((8, 5, 4), 5),
+        # with stage-offset ids, id 16 of stage 1 would land on entry 0 of stage 2
+        ((16, 16, 16), 16), ((16, 16, 16), -1), ((16, 16, 16), 99), ((5, 5, 5), 5),
     ])
     def test_out_of_range_id_names_its_stage(self, sizes, bad):
         coder = _coder_from_entries(*(np.zeros((k, 2)) for k in sizes))
