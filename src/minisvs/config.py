@@ -83,10 +83,14 @@ class RunConfig:
     def __post_init__(self):
         if self.fft_size // 2 + 1 < 2:
             raise ConfigError("fft_size too small")
-        for name in ("sample_rate", "hop_size", "mel_bins", "latent_dim", "quantizers",
-                     "codebook_size", "steps", "window", "batch", "max_frames"):
+        for name in ("sample_rate", "hop_size", "mel_bins", "latent_dim", "width", "embed_dim",
+                     "feature_dim", "quantizers", "codebook_size", "steps", "window", "batch",
+                     "max_frames"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"'{name}' must be >= 1")
+        # the time embedding is a sine and a cosine half, dim // 2 columns each
+        if self.time_dim < 2 or self.time_dim % 2:
+            raise ConfigError(f"'time_dim' must be even and >= 2, got {self.time_dim}")
         if not (0 < self.beta0 < self.betaT):
             raise ConfigError("require 0 < beta0 < betaT")
         if self.tau < 1.0:

@@ -115,57 +115,62 @@ def _im2col3(x: np.ndarray) -> np.ndarray:
 
 
 class GatedConvBlock(Module):
-    """Residual block: x + proj(tanh(conv_f(x) + tf) * sigmoid(conv_g(x) + tg)).
+    """Residual block: x + proj(tanh(a) * sigmoid(g)), where [a | g] is the
+    width-3 convolution of x with gate_w (3, C, 2C), tanh channels first,
+    plus gate_b (2C,).
 
     The optional time vector, (time_dim,) or one (B, 1, time_dim) row per
-    window, is injected additively into both gates, one linear per gate,
-    broadcast over frames.
+    window, is injected additively into both gates, te @ time_w + time_b
+    with time_w (time_dim, 2C), broadcast over frames.
 
     The block is one op, "gated_block". Both gates are one GEMM: the (N, 3C)
-    im2col array of x against [conv_f.w | conv_g.w] as (3C, 2C), and the
-    time linears are one (time_dim, 2C) GEMM. Biases, time terms, the
+    im2col array of x against gate_w as (3C, 2C). Biases, time terms, the
     projection bias and the residual are added in place. The backward is
     one GEMM for the input gradient, followed by the two shifted adds, and
-    one for both kernels' gradients, over an im2col array rebuilt from x;
-    the closure keeps only x, tanh, sigmoid and their product. Summation
-    order differs from the layer-by-layer composition, so values agree with
-    it to rounding, not bit for bit.
+    one for the kernel's gradient, over an im2col array rebuilt from x; the
+    closure keeps only x, tanh, sigmoid and their product. Summation order
+    differs from the layer composition (a Conv3 and a Linear per gate), so
+    values agree with it to rounding, not bit for bit.
     """
 
     def __init__(self, width: int, rng, time_dim: int | None = None, dtype=np.float32):
-        self.conv_f = Conv3(width, width, rng, dtype)
-        self.conv_g = Conv3(width, width, rng, dtype)
+        # each fused weight is drawn half by half, in the order tanh kernel,
+        # sigmoid kernel, proj, tanh time, sigmoid time, so a seed gives the
+        # weights of one Conv3 and one Linear per gate
+        halves = [_uniform(rng, 3 * width, (3, width, width), dtype) for _ in range(2)]
+        self.gate_w = Tensor(np.concatenate(halves, axis=-1), requires_grad=True)
+        self.gate_b = Tensor(np.zeros(2 * width, dtype=dtype), requires_grad=True)
         self.proj = Linear(width, width, rng, dtype)
-        self.time_f = Linear(time_dim, width, rng, dtype) if time_dim else None
-        self.time_g = Linear(time_dim, width, rng, dtype) if time_dim else None
+        self.time_w = self.time_b = None
+        if time_dim:
+            halves = [_uniform(rng, time_dim, (time_dim, width), dtype) for _ in range(2)]
+            self.time_w = Tensor(np.concatenate(halves, axis=-1), requires_grad=True)
+            self.time_b = Tensor(np.zeros(2 * width, dtype=dtype), requires_grad=True)
 
     def __call__(self, x, t_emb=None):
-        if t_emb is not None and self.time_f is None:
+        if t_emb is not None and self.time_w is None:
             raise ValueError("block was built without time conditioning")
-        wf, bf, wg, bg = self.conv_f.w, self.conv_f.b, self.conv_g.w, self.conv_g.b
-        wp, bp = self.proj.w, self.proj.b
-        x = as_tensor(x, wf.dtype)
-        c = wf.shape[-1]
+        w, b, wp, bp = self.gate_w, self.gate_b, self.proj.w, self.proj.b
+        x = as_tensor(x, w.dtype)
+        c = wp.shape[-1]
         if x.shape[-1] != c:
             raise ValueError(f"gated block: {x.shape[-1]} input channels, width {c}")
         # every GEMM runs on 2-D (frames, channels) arrays: with a stacked
         # (B, T, .) operand numpy loops over the windows, which measured slower
         lead = x.shape[:-1]
-        w = np.concatenate([wf.data, wg.data], axis=-1).reshape(3 * c, 2 * c)
-        h = _im2col3(x.data).reshape(-1, 3 * c) @ w
-        h += np.concatenate([bf.data, bg.data])
-        parents = (x, wf, bf, wg, bg, wp, bp)
-        te = wtf = btf = wtg = btg = t_shape = None
+        h = _im2col3(x.data).reshape(-1, 3 * c) @ w.data.reshape(3 * c, 2 * c)
+        h += b.data
+        parents = (x, w, b, wp, bp)
+        te = wt = bt = t_shape = None
         if t_emb is not None:
-            te = as_tensor(t_emb, wf.dtype)
-            wtf, btf, wtg, btg = self.time_f.w, self.time_f.b, self.time_g.w, self.time_g.b
-            wt = np.concatenate([wtf.data, wtg.data], axis=-1)
-            tt = te.data @ wt
-            tt += np.concatenate([btf.data, btg.data])
+            te = as_tensor(t_emb, w.dtype)
+            wt, bt = self.time_w, self.time_b
+            tt = te.data @ wt.data
+            tt += bt.data
             gates = h.reshape(lead + (2 * c,))
             gates += tt
             t_shape = tt.shape
-            parents += (te, wtf, btf, wtg, btg)
+            parents += (te, wt, bt)
         th = np.tanh(h[:, :c])
         sg = _sigmoid(h[:, c:])
         prod = th * sg
@@ -176,10 +181,10 @@ class GatedConvBlock(Module):
         # finite when h and out are; otherwise name the first non-finite one
         # by the op of the layer composition above that made it, in its order
         if not (np.isfinite(h.sum()) and np.isfinite(out.sum())):
-            hc = _im2col3(x.data).reshape(-1, 3 * c) @ w + np.concatenate([bf.data, bg.data])
+            hc = _im2col3(x.data).reshape(-1, 3 * c) @ w.data.reshape(3 * c, 2 * c) + b.data
             steps = [("conv1d3", hc[:, :c]), ("conv1d3", hc[:, c:])]
             if te is not None:
-                m = te.data @ wt
+                m = te.data @ wt.data
                 for half in (slice(None, c), slice(c, None)):
                     steps += [("matmul", m[..., half]), ("add", tt[..., half]),
                               ("add", gates[..., half])]
@@ -204,40 +209,25 @@ class GatedConvBlock(Module):
             np.multiply(gs, tmp, out=gh[:, c:])
             gx = None
             if x.requires_grad:
-                wcat = np.concatenate([wf.data, wg.data], axis=-1).reshape(3 * c, 2 * c)
-                gcol = (gh @ wcat.T).reshape(lead + (3 * c,))
+                gcol = (gh @ w.data.reshape(3 * c, 2 * c).T).reshape(lead + (3 * c,))
                 gx = gcol[..., c : 2 * c] + gout
                 gx[..., :-1, :] += gcol[..., 1:, :c]
                 gx[..., 1:, :] += gcol[..., :-1, 2 * c :]
-            gw = gb = None
-            if wf.requires_grad or wg.requires_grad:
-                gw = matmul_weight_grad(_im2col3(x.data), gh)
-            if bf.requires_grad or bg.requires_grad:
-                gb = gh.sum(axis=0)
             grads = (
                 gx,
-                gw[:, :c].reshape(3, c, c) if wf.requires_grad else None,
-                gb[:c] if bf.requires_grad else None,
-                gw[:, c:].reshape(3, c, c) if wg.requires_grad else None,
-                gb[c:] if bg.requires_grad else None,
+                matmul_weight_grad(_im2col3(x.data), gh).reshape(w.shape)
+                if w.requires_grad else None,
+                gh.sum(axis=0) if b.requires_grad else None,
                 matmul_weight_grad(prod, gout) if wp.requires_grad else None,
                 _unbroadcast(gout, bp.data.shape) if bp.requires_grad else None,
             )
             if te is None:
                 return grads
             gt = _unbroadcast(gh.reshape(lead + (2 * c,)), t_shape)
-            gte = gt @ np.concatenate([wtf.data, wtg.data], axis=-1).T if te.requires_grad else None
-            gwt = gbt = None
-            if wtf.requires_grad or wtg.requires_grad:
-                gwt = matmul_weight_grad(te.data, gt)
-            if btf.requires_grad or btg.requires_grad:
-                gbt = _unbroadcast(gt, (2 * c,))
             return grads + (
-                gte,
-                gwt[:, :c] if wtf.requires_grad else None,
-                gbt[:c] if btf.requires_grad else None,
-                gwt[:, c:] if wtg.requires_grad else None,
-                gbt[c:] if btg.requires_grad else None,
+                gt @ wt.data.T if te.requires_grad else None,
+                matmul_weight_grad(te.data, gt) if wt.requires_grad else None,
+                _unbroadcast(gt, bt.data.shape) if bt.requires_grad else None,
             )
         return custom(out, parents, grad_fn, "gated_block")
 

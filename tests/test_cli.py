@@ -68,6 +68,21 @@ class TestExitCodes:
         code = cli.main(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("change,named", [
+        ({"time_dim": 63}, "'time_dim'"), ({"time_dim": 0}, "'time_dim'"),
+        ({"width": 0}, "'width'"), ({"feature_dim": 0}, "'feature_dim'"),
+    ], ids=["odd-time_dim", "zero-time_dim", "zero-width", "zero-feature_dim"])
+    def test_network_size_config_is_2(self, workdir, tmp_path, capsys, change, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(FAST, **change)))
+        assert cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "run"), "--steps", "2",
+                         "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_file_is_2(self, tmp_path):
         code = cli.main(["codec", "encode", "--checkpoint", str(tmp_path / "nope.ckpt"),
                          "--wav", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o")])

@@ -32,6 +32,15 @@ class TestConfig:
             config_from_dict({"window": 0})
         with pytest.raises(ConfigError, match="loss weight 'recon'"):
             config_from_dict({"loss": {"recon": -1.0}})
+        for key in ("width", "embed_dim", "feature_dim"):
+            for bad in (0, -3):
+                with pytest.raises(ConfigError, match=f"'{key}' must be >= 1"):
+                    config_from_dict({key: bad})
+        for bad in (63, 1, 0, -2):
+            with pytest.raises(ConfigError, match="'time_dim' must be even and >= 2"):
+                config_from_dict({"time_dim": bad})
+        assert config_from_dict({"time_dim": 2, "width": 1, "embed_dim": 1,
+                                 "feature_dim": 1}).time_dim == 2
 
     def test_loss_prior_is_unknown(self):
         # the prior NLL is weighted by lambda_prior

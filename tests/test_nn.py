@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minisvs import nn
-from minisvs.autodiff import NumericalError, Tensor, gradient_check
+from minisvs.autodiff import NumericalError, Tensor, conv1d3, gradient_check
 
 
 def _zero_params(named):
@@ -114,31 +114,56 @@ class TestGradNorms:
 
 
 def _reference_block(blk, x, t_emb=None):
-    """The gated block as the taped layer composition that the fused op replaced."""
-    a = blk.conv_f(x)
-    g = blk.conv_g(x)
+    """The gated block as the taped layer composition that the fused op
+    replaced: a Conv3 and a Linear per gate, each over leaves holding its half
+    of the fused arrays. Returns the output and a function that gives, after
+    a backward, the gradients of blk.params() in order, each gate pair's
+    joined along the last axis as the fused array is."""
+    c = x.shape[-1]
+
+    def halves(p):
+        # data is set after construction, which checks it, since a live
+        # parameter may hold non-finite values
+        out = []
+        for half in (slice(None, c), slice(c, None)):
+            leaf = Tensor(np.zeros(0, p.dtype), requires_grad=p.requires_grad)
+            leaf.data = p.data[..., half].copy()
+            out.append(leaf)
+        return out
+
+    (wf, wg), (bf, bg) = halves(blk.gate_w), halves(blk.gate_b)
+    a = conv1d3(x, wf, bf)
+    g = conv1d3(x, wg, bg)
+    pairs = [(wf, wg), (bf, bg)]
     if t_emb is not None:
-        a = a + blk.time_f(t_emb)
-        g = g + blk.time_g(t_emb)
-    return x + blk.proj(a.tanh() * g.sigmoid())
+        (wtf, wtg), (btf, btg) = halves(blk.time_w), halves(blk.time_b)
+        a = a + (t_emb @ wtf + btf)
+        g = g + (t_emb @ wtg + btg)
+        pairs += [(wtf, wtg), (btf, btg)]
+    out = x + blk.proj(a.tanh() * g.sigmoid())
+
+    def grads():
+        joined = [None if f.grad is None else np.concatenate([f.grad, g.grad], axis=-1)
+                  for f, g in pairs]
+        return joined[:2] + [blk.proj.w.grad, blk.proj.b.grad] + joined[2:]
+    return out, grads
 
 
 def _numpy_block(blk, x, te, gout):
     """The block's formulation in plain numpy, out of place: the output, then
     the gradients of x, te (None when untimed) and every parameter in
     params() order, for the output gradient gout."""
-    wf, bf, wg, bg, wp, bp = (p.data for _, p in blk.params()[:6])
+    w, b, wp, bp = (p.data for _, p in blk.params()[:4])
     c, lead = x.shape[-1], x.shape[:-1]
     t = x.shape[-2]
     xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (0, 0)])
     col = np.concatenate([xp[..., 0:t, :], xp[..., 1 : t + 1, :], xp[..., 2 : t + 2, :]], axis=-1)
     col = col.reshape(-1, 3 * c)
-    w = np.concatenate([wf, wg], axis=-1).reshape(3 * c, 2 * c)
-    h = col @ w + np.concatenate([bf, bg])
+    w = w.reshape(3 * c, 2 * c)
+    h = col @ w + b
     if te is not None:
-        wtf, btf, wtg, btg = (p.data for _, p in blk.params()[6:])
-        wt = np.concatenate([wtf, wtg], axis=-1)
-        tt = te @ wt + np.concatenate([btf, btg])
+        wt, bt = (p.data for _, p in blk.params()[4:])
+        tt = te @ wt + bt
         h = (h.reshape(lead + (2 * c,)) + tt).reshape(-1, 2 * c)
     th = np.tanh(h[:, :c])
     sg = 0.5 * np.tanh(0.5 * h[:, c:]) + 0.5
@@ -152,9 +177,7 @@ def _numpy_block(blk, x, te, gout):
     gx = gcol[..., c : 2 * c] + gout
     gx[..., :-1, :] += gcol[..., 1:, :c]
     gx[..., 1:, :] += gcol[..., :-1, 2 * c :]
-    gw = col.T @ gh
-    gb = gh.sum(axis=0)
-    grads = [gw[:, :c].reshape(3, c, c), gb[:c], gw[:, c:].reshape(3, c, c), gb[c:],
+    grads = [(col.T @ gh).reshape(3, c, 2 * c), gh.sum(axis=0),
              prod.T @ g2, gout.sum(axis=tuple(range(gout.ndim - 1)))]
     if te is None:
         return [out, gx, None] + grads
@@ -163,7 +186,7 @@ def _numpy_block(blk, x, te, gout):
           else gh.sum(axis=-2, keepdims=True))
     gwt = te.reshape(-1, te.shape[-1]).T @ gt.reshape(-1, 2 * c)
     gbt = gt.sum(axis=tuple(range(gt.ndim - 1)))
-    return [out, gx, gt @ wt.T] + grads + [gwt[:, :c], gbt[:c], gwt[:, c:], gbt[c:]]
+    return [out, gx, gt @ wt.T] + grads + [gwt, gbt]
 
 
 def _same_bits(got, want):
@@ -183,6 +206,29 @@ _BLOCK_SHAPES = pytest.mark.parametrize("shape,t_shape", [
 
 
 class TestFusedGatedBlock:
+    @pytest.mark.parametrize("time_dim", [None, 6])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_init_holds_the_per_gate_layers_draws(self, seed, dtype, time_dim):
+        # the layers the fused parameters replaced, drawn from the same seed
+        # in their order; a single (3, C, 2C) kernel draw fails this
+        rng = np.random.default_rng(seed)
+        blk = nn.GatedConvBlock(4, rng, time_dim=time_dim, dtype=dtype)
+        ref = np.random.default_rng(seed)
+        conv_f, conv_g = nn.Conv3(4, 4, ref, dtype), nn.Conv3(4, 4, ref, dtype)
+        proj = nn.Linear(4, 4, ref, dtype)
+        want = [np.concatenate([conv_f.w.data, conv_g.w.data], axis=-1),
+                np.concatenate([conv_f.b.data, conv_g.b.data]), proj.w.data, proj.b.data]
+        if time_dim:
+            time_f, time_g = nn.Linear(6, 4, ref, dtype), nn.Linear(6, 4, ref, dtype)
+            want += [np.concatenate([time_f.w.data, time_g.w.data], axis=-1),
+                     np.concatenate([time_f.b.data, time_g.b.data])]
+        got = [p.data for _, p in blk.params()]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @staticmethod
     def _setup(dtype, shape, timed, x_grad=True, t_grad=False, t_shape=(32,)):
         rng = np.random.default_rng(11)
@@ -193,13 +239,17 @@ class TestFusedGatedBlock:
         return blk, x, t_emb
 
     @staticmethod
+    def _fused(blk, x, t_emb):
+        return blk(x, t_emb), lambda: [p.grad for _, p in blk.params()]
+
+    @staticmethod
     def _run(fn, blk, x, t_emb, probe):
-        leaves = [x] + ([t_emb] if t_emb is not None else []) + [p for _, p in blk.params("b")]
-        for leaf in leaves:
+        inputs = [x] + ([t_emb] if t_emb is not None else [])
+        for leaf in inputs + [p for _, p in blk.params("b")]:
             leaf.grad = None
-        out = fn(blk, x, t_emb)
+        out, param_grads = fn(blk, x, t_emb)
         (out * probe).sum().backward()
-        return [out.data] + [leaf.grad for leaf in leaves]
+        return [out.data] + [leaf.grad for leaf in inputs] + param_grads()
 
     @_GRAD_CASES
     @_BLOCK_SHAPES
@@ -209,7 +259,7 @@ class TestFusedGatedBlock:
     ):
         blk, x, t_emb = self._setup(dtype, shape, timed, x_grad, t_grad, t_shape)
         probe = np.random.default_rng(12).standard_normal(shape).astype(dtype)
-        got = self._run(lambda b, x, t: b(x, t), blk, x, t_emb, probe)
+        got = self._run(self._fused, blk, x, t_emb, probe)
         want = _numpy_block(blk, x.data, t_emb.data if timed else None, probe)
         if not x_grad:
             want[1] = None
@@ -232,7 +282,7 @@ class TestFusedGatedBlock:
     ):
         blk, x, t_emb = self._setup(np.float64, shape, timed, x_grad, t_grad, t_shape)
         probe = np.random.default_rng(12).standard_normal(shape)
-        got = self._run(lambda b, x, t: b(x, t), blk, x, t_emb, probe)
+        got = self._run(self._fused, blk, x, t_emb, probe)
         want = self._run(_reference_block, blk, x, t_emb, probe)
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
@@ -284,22 +334,23 @@ class TestFusedGatedBlock:
     def test_nonfinite_values_name_the_same_op_as_the_composition(self, dtype, case, op):
         blk, x, t_emb = self._setup(dtype, (6, 8), timed=True)
         big = np.finfo(dtype).max
+        # the same entries as in the per-gate layers: conv_f and time_f are
+        # the first c columns of the fused arrays, conv_g and time_g the rest
+        c = x.shape[-1]
         if case == "inf-conv_f.w":
-            blk.conv_f.w.data[1, 2, 3] = np.inf
+            blk.gate_w.data[1, 2, 3] = np.inf
         elif case == "overflow-time_g.w":
             t_emb.data[:] = np.abs(t_emb.data) + 0.5
-            blk.time_g.w.data[:] = big
+            blk.time_w.data[:, c:] = big
         elif case == "overflow-proj.w":
             # gate products all equal tanh(1) * sigmoid(1) > 0, so the sums overflow
-            for conv in (blk.conv_f, blk.conv_g):
-                conv.w.data[:] = 0.0
-                conv.b.data[:] = 1.0
-            for lin in (blk.time_f, blk.time_g):
-                lin.w.data[:] = 0.0
+            blk.gate_w.data[:] = 0.0
+            blk.gate_b.data[:] = 1.0
+            blk.time_w.data[:] = 0.0
             blk.proj.w.data[:] = big
         else:
             x.data[:] = big / 4
-            blk.conv_f.w.data[:] = np.abs(blk.conv_f.w.data)
+            blk.gate_w.data[..., :c] = np.abs(blk.gate_w.data[..., :c])
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError) as fused:
                 blk(x, t_emb)

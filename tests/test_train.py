@@ -226,10 +226,10 @@ def _conv3(name, n_in, n_out):
 
 
 def _block(name, width, time_dim=None):
-    out = (_conv3(name + ".conv_f", width, width) + _conv3(name + ".conv_g", width, width)
+    out = ([(name + ".gate_w", (3, width, 2 * width)), (name + ".gate_b", (2 * width,))]
            + _linear(name + ".proj", width, width))
     if time_dim:
-        out += _linear(name + ".time_f", time_dim, width) + _linear(name + ".time_g", time_dim, width)
+        out += [(name + ".time_w", (time_dim, 2 * width)), (name + ".time_b", (2 * width,))]
     return out
 
 
