@@ -27,6 +27,10 @@ class LossConfig:
         for name in ("recon", "emb", "fm", "lyrics", "note"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"loss weight '{name}' must be >= 0")
+        if self.tau_cont <= 0:
+            raise ConfigError(f"'loss.tau_cont' must be > 0, got {self.tau_cont}")
+        if self.n_neg < 1:
+            raise ConfigError(f"'loss.n_neg' must be >= 1, got {self.n_neg}")
 
 
 @dataclass
@@ -88,6 +92,9 @@ class RunConfig:
                      "max_frames"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"'{name}' must be >= 1")
+        for name in ("codec_steps", "latent_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"'{name}' must be >= 0, got {getattr(self, name)}")
         # the time embedding is a sine and a cosine half, dim // 2 columns each
         if self.time_dim < 2 or self.time_dim % 2:
             raise ConfigError(f"'time_dim' must be even and >= 2, got {self.time_dim}")

@@ -284,8 +284,8 @@ def contrastive_loss(h, h_tilde, negatives, tau_cont: float = 0.5):
 
     Every cosine comes from one (B, n, n) similarity matrix per stream;
     the backward scatters each stream's softmax weights into a dense
-    (B, n, n) matrix with one bincount. The arithmetic runs in float64;
-    the value and the gradients come back in the input dtype.
+    (B, n, n) matrix with one bincount. The arithmetic runs in the
+    streams' dtype, and so do the value and the gradients.
     """
     if tau_cont <= 0:
         raise ValueError("tau_cont must be positive")
@@ -330,23 +330,30 @@ def contrastive_loss(h, h_tilde, negatives, tau_cont: float = 0.5):
             if not tensor.requires_grad:
                 grads.append(None)
                 continue
+            # bincount sums in float64; one cast brings it to the streams' dtype
             ds = np.bincount(flat.ravel(), weights=w.ravel(), minlength=n_win * n * n)
-            ds = ds.reshape(n_win, n, n)
+            ds = ds.astype(unit.dtype, copy=False).reshape(n_win, n, n)
             d_unit = ((ds + ds.transpose(0, 2, 1)) @ unit - 2.0 * other) * (float(g) * inv_tau)
             # through the row normalisation u = x / |x|
             d_x = (d_unit - unit * (unit * d_unit).sum(axis=2, keepdims=True)) / norm
-            grads.append(d_x.astype(tensor.dtype, copy=False))
+            grads.append(d_x)
         return tuple(grads)
 
-    return custom(np.asarray(value, dtype=h.dtype), (h, h_tilde), grad_fn, "contrastive")
+    return custom(np.asarray(value), (h, h_tilde), grad_fn, "contrastive")
 
 
 def _unit_rows(x: np.ndarray):
-    """Rows scaled to unit length, and the lengths; a zero row names its window."""
-    norm = np.sqrt((x.astype(np.float64) ** 2).sum(axis=2, keepdims=True))
+    """Rows scaled to unit length, and the lengths, in x's dtype; a zero row,
+    or one whose length overflows it, names its window."""
+    with np.errstate(over="ignore"):  # an overflowing square is refused below
+        norm = np.sqrt((x ** 2).sum(axis=2, keepdims=True))
     zero = np.flatnonzero((norm < 1e-12).any(axis=(1, 2)))
     if zero.size:
         raise ValueError(f"window {zero[0]}: zero rows make cosine similarity undefined")
+    bad = np.flatnonzero((~np.isfinite(norm)).any(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"window {bad[0]}: a row's length is not finite in {x.dtype}, "
+                         f"so its cosine similarity is undefined")
     return x / norm, norm
 
 

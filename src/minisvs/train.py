@@ -187,6 +187,17 @@ def _load_kind(path, kind: str, step_keys=()):
     return arrays, meta
 
 
+def _run_length(steps: int, path, resumed) -> int:
+    """The step a run trains to: refused below 0 or, on resume, below the
+    step of the checkpoint at path, which the run would contradict."""
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    if resumed is not None and steps < resumed[1]["step"]:
+        raise ConfigError(f"{path}: checkpoint is at step {resumed[1]['step']}, "
+                          f"cannot resume to steps={steps}")
+    return steps
+
+
 def _recorded_songs(path, meta: dict, n_songs: int) -> set[int]:
     """The unlabeled songs a latent checkpoint records, checked against the corpus size."""
     songs = meta.get("unlabeled_songs")
@@ -386,14 +397,14 @@ def train_codec(
     only the keys in CODEC_RESUME_FREE, which codec training does not read
     on resume, may differ.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    steps = cfg.codec_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
     resumed = None if resume is None else _load_kind(resume, "codec", ("step", "disc_step"))
+    steps = _run_length(cfg.codec_steps if steps is None else steps, resume, resumed)
     if resumed is not None:
         adversarial = _recorded(resume, resumed[1], "adversarial", adversarial)
         _check_config(resume, resumed[1]["config"], cfg, CONFIG_KEYS - CODEC_RESUME_FREE)
     adversarial = bool(adversarial)
+    os.makedirs(out_dir, exist_ok=True)
     songs, table = corpus_mod.load_corpus(corpus_dir, cfg)
     alphabet_size = max(table.values()) + 1
     win = min(cfg.window, min(s.frames for s in songs))
@@ -522,12 +533,12 @@ def train_latent(
     checkpoint raises ConfigError; only the keys in LATENT_RESUME_FREE, which
     latent training does not read on resume, may differ.
     """
-    steps = cfg.latent_steps if steps is None else steps
     seed = cfg.seed if seed is None else seed
 
     modes = {"unlabeled_ratio": unlabeled_ratio, "prior_mode": prior_mode,
              "target_kind": target_kind, "enhanced": enhanced}
     resumed = None if resume is None else _load_kind(resume, "latent", ("step",))
+    steps = _run_length(cfg.latent_steps if steps is None else steps, resume, resumed)
     if resumed is not None:
         modes = {name: _recorded(resume, resumed[1], name, given)
                  for name, given in modes.items()}

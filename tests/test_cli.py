@@ -83,6 +83,67 @@ class TestExitCodes:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("ratio", ["0", "0.5"])
+    @pytest.mark.parametrize("loss,named", [
+        ({"n_neg": -3}, "'loss.n_neg'"), ({"n_neg": 0}, "'loss.n_neg'"),
+        ({"tau_cont": 0.0}, "'loss.tau_cont'"), ({"tau_cont": -0.5}, "'loss.tau_cont'"),
+    ], ids=["negative-n_neg", "zero-n_neg", "zero-tau_cont", "negative-tau_cont"])
+    def test_contrastive_config_is_2(self, workdir, tmp_path, capsys, loss, named, ratio):
+        # refused at load, before any output, whether or not a contrastive term runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(FAST, loss=loss)))
+        assert cli.main(["train-latent", "--corpus", str(workdir / "corpus"),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"),
+                         "--out", str(tmp_path / "run"), "--steps", "2",
+                         "--unlabeled-ratio", ratio, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,flags,named", [
+        ("train-codec", ["--steps", "-5"], "steps must be >= 0, got -5"),
+        ("train-latent", ["--steps", "-1"], "steps must be >= 0, got -1"),
+        ("train-codec", [{"codec_steps": -2}], "'codec_steps' must be >= 0, got -2"),
+        ("train-latent", [{"latent_steps": -2}], "'latent_steps' must be >= 0, got -2"),
+    ], ids=["codec-flag", "latent-flag", "codec-config", "latent-config"])
+    def test_negative_steps_is_2(self, workdir, tmp_path, capsys, command, flags, named):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(flags[0], dict):
+            cfg.write_text(json.dumps(dict(FAST, **flags[0])))
+            flags = []
+        else:
+            cfg.write_text(json.dumps(FAST))
+        args = [command, "--corpus", str(workdir / "corpus"), "--out", str(tmp_path / "run"),
+                "--config", str(cfg)] + flags
+        if command == "train-latent":
+            args += ["--codec", str(workdir / "codec" / "codec.ckpt")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["codec", "latent"])
+    def test_resume_below_the_checkpoint_step_is_2(self, workdir, tmp_path, capsys, kind):
+        # the workdir checkpoints are at step 25; a 3-step run cannot continue one
+        args = [f"train-{kind}", "--corpus", str(workdir / "corpus"),
+                "--out", str(tmp_path / "r"), "--steps", "3",
+                "--resume", str(workdir / kind / f"{kind}.ckpt"),
+                "--config", str(workdir / "cfg.json")]
+        if kind == "latent":
+            args += ["--codec", str(workdir / "codec" / "codec.ckpt")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint is at step 25, cannot resume to steps=3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_zero_steps_on_a_fresh_run_is_0(self, workdir, tmp_path):
+        assert cli.main(["train-codec", "--corpus", str(workdir / "corpus"),
+                         "--out", str(tmp_path / "run"), "--steps", "0",
+                         "--config", str(workdir / "cfg.json")]) == 0
+        manifest = json.loads((tmp_path / "run" / "codec.ckpt.json").read_text())
+        assert manifest["meta"]["step"] == 0
+
     def test_missing_file_is_2(self, tmp_path):
         code = cli.main(["codec", "encode", "--checkpoint", str(tmp_path / "nope.ckpt"),
                          "--wav", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o")])

@@ -41,6 +41,18 @@ class TestConfig:
                 config_from_dict({"time_dim": bad})
         assert config_from_dict({"time_dim": 2, "width": 1, "embed_dim": 1,
                                  "feature_dim": 1}).time_dim == 2
+        for bad in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="'loss.tau_cont' must be > 0"):
+                config_from_dict({"loss": {"tau_cont": bad}})
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match="'loss.n_neg' must be >= 1"):
+                config_from_dict({"loss": {"n_neg": bad}})
+        for key in ("codec_steps", "latent_steps"):
+            with pytest.raises(ConfigError, match=f"'{key}' must be >= 0, got -1"):
+                config_from_dict({key: -1})
+        cfg = config_from_dict({"codec_steps": 0, "latent_steps": 0,
+                                "loss": {"tau_cont": 1e-3, "n_neg": 1}})
+        assert (cfg.codec_steps, cfg.loss.n_neg) == (0, 1)
 
     def test_loss_prior_is_unknown(self):
         # the prior NLL is weighted by lambda_prior

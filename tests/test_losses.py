@@ -443,6 +443,38 @@ class TestBatchedContrastive:
         neg = _negatives(h.shape, 3, rng)
         assert losses.contrastive_loss(h, ht, neg, 0.5).dtype == np.float32
 
+    @pytest.mark.parametrize("n_win", [1, 3])
+    def test_float32_batch_matches_its_float64_cast(self, n_win):
+        # the training shape: the op runs in float32 and stays close to float64
+        rng = np.random.default_rng(40 + n_win)
+        h = rng.standard_normal((n_win, 128, 64)).astype(np.float32)
+        ht = rng.standard_normal((n_win, 128, 64)).astype(np.float32)
+        neg = _negatives(h.shape, 10, rng)
+        neg[0, :, 0] = neg[0, :, 1]  # repeated negatives accumulate in the backward
+        runs = []
+        for dtype in (np.float32, np.float64):
+            a = Tensor(h.astype(dtype), requires_grad=True)
+            b = Tensor(ht.astype(dtype), requires_grad=True)
+            loss = losses.contrastive_loss(a, b, neg, 0.5)
+            loss.backward()
+            assert loss.dtype == a.grad.dtype == b.grad.dtype == dtype
+            runs.append((loss.data, a.grad, b.grad))
+        (v32, ga32, gb32), (v64, ga64, gb64) = runs
+        assert abs(float(v32) - float(v64)) <= 1e-5 * abs(float(v64))
+        for got, ref in ((ga32, ga64), (gb32, gb64)):
+            assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_overflowing_row_names_its_window(self):
+        # in float32 the row's squared length is inf: no zero unit row
+        h = np.random.default_rng(21).standard_normal((3, 5, 4)).astype(np.float32)
+        h[1, 2, 0] = 1e20
+        ones = np.ones((3, 5, 4), dtype=np.float32)
+        neg = np.zeros((3, 5, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="window 1: .* not finite"):
+            losses.contrastive_loss(h, ones, neg, 0.5)
+        with pytest.raises(ValueError, match="window 1: .* not finite"):
+            losses.contrastive_loss(ones, h, neg, 0.5)
+
     def test_zero_row_names_its_window(self):
         h = np.random.default_rng(19).standard_normal((3, 5, 4))
         h[2, 3] = 0.0
