@@ -189,13 +189,24 @@ def mel_project(spec: Spectrogram, mel_bins: int, fmin: float, fmax: float) -> S
 # -- pitch ------------------------------------------------------------------
 
 
+def fast_fft_length(n: int) -> int:
+    """The smallest of 2^k, 3 * 2^k and 5 * 2^k at or above n.
+
+    numpy's pocketfft runs these on its radix-4 and radix-2 kernels with at
+    most one radix-3 or radix-5 pass; they timed faster than the smallest
+    5-smooth length at or above n (2560 against 2500, 1280 against 1215)."""
+    return min(m << (-(-n // m) - 1).bit_length() for m in (1, 3, 5))
+
+
 def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
     """Autocorrelation pitch tracker, frame-aligned with stft().
 
     Per frame: normalized autocorrelation over the lag range of
     [F0_SEARCH_MIN_HZ, F0_SEARCH_MAX_HZ]; the smallest-lag local maximum
     within 90% of the global peak wins (a bare argmax can land on a period
-    multiple), refined parabolically. periodicity is the clipped peak
+    multiple), refined parabolically. The correlation is read one lag past
+    each end of the range, so a period on either end lag is a local maximum
+    too; those two lags are never selected. periodicity is the clipped peak
     height; a frame is voiced iff it exceeds VOICING_THRESHOLD.
     """
     sr = audio.sample_rate
@@ -206,8 +217,10 @@ def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
     if lag_hi <= lag_lo:  # window too short for the requested range
         return PitchTrack(np.zeros(n), np.zeros(n))
 
-    nfft = 1 << int(math.ceil(math.log2(2 * win)))
-    taus = np.arange(lag_lo, lag_hi + 1)
+    # the zero-padded circular correlation at lag tau equals the linear one
+    # once nfft >= win + tau, so padding past the largest lag read buys nothing
+    nfft = fast_fft_length(win + lag_hi + 1)
+    taus = np.arange(lag_lo - 1, lag_hi + 2)
     nac = np.empty((n, taus.size))
     total = np.empty(n)
     for rows in _blocks(n):
@@ -215,7 +228,7 @@ def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
         spec = np.fft.rfft(block, n=nfft, axis=1)
         # the power spectrum as conj(spec) * spec, in this operand order:
         # spec * conj(spec) and re**2 + im**2 round differently
-        raw = np.fft.irfft(np.conj(spec) * spec, n=nfft, axis=1)[:, lag_lo : lag_hi + 1]
+        raw = np.fft.irfft(np.conj(spec) * spec, n=nfft, axis=1)[:, lag_lo - 1 : lag_hi + 2]
         # normalized cross-correlation: r(tau) / sqrt(e0(tau) * e1(tau))
         csum = np.cumsum(block * block, axis=1)  # csum[:, k] is the energy of x[0 : k+1]
         total[rows] = csum[:, -1]
@@ -225,21 +238,22 @@ def estimate_f0(audio: AudioBuffer, cfg: StftConfig) -> PitchTrack:
             q = raw / np.sqrt(e_head * e_tail)
         nac[rows] = np.where(np.isfinite(q), q, 0.0)
 
-    # every frame at once; a frame without an interior local maximum gets its
-    # clipped maximum as periodicity and no pitch, a silent one gets zeros
-    interior = np.zeros(nac.shape, dtype=bool)
-    interior[:, 1:-1] = (nac[:, 1:-1] > nac[:, :-2]) & (nac[:, 1:-1] >= nac[:, 2:])
+    # every frame at once; a frame without a local maximum in the searched
+    # range gets that range's clipped maximum as periodicity and no pitch, a
+    # silent one gets zeros
+    searched = nac[:, 1:-1]
+    interior = (searched > nac[:, :-2]) & (searched >= nac[:, 2:])
     has_peak = interior.any(axis=1)
-    best = nac.max(axis=1, where=interior, initial=-np.inf, keepdims=True)
-    sel = np.argmax(interior & (nac >= 0.9 * best), axis=1)
-    # parabolic refinement around the selected lag
-    around = np.clip(sel[:, None] + np.array([-1, 0, 1]), 0, taus.size - 1)
-    y0, y1, y2 = np.take_along_axis(nac, around, axis=1).T
+    best = searched.max(axis=1, where=interior, initial=-np.inf, keepdims=True)
+    sel = np.argmax(interior & (searched >= 0.9 * best), axis=1)
+    # parabolic refinement around the selected lag, whose neighbours in nac
+    # are sel and sel + 2
+    y0, y1, y2 = np.take_along_axis(nac, sel[:, None] + np.arange(3), axis=1).T
     denom = y0 - 2.0 * y1 + y2
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = np.where(np.abs(denom) < 1e-12, 0.0, 0.5 * (y0 - y2) / denom)
-    lag = taus[sel] + np.clip(delta, -0.5, 0.5)
-    flat = np.clip(nac.max(axis=1, initial=0.0), 0.0, 1.0)
+    lag = lag_lo + sel + np.clip(delta, -0.5, 0.5)
+    flat = np.clip(searched.max(axis=1, initial=0.0), 0.0, 1.0)
     periodicity = np.where(has_peak, np.clip(y1, 0.0, 1.0), flat)
     periodicity = np.where(total >= 1e-10, periodicity, 0.0)
     voiced = has_peak & (periodicity > VOICING_THRESHOLD)

@@ -808,6 +808,10 @@ def _load_eval_input(path, cfg: RunConfig):
         audio = dsp.load_wav(path)
         if audio.samples.size == 0:
             raise ConfigError(f"{path}: WAV file has no samples to evaluate")
+        if audio.sample_rate != cfg.sample_rate:
+            raise ConfigError(
+                f"{path}: sample rate {audio.sample_rate} != config's {cfg.sample_rate}"
+            )
         stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
         spec = dsp.stft(audio, stft_cfg)
         mel = dsp.mel_project(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)

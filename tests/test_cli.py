@@ -546,6 +546,18 @@ class TestCorruptInputExits2:
         assert f"{wav}: WAV file has no samples to evaluate" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_evaluate_wav_at_another_sample_rate(self, workdir, tmp_path, capsys, rate):
+        wav = tmp_path / f"tone{rate}.wav"
+        dsp.save_wav(wav, dsp.synth_tone(220.0, 0.5, rate // 2, rate))
+        assert cli.main(["evaluate", "--gt", str(wav), "--pred", str(wav),
+                         "--out", str(tmp_path / "r.json"),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{wav}: sample rate {rate} != config's 24000" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_sample_with_a_nan_tau(self, workdir, tmp_path, capsys):
         assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
                          "--codec", str(workdir / "codec" / "codec.ckpt"),

@@ -63,8 +63,9 @@ def _reference_estimate_f0(audio, cfg):
     if lag_hi <= lag_lo:
         n = frames.shape[0]
         return dsp.PitchTrack(np.zeros(n), np.zeros(n))
-    nfft = 1 << int(math.ceil(math.log2(2 * win)))
-    taus = np.arange(lag_lo, lag_hi + 1)
+    nfft = dsp.fast_fft_length(win + lag_hi + 1)
+    # the searched lags and one neighbour past each end
+    taus = np.arange(lag_lo - 1, lag_hi + 2)
     spec = np.fft.rfft(frames, n=nfft, axis=1)
     # the loop wrote `spec * np.conj(spec)`; numpy's temporary elision ran it
     # as this product from 256 KiB of spectrum (8 frames) on, and below that
@@ -88,7 +89,7 @@ def _reference_estimate_f0(audio, cfg):
         interior = np.zeros(r.size, dtype=bool)
         interior[1:-1] = (r[1:-1] > r[:-2]) & (r[1:-1] >= r[2:])
         if not interior.any():
-            periodicity[i] = float(np.clip(r.max(initial=0.0), 0.0, 1.0))
+            periodicity[i] = float(np.clip(r[1:-1].max(initial=0.0), 0.0, 1.0))
             continue
         peaks = np.flatnonzero(interior)
         best = r[peaks].max()
@@ -272,9 +273,10 @@ class TestEstimateF0:
         assert not track.voiced.any()
         assert (track.f0 == 0).all()
 
-    @pytest.mark.parametrize("freq", [80.0, 123.47, 261.63, 440.0, 783.99, 1000.0])
+    @pytest.mark.parametrize("freq", [60.0, 80.0, 123.47, 261.63, 440.0, 783.99, 1000.0, 1190.0])
     def test_pure_sine_within_2_percent(self, freq):
         track = dsp.estimate_f0(_sine(freq, seconds=0.7), CFG)
+        assert track.voiced.mean() > 0.9
         med = np.median(track.f0[track.voiced])
         assert abs(med - freq) / freq < 0.02
 
@@ -453,10 +455,49 @@ class TestBlockedFrontEndKeepsBits:
             assert got.voiced.any() and not got.voiced.all()
 
 
+class TestAutocorrelationLength:
+    """estimate_f0 pads each frame to fast_fft_length(win + lag_hi + 1), which
+    keeps every lag it reads, one past each end of the search range included,
+    free of circular wrap-around."""
+
+    @pytest.mark.parametrize("cfg", [CFG, dsp.StftConfig(1024, 801, 160)], ids=["default", "801"])
+    def test_length_covers_every_lag_read_and_is_5_smooth(self, monkeypatch, cfg):
+        rule, asked = dsp.fast_fft_length, []
+        monkeypatch.setattr(dsp, "fast_fft_length", lambda n: asked.append((n, rule(n))) or rule(n))
+        dsp.estimate_f0(_sine(220.0, seconds=0.3), cfg)
+        assert len(asked) == 1
+        n, length = asked[0]
+        lag_hi = min(int(math.ceil(SR / dsp.F0_SEARCH_MIN_HZ)), cfg.win_size - 2)
+        assert n >= cfg.win_size + lag_hi + 1
+        assert length >= n
+        for p in (2, 3, 5):
+            while length % p == 0:
+                length //= p
+        assert length == 1
+
+    def test_rule_is_the_smallest_power_of_two_times_1_3_or_5(self):
+        allowed = sorted(m << k for m in (1, 3, 5) for k in range(14))
+        for n in range(1, 5000):
+            assert dsp.fast_fft_length(n) == next(a for a in allowed if a >= n)
+
+    def _tracks(self, seed_wavs):
+        tones = [_sine(f, seconds=0.7) for f in (60.0, 1190.0)]
+        return [dsp.estimate_f0(audio, CFG) for audio in [*seed_wavs, *tones]]
+
+    def test_doubling_the_length_changes_only_rounding(self, monkeypatch, seed_wavs):
+        want = self._tracks(seed_wavs)
+        rule = dsp.fast_fft_length
+        monkeypatch.setattr(dsp, "fast_fft_length", lambda n: 2 * rule(n))
+        for got, ref in zip(self._tracks(seed_wavs), want):
+            assert np.array_equal(got.voiced, ref.voiced)
+            np.testing.assert_allclose(got.f0, ref.f0, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(got.periodicity, ref.periodicity, rtol=0.0, atol=1e-12)
+
+
 class TestAnalysisMemory:
     """The front-end holds no (frames, win) or (frames, fft bins) temporary:
     its peak traced allocation on a 20 s signal stays under a fixed multiple
-    of one (frames, win_size) float64 matrix. The blocked code peaks at 0.46
+    of one (frames, win_size) float64 matrix. The blocked code peaks at 0.45
     (estimate_f0) and 0.69 (stft, whose output alone is 0.5); the loops it
     replaced peaked at 5.2 and 2.5."""
 
