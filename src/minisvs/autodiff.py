@@ -180,9 +180,6 @@ class Tensor:
         a, b = self.data, other.data
         return self._elementwise(a / b, "div", lambda g: g / b, other, lambda g: -g * a / (b * b))
 
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     def __neg__(self):
         return self * -1.0
 
@@ -236,15 +233,13 @@ class Tensor:
 
     # -- reductions / shape -----------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self, axis=None):
         shape = self.data.shape
 
         def grad_fn(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
+            gg = g if axis is None else np.expand_dims(g, axis)
             return (np.broadcast_to(gg, shape).astype(g.dtype, copy=False) + 0.0,)
-        return custom(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad_fn, "sum")
+        return custom(self.data.sum(axis=axis), (self,), grad_fn, "sum")
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -316,8 +311,8 @@ def conv1d3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.shape[-1] != w.data.shape[1]:
         raise ValueError(f"conv1d3: channel mismatch {x.data.shape[-1]} vs {w.data.shape[1]}")
     t = x.data.shape[-2]
-    # zero padding by slice assignment; np.pad's generic path would cost
-    # about a tenth of a ScoreNet call
+    # zero padding by slice assignment: the discriminator's two Conv3 layers pad six
+    # times per adversarial step, and np.pad's generic path takes about twice as long
     xp = np.zeros(x.data.shape[:-2] + (t + 2, x.data.shape[-1]), dtype=x.data.dtype)
     xp[..., 1 : t + 1, :] = x.data
     k = w.data

@@ -80,7 +80,6 @@ def gen_corpus(out_dir, n_songs: int, seed: int, cfg: RunConfig | None = None):
     rng = np.random.default_rng(seed)
     table = dict(cond.TOY_PHONEMES)
     write_json(os.path.join(out_dir, "phonemes.json"), table)
-    paths = []
     for i in range(n_songs):
         if i == 0:
             triad = SONG0_TRIAD
@@ -94,19 +93,12 @@ def gen_corpus(out_dir, n_songs: int, seed: int, cfg: RunConfig | None = None):
                 0, cond.Syllable(table["a"], cond.Note(69, 0.5, 120.0))
             )
         audio = _render_song(score, cfg, rng)
-        wav_path = os.path.join(out_dir, f"song{i:03d}.wav")
-        score_path = os.path.join(out_dir, f"song{i:03d}.score.json")
-        dsp.save_wav(wav_path, audio)
-        cond.save_score(score_path, score, table)
-        paths.append((wav_path, score_path))
-    return paths
+        dsp.save_wav(os.path.join(out_dir, f"song{i:03d}.wav"), audio)
+        cond.save_score(os.path.join(out_dir, f"song{i:03d}.score.json"), score, table)
 
 
 @dataclass
 class LoadedSong:
-    name: str
-    audio: dsp.AudioBuffer
-    score: cond.MusicalScore
     grid: cond.FrameGrid
     logmel: np.ndarray  # (frames, mel_bins) float32, ln(1 + mel)
     f0_quant: np.ndarray  # (frames,) int64, from the score by construction
@@ -179,5 +171,5 @@ def load_corpus(corpus_dir, cfg: RunConfig) -> tuple[list[LoadedSong], dict[str,
             feats = feats.astype(np.float32)
         else:
             feats = (lm @ proj + proj_bias).astype(np.float32)
-        songs.append(LoadedSong(name, audio, score, grid, lm, f0q, feats))
+        songs.append(LoadedSong(grid, lm, f0q, feats))
     return songs, table

@@ -417,9 +417,10 @@ def train_codec(
     if resumed is not None:
         _restore(resume, resumed, models, {"step": opt, "disc_step": disc_opt})
     else:
-        # seed the codebooks from the untrained encoder's latents
-        sample = np.concatenate([s.logmel for s in songs])[: max(4 * cfg.codebook_size, 512)]
-        models.coder = rvq.init_codebooks(models.coder, models.encode(sample), seed)
+        # seed the codebooks from the untrained encoder's latents; the batch is
+        # built inside the call, so the joined log-mel is freed before training
+        models.coder = rvq.init_codebooks(models.coder, models.encode(
+            np.concatenate([s.logmel for s in songs])[: max(4 * cfg.codebook_size, 512)]), seed)
 
     return _train_loop(
         "codec", out_dir, steps,
@@ -822,6 +823,9 @@ def _load_eval_input(path, cfg: RunConfig):
         raise ConfigError(f"{path}: expected a WAV file or a mel feature file")
     if len(data) == 0:
         raise ConfigError(f"{path}: mel feature file has no frames to evaluate")
+    for key, want in (("sample_rate", cfg.sample_rate), ("hop", cfg.hop_size)):
+        if meta.get(key, want) != want:
+            raise ConfigError(f"{path}: mel feature file's {key} {meta[key]} != config's {want}")
     mel = data.astype(np.float64)
     return mel, _mel_pitch(mel, cfg)
 

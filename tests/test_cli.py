@@ -558,6 +558,19 @@ class TestCorruptInputExits2:
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("key,value,want", [("sample_rate", 16000, 24000), ("hop", 100, 256)])
+    def test_evaluate_mel_file_at_another_rate_or_hop(self, workdir, tmp_path, capsys, key,
+                                                      value, want):
+        mel = tmp_path / "m.f32"
+        fileio.save_matrix(mel, np.ones((20, FAST["mel_bins"])), kind="mel", **{key: value})
+        assert cli.main(["evaluate", "--gt", str(mel), "--pred", str(mel),
+                         "--out", str(tmp_path / "r.json"),
+                         "--config", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{mel}: mel feature file's {key} {value} != config's {want}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_sample_with_a_nan_tau(self, workdir, tmp_path, capsys):
         assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
                          "--codec", str(workdir / "codec" / "codec.ckpt"),

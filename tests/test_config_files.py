@@ -244,20 +244,29 @@ class TestCorpus:
 
     def test_score_frames_match_audio_frames(self, corpus_dir):
         songs, _ = corpus.load_corpus(corpus_dir, RunConfig())
-        for song in songs:
+        for i, song in enumerate(songs):
             cfg = dsp.StftConfig()
-            assert dsp.stft(song.audio, cfg).data.shape[0] == song.grid.frames
+            audio = dsp.load_wav(corpus_dir / f"song{i:03d}.wav")
+            assert dsp.stft(audio, cfg).data.shape[0] == song.grid.frames
 
     def test_song0_carries_midi_69_at_440(self, corpus_dir):
         songs, _ = corpus.load_corpus(corpus_dir, RunConfig())
         song = songs[0]
-        track = dsp.estimate_f0(song.audio, dsp.StftConfig())
+        track = dsp.estimate_f0(dsp.load_wav(corpus_dir / "song000.wav"), dsp.StftConfig())
         spans = [s for s, m in zip(song.grid.note_spans, song.grid.note_midi) if m == 69]
         assert spans
         a, b = spans[0]
         seg = track.f0[a:b][track.voiced[a:b]]
         med = float(np.median(seg))
         assert abs(med - 440.0) / 440.0 < 0.02
+
+    def test_songs_keep_no_samples_or_score(self, corpus_dir):
+        # training reads a song's frame arrays only; the samples and the
+        # parsed score are dropped once the song is analysed
+        songs, _ = corpus.load_corpus(corpus_dir, RunConfig())
+        for song in songs:
+            held = vars(song).values()
+            assert not any(isinstance(v, (dsp.AudioBuffer, cond.MusicalScore)) for v in held)
 
     def test_feature_file_override(self, corpus_dir, tmp_path):
         songs, _ = corpus.load_corpus(corpus_dir, RunConfig())
