@@ -75,6 +75,8 @@ def gen_corpus(out_dir, n_songs: int, seed: int, cfg: RunConfig | None = None):
     Song 0 always uses the fixed A4 triad, so MIDI 69 (440 Hz) is present;
     the remaining songs draw random triads. Deterministic per seed.
     """
+    if n_songs < 1:
+        raise ValueError(f"songs must be >= 1, got {n_songs}")
     cfg = cfg or RunConfig()
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)

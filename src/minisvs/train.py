@@ -300,14 +300,23 @@ def load_latent_checkpoint(path):
 
 def _kept_log_rows(path, header: list[str], start_step: int) -> list[list[str]]:
     """The rows an earlier run logged in path for the steps before start_step,
-    which a run resumed at start_step > 0 keeps."""
+    which a run resumed at start_step > 0 keeps; a partial row is dropped."""
     if start_step == 0 or not os.path.exists(path):
         return []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
             return []
-        return [row for row in reader if int(float(row[0])) < start_step]
+        return [row for row in reader if _is_log_row(row, len(header), start_step)]
+
+
+def _is_log_row(row: list[str], n_fields: int, start_step: int) -> bool:
+    """Whether row is a whole loss-log row, all numbers, of a step before start_step."""
+    try:
+        values = [float(x) for x in row]
+    except ValueError:
+        return False
+    return len(values) == n_fields and values[0] < start_step
 
 
 def _train_loop(kind, out_dir, steps, step_fn, resumed, models, opts, data_rng, meta, header):
@@ -367,15 +376,27 @@ def read_loss_log(path) -> dict[str, np.ndarray]:
 # -- codec training ------------------------------------------------------------
 
 
-def _collapse_labels(frame_labels: np.ndarray) -> tuple:
-    """Consecutive-duplicate collapse, rests dropped: the CTC target."""
-    out = []
-    prev = None
-    for lab in frame_labels.tolist():
-        if lab != prev and lab != 0:
-            out.append(lab)
-        prev = lab
-    return tuple(out)
+def _collapse_labels(frame_labels: np.ndarray) -> list[list[tuple]]:
+    """The CTC targets of (heads, B, W) frame labels, per head and window:
+    consecutive duplicates collapsed, rests dropped."""
+    keep = frame_labels != 0
+    keep[..., 1:] &= frame_labels[..., 1:] != frame_labels[..., :-1]
+    return [[tuple(row[k].tolist()) for row, k in zip(rows, keeps)]
+            for rows, keeps in zip(frame_labels, keep)]
+
+
+def _draw_windows(cfg, songs, win, data_rng) -> list[tuple[int, int]]:
+    """cfg.batch (song, offset) windows; each draws its song, then its offset."""
+    picks = []
+    for _ in range(cfg.batch):
+        s = int(data_rng.integers(0, len(songs)))
+        picks.append((s, int(data_rng.integers(0, songs[s].frames - win + 1))))
+    return picks
+
+
+def _gather(per_song, picks, win) -> np.ndarray:
+    """The (B, win, ...) stack of the picked (song, offset) windows of per-song arrays."""
+    return np.stack([per_song[s][o : o + win] for s, o in picks])
 
 
 CODEC_LOG_HEADER = ["step", "recon", "emb", "lyrics", "note", "adv", "fm", "total", "grad_norm"]
@@ -434,11 +455,8 @@ def train_codec(
 
 
 def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversarial):
-    picks = []
-    for _ in range(cfg.batch):
-        s = int(data_rng.integers(0, len(songs)))
-        picks.append((s, int(data_rng.integers(0, songs[s].frames - win + 1))))
-    x = np.stack([songs[s].logmel[o : o + win] for s, o in picks])  # (B, W, M)
+    picks = _draw_windows(cfg, songs, win, data_rng)
+    x = _gather([song.logmel for song in songs], picks, win)  # (B, W, M) float32
     z = models.encoder(x)  # (B, W, D)
     flat = z.data.reshape(-1, cfg.latent_dim)
     codes, zq, residuals, selected = rvq.encode_detailed(models.coder, flat)
@@ -446,30 +464,21 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
     zq_t = straight_through(z, zq.reshape(z.data.shape))
 
     x_hat = models.decoder(zq_t)
-    l_recon = losses.recon_l1(x.astype(np.float32), x_hat)
+    l_recon = losses.recon_l1(x, x_hat)
     # the running reconstruction after each stage; entries are constants
     l_emb = rvq.commitment_loss(z.reshape(-1, cfg.latent_dim), rvq.stage_reconstructions(selected))
 
-    lyr_ls = log_softmax(models.lyrics_head(zq_t), axis=-1)
-    note_ls = log_softmax(models.note_head(zq_t), axis=-1)
-    lyr_targets, note_targets = [], []
-    for s, o in picks:
-        grid = songs[s].grid
-        lyr_targets.append(
-            losses.CtcTarget(_collapse_labels(grid.phoneme[o : o + win]), models.alphabet_size)
-        )
-        note_targets.append(
-            losses.CtcTarget(_collapse_labels(grid.midi[o : o + win]), NOTE_ALPHABET)
-        )
-    l_lyrics, l_note = (
-        loss / float(cfg.batch)
-        for loss in losses.ctc_loss_graph([(lyr_ls, lyr_targets), (note_ls, note_targets)])
-    )
+    heads = ((models.lyrics_head, models.alphabet_size), (models.note_head, NOTE_ALPHABET))
+    labels = _collapse_labels(np.stack([_gather([song.grid.phoneme for song in songs], picks, win),
+                                        _gather([song.grid.midi for song in songs], picks, win)]))
+    l_lyrics, l_note = (loss / float(cfg.batch) for loss in losses.ctc_loss_graph([
+        (log_softmax(head(zq_t), axis=-1), [losses.CtcTarget(t, size) for t in targets])
+        for (head, size), targets in zip(heads, labels)]))
 
     parts = {"recon": l_recon, "emb": l_emb, "lyrics": l_lyrics, "note": l_note}
     adv_val = fm_val = 0.0
     if adversarial:
-        real_scores, real_feats = models.disc(x.astype(np.float32))
+        real_scores, real_feats = models.disc(x)
         # the generator loss reaches the disc only through a frozen copy, so
         # its backward computes no disc weight gradient
         fake_scores, fake_feats = models.disc.frozen()(x_hat)
@@ -493,17 +502,8 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
         d_loss.backward()
         disc_opt.step()
 
-    return [
-        step,
-        float(l_recon.data),
-        float(l_emb.data),
-        float(l_lyrics.data),
-        float(l_note.data),
-        adv_val,
-        fm_val,
-        float(total.data),
-        gnorm,
-    ]
+    return [step, *(float(loss.data) for loss in (l_recon, l_emb, l_lyrics, l_note)),
+            adv_val, fm_val, float(total.data), gnorm]
 
 
 # -- latent training -----------------------------------------------------------
@@ -603,51 +603,46 @@ def train_latent(
 
 def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_rng, step, opt,
                  norm_groups):
-    # windows are grouped by supervision kind, because the two kinds build
-    # their conditions differently; the score net then runs once on the
-    # stacked (B, W, ...) batch, supervised windows first, one t per window
-    sup_picks, unsup_picks = [], []
-    for _ in range(cfg.batch):
-        s = int(data_rng.integers(0, len(songs)))
-        o = int(data_rng.integers(0, songs[s].frames - win + 1))
-        (unsup_picks if s in unlabeled else sup_picks).append((s, o))
+    # the two supervision kinds embed their windows differently; the joined
+    # embeddings, labelled windows first, then run the condition head, the
+    # score net and L_diff once over the (B, W, ...) batch, one t per window
+    picks = sorted(_draw_windows(cfg, songs, win, data_rng), key=lambda p: p[0] in unlabeled)
+    n_sup = sum(s not in unlabeled for s, _ in picks)
+    sup, unsup = picks[:n_sup], picks[n_sup:]
+    features, f0_quant = [song.features for song in songs], [song.f0_quant for song in songs]
 
-    enhanced = modes["enhanced"]
-    conds, cont_terms = [], []
-    if sup_picks:
-        grid_b = _stack_grids([(songs[s].grid, o, win) for s, o in sup_picks])
+    cond = models.cond
+    lyrics, melody, cont_terms = [], [], []
+    if sup:
+        grid_b = cond_mod.FrameGrid(*(_gather([getattr(song.grid, f) for song in songs], sup, win)
+                                      for f in ("phoneme", "midi", "dur_token", "tempo_token")),
+                                    [], [])
         # the supervised embeddings feed the condition head and, with
         # contrastive terms on, the contrastive anchors too
-        h_lyr = models.cond.lyrics_repr(grid_b)
-        h_mel = models.cond.melody_repr(grid_b)
-        conds.append(models.cond.head(h_lyr, h_mel, enhanced))
+        lyrics.append(cond.lyrics_repr(grid_b))
+        melody.append(cond.melody_repr(grid_b))
         if modes["unlabeled_ratio"] > 0.0:
-            h_lyr_u = models.cond.lyrics_u_repr(
-                np.stack([songs[s].features[o : o + win] for s, o in sup_picks])
-            )
-            h_mel_u = models.cond.melody_u_repr(
-                np.stack([songs[s].f0_quant[o : o + win] for s, o in sup_picks])
-            )
+            h_lyr_u = cond.lyrics_u_repr(_gather(features, sup, win))
+            h_mel_u = cond.melody_u_repr(_gather(f0_quant, sup, win))
             # window by window: its lyrics negatives, then its melody negatives
             negs = [losses.draw_negatives(win, cfg.loss.n_neg, data_rng)
-                    for _ in range(2 * len(sup_picks))]
-            n_sup = float(len(sup_picks))
+                    for _ in range(2 * n_sup)]
             cont_terms = [
-                losses.contrastive_loss(h, h_u, np.stack(neg), cfg.loss.tau_cont) / n_sup
-                for h, h_u, neg in ((h_lyr, h_lyr_u, negs[0::2]), (h_mel, h_mel_u, negs[1::2]))
+                losses.contrastive_loss(h, h_u, np.stack(neg), cfg.loss.tau_cont) / float(n_sup)
+                for h, h_u, neg in ((lyrics[0], h_lyr_u, negs[0::2]),
+                                    (melody[0], h_mel_u, negs[1::2]))
             ]
-    if unsup_picks:
-        feats = np.stack([songs[s].features[o : o + win] for s, o in unsup_picks])
-        f0 = np.stack([songs[s].f0_quant[o : o + win] for s, o in unsup_picks])
-        conds.append(models.cond.condition_unsupervised(feats, f0, enhanced))
+    if unsup:
+        lyrics.append(cond.lyrics_u_repr(_gather(features, unsup, win)))
+        melody.append(cond.melody_u_repr(_gather(f0_quant, unsup, win)))
+    fc = cond.head(concat(lyrics), concat(melody), modes["enhanced"])
 
-    z0p = np.stack([z_norm[s][o : o + win] for s, o in sup_picks + unsup_picks])
-    h_cond = concat([fc.h_cond for fc in conds])
+    z0p = _gather(z_norm, picks, win)
     data_prior = modes["prior_mode"] == "data"
-    mu = concat([fc.mu_hat for fc in conds]) if data_prior else np.zeros_like(z0p)
+    mu = fc.mu_hat if data_prior else np.zeros_like(z0p)
     t = data_rng.uniform(cfg.t_min, diffusion.HORIZON, size=cfg.batch)
     noise = data_rng.standard_normal(z0p.shape)
-    l_diff = diffusion.diffusion_loss(models.score, z0p, mu, h_cond, sched, t, noise)
+    l_diff = diffusion.diffusion_loss(models.score, z0p, mu, fc.h_cond, sched, t, noise)
     l_prior = diffusion.prior_loss(z0p, mu) if data_prior else 0.0
     total = losses.latent_generator_total(l_diff, l_prior, cfg.lambda_prior, cont_terms)
 
@@ -658,20 +653,6 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
     prior = float(l_prior.data) if data_prior else 0.0
     cont = [float(c.data) for c in cont_terms] or [0.0, 0.0]
     return [step, float(l_diff.data), prior, *cont, float(total.data), gnorm, g_sup, g_unsup]
-
-
-def _stack_grids(windows) -> cond_mod.FrameGrid:
-    """Stack (grid, offset, length) windows into one (B, W) token grid."""
-    phon, midi, dur, tempo = [], [], [], []
-    for grid, o, length in windows:
-        sl = slice(o, o + length)
-        phon.append(grid.phoneme[sl])
-        midi.append(grid.midi[sl])
-        dur.append(grid.dur_token[sl])
-        tempo.append(grid.tempo_token[sl])
-    return cond_mod.FrameGrid(
-        np.stack(phon), np.stack(midi), np.stack(dur), np.stack(tempo), [], []
-    )
 
 
 # -- sampling ------------------------------------------------------------------

@@ -579,6 +579,14 @@ class TestCorruptInputExits2:
         assert "tau must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "samp" / "report.json").exists()
 
+    @pytest.mark.parametrize("songs", ["0", "-1"])
+    def test_gen_corpus_with_no_songs(self, tmp_path, capsys, songs):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["gen-corpus", "--out", str(corpus), "--songs", songs,
+                         "--seed", "0"]) == 2
+        assert f"songs must be >= 1, got {songs}" in capsys.readouterr().err
+        assert not corpus.exists()
+
     @pytest.mark.parametrize("value", [[1], True, "1", -1],
                              ids=["list", "bool", "str", "negative"])
     def test_phoneme_table_with_a_non_id_value(self, workdir, tmp_path, value):

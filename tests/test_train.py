@@ -97,6 +97,17 @@ class TestCodecTraining:
         assert train.read_loss_log(log)["step"].tolist() == list(range(9))
         assert open(log, "rb").read() == open(log_full, "rb").read()
 
+    @pytest.mark.parametrize("row", ["1", "x,1,2", "1,2,3,4,5,6,7,8,9,10"],
+                             ids=["short", "not-a-number", "long"])
+    def test_resume_drops_a_partial_log_row(self, cfg, corpus_dir, tmp_path, row):
+        _, log_full = train.train_codec(cfg, corpus_dir, tmp_path / "full", steps=4, seed=7)
+        run = tmp_path / "run"
+        ck_two, log = train.train_codec(cfg, corpus_dir, run, steps=2, seed=7)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        train.train_codec(cfg, corpus_dir, run, steps=4, seed=7, resume=ck_two)
+        assert open(log, "rb").read() == open(log_full, "rb").read()
+
     def test_same_seed_bit_identical_checkpoints(self, cfg, corpus_dir, tmp_path):
         ck1, _ = train.train_codec(cfg, corpus_dir, tmp_path / "r1", steps=5, seed=4)
         ck2, _ = train.train_codec(cfg, corpus_dir, tmp_path / "r2", steps=5, seed=4)
@@ -594,6 +605,38 @@ class TestLatentTraining:
         sup_steps = int(np.sum(cont != 0.0)) if ratio else 4
         assert calls == {"lyrics_repr": sup_steps, "melody_repr": sup_steps, "score": 4,
                          "diffusion_loss": 4}
+
+    def test_a_mixed_step_calls_the_condition_head_once(
+        self, monkeypatch, cfg, corpus_dir, codec_ckpt, tmp_path
+    ):
+        net = condition.ConditionNet
+        lyrics_repr, head, unsupervised = net.lyrics_repr, net.head, net.condition_unsupervised
+        events = []  # (call, windows), in call order
+
+        def counting_lyrics(self, grid):
+            events.append(("lyrics_repr", grid.phoneme.shape[0]))
+            return lyrics_repr(self, grid)
+
+        def counting_head(self, lyrics, melody, enhanced):
+            events.append(("head", lyrics.data.shape[0]))
+            return head(self, lyrics, melody, enhanced)
+
+        def counting_unsupervised(self, *args):
+            events.append(("condition_unsupervised", None))
+            return unsupervised(self, *args)
+
+        monkeypatch.setattr(net, "lyrics_repr", counting_lyrics)
+        monkeypatch.setattr(net, "head", counting_head)
+        monkeypatch.setattr(net, "condition_unsupervised", counting_unsupervised)
+        train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=6, seed=0,
+                           unlabeled_ratio=0.5)
+        calls = [name for name, _ in events]
+        assert calls.count("head") == 6 and "condition_unsupervised" not in calls
+        # a step embeds its labelled windows right before its head call; the
+        # run must hold a step with fewer of them than the whole batch
+        mixed = [i for i, (name, n) in enumerate(events) if name == "head" and i > 0
+                 and events[i - 1][0] == "lyrics_repr" and 0 < events[i - 1][1] < n]
+        assert mixed
 
     def test_divergence_keeps_the_log_and_writes_no_checkpoint(
         self, corpus_dir, codec_ckpt, tmp_path
