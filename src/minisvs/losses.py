@@ -10,12 +10,12 @@ needs comes from one n x n similarity matrix per stream and window, and
 its backward is written by hand.
 
 CTC runs one log-space alpha/beta lattice over a batch of windows: the
-extended labels are padded to a common length, padding and illegal skips
-are masked with an additive -inf, and alpha and beta advance in the same
-frame loop. `ctc_loss_graph` takes several whole (B, W, C) heads, each
-with its own alphabet, runs one lattice over all their windows and
-scatters each head's state posterior straight back into it; `ctc_loss` is
-the one-window case on a numpy array.
+extended labels are padded to a common length, padding states emit an
+additive -inf, and alpha and beta advance in one frame loop of three numpy
+calls per frame. `ctc_loss_graph` takes several whole (B, W, C) heads,
+each with its own alphabet, runs one lattice over all their windows and
+scatters each head's state posterior straight back into it with one
+bincount; `ctc_loss` is the one-window case on a numpy array.
 """
 from __future__ import annotations
 
@@ -114,9 +114,10 @@ def _ctc_lattice(emit: np.ndarray, ext: np.ndarray, lengths: np.ndarray):
     emit is (N, T, S), the `_emissions` of ext (N, S), which holds
     blank-padded extended labels whose first lengths[n] states are real.
     The windows may come from heads with different alphabets. Padding
-    states and illegal skips are masked with an additive -inf, so they add
-    exactly nothing to any logaddexp. Returns alpha and beta as (N, T, S),
-    -inf on padding, and log Z as (N,).
+    states emit an additive -inf, so they add exactly nothing to any
+    logaddexp; a `where` mask skips the logaddexp of every illegal skip,
+    which leaves the value a logaddexp with -inf would give. Returns alpha
+    and beta as (N, T, S), -inf on padding, and log Z as (N,).
     """
     n, t_len, s_len = emit.shape
     neg = -np.inf
@@ -127,47 +128,38 @@ def _ctc_lattice(emit: np.ndarray, ext: np.ndarray, lengths: np.ndarray):
 
     # Columns [0, n) advance alpha; columns [n, 2n) advance beta with the
     # states reversed, so both recursions pull from lower states and one
-    # update per frame moves both (S is odd, so a reversed label is still
-    # at an odd state). Rows are an -inf guard standing for state -1, then
-    # the L labels, then the L + 1 blanks, which keeps every operand below
-    # a contiguous block. x[k] holds alpha_k and beta_{T-1-k}, each plus
-    # its emission; m[k] holds the values before emission, so m[k, :, n:]
-    # is beta_{T-1-k} itself.
-    n_lab = s_len // 2
-    row = np.empty(s_len, dtype=np.int64)
-    row[np.r_[1:s_len:2, 0:s_len:2]] = np.arange(1, s_len + 1)
+    # update per frame moves both. Row 0 is an -inf guard standing for
+    # state -1, then rows 1..S hold the states in order. x[k] holds alpha_k
+    # and beta_{T-1-k}, each plus its emission; m[k] holds the values
+    # before emission, so m[k, :, n:] is beta_{T-1-k} itself.
     emit_all = np.full((t_len, 1 + s_len, 2 * n), neg)
-    emit_all[:, row, :n] = emit.transpose(1, 2, 0)
-    emit_all[:, row, n:] = emit[:, ::-1, ::-1].transpose(1, 2, 0)
+    emit_all[:, 1:, :n] = emit.transpose(1, 2, 0)
+    emit_all[:, 1:, n:] = emit[:, ::-1, ::-1].transpose(1, 2, 0)
     # reversed state r pulls from r - 2 iff the forward skip into S + 1 - r is legal
     skip_to = np.zeros((2 * n, s_len), dtype=bool)
     skip_to[:n] = skip
     skip_to[n:, 2:] = skip[:, :1:-1]
-    skip_add = np.where(skip_to[:, 1::2].T, 0.0, neg)  # (L, 2n), by label
+    legal_skip = np.ascontiguousarray(skip_to[:, 2:].T)  # (S - 2, 2n), states 2..S-1
     x = np.empty_like(emit_all)
     m = np.full_like(emit_all, neg)
-    m[0, row[:2], :n] = 0.0  # alpha starts in the leading blank or the first label
+    m[0, 1:3, :n] = 0.0  # alpha starts in the leading blank or the first label
     windows = np.arange(n)
     two = lengths > 1
     # beta ends in the trailing blank (reversed state S - L) or the last label
-    m[0, row[s_len - lengths], n + windows] = 0.0
-    m[0, row[s_len + 1 - lengths[two]], n + windows[two]] = 0.0
+    m[0, 1 + s_len - lengths, n + windows] = 0.0
+    m[0, 2 + s_len - lengths[two], n + windows[two]] = 0.0
     np.add(m[0], emit_all[0], out=x[0])
-    # per frame: a blank pulls from the label before it, a label from the
-    # blank before it and then, by skip, from the label before that
-    skip_src = np.empty_like(skip_add)
-    for blank, lab_prev, lab, blank_prev, lab_skip, m_blank, m_lab, m_k, emit_k, x_k in zip(
-        x[:-1, 1 + n_lab :], x[:-1, : 1 + n_lab], x[:-1, 1 : 1 + n_lab], x[:-1, 1 + n_lab : -1],
-        x[:-1, :n_lab], m[1:, 1 + n_lab :], m[1:, 1 : 1 + n_lab], m[1:], emit_all[1:], x[1:],
+    # per frame: every state pulls from itself and the state before it, then
+    # a state with a legal skip from the one before that
+    for x_self, x_prev, x_skip, m_pull, m_skip, m_k, emit_k, x_k in zip(
+        x[:-1, 1:], x[:-1, :-1], x[:-1, 1:-2], m[1:, 1:], m[1:, 3:], m[1:], emit_all[1:], x[1:],
     ):
-        np.logaddexp(blank, lab_prev, out=m_blank)
-        np.logaddexp(lab, blank_prev, out=m_lab)
-        np.add(lab_skip, skip_add, out=skip_src)
-        np.logaddexp(m_lab, skip_src, out=m_lab)
+        np.logaddexp(x_self, x_prev, out=m_pull)
+        np.logaddexp(m_skip, x_skip, out=m_skip, where=legal_skip)
         np.add(m_k, emit_k, out=x_k)
 
-    alpha = x[:, row, :n].transpose(2, 0, 1)
-    beta = m[::-1, row[::-1], n:].transpose(2, 0, 1)
+    alpha = x[:, 1:, :n].transpose(2, 0, 1)
+    beta = m[::-1, :0:-1, n:].transpose(2, 0, 1)
     last = alpha[windows, -1, lengths - 1]
     before = np.where(two, alpha[windows, -1, np.maximum(lengths - 2, 0)], neg)
     return alpha, beta, np.logaddexp(last, before)
@@ -243,15 +235,13 @@ def _ctc_head(log_probs: Tensor, ext, alpha, beta, log_z) -> Tensor:
     def grad_fn(g):
         with np.errstate(invalid="ignore"):
             posterior = np.exp(alpha + beta - log_z[:, None, None])  # (B, W, S)
-        # states by frames, so each state's posterior is one contiguous row
-        posterior = np.ascontiguousarray(posterior.transpose(0, 2, 1))
-        acc = np.zeros((shape[0], shape[2], shape[1]))  # (B, C, W)
-        windows = np.arange(shape[0])
-        # one state at a time, so repeated symbols accumulate in state order
-        for s in range(ext.shape[1]):
-            acc[windows, ext[:, s]] += posterior[:, s]
+        # one scatter into (B, W, C); each symbol's bin adds its states'
+        # posteriors in state order, as a per-state loop would
+        bins = (np.arange(shape[0] * shape[1]).reshape(shape[:2] + (1,)) * shape[2]
+                + ext[:, None, :])
+        acc = np.bincount(bins.ravel(), weights=posterior.ravel(), minlength=log_probs.data.size)
         grad = np.empty(shape, dtype=log_probs.data.dtype)
-        np.multiply(acc.transpose(0, 2, 1), -float(g), out=grad, casting="same_kind")
+        np.multiply(acc.reshape(shape), -float(g), out=grad, casting="same_kind")
         return (grad,)
 
     return custom(np.asarray(total), (log_probs,), grad_fn, "ctc")

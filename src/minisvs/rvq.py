@@ -105,9 +105,13 @@ class CodecCodes:
 
 
 def _nearest(entries: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # squared distances via the expansion; argmin takes the first minimum,
-    # which implements lowest-index tie breaking
-    d = (r * r).sum(axis=1, keepdims=True) - 2.0 * (r @ entries.T) + (entries * entries).sum(axis=1)
+    # squared distances via the expansion (r.r) - 2 (r @ e.T) + (e.e), as one
+    # GEMM against -2 * entries and two in-place adds: scaling by -2 is
+    # exact, so this equals the expansion bit for bit. argmin takes the
+    # first minimum, which implements lowest-index tie breaking
+    d = r @ (-2.0 * entries).T
+    d += (r * r).sum(axis=1, keepdims=True)
+    d += (entries * entries).sum(axis=1)
     return np.argmin(d, axis=1)
 
 
@@ -122,18 +126,18 @@ def encode_detailed(coder: RvqCoder, z: np.ndarray):
     if z.ndim != 2 or z.shape[1] != coder.dim:
         raise ValueError(f"latents must be frames x {coder.dim}, got {z.shape}")
     c_total = coder.n_quantizers
-    residuals = np.empty((c_total, z.shape[0], z.shape[1]))
-    selected = np.empty_like(residuals)
+    # one more row than there are stages: the last holds the final residual
+    residuals = np.empty((c_total + 1, z.shape[0], z.shape[1]))
+    residuals[0] = z
+    selected = np.empty_like(residuals[1:])
     idx = np.empty((c_total, z.shape[0]), dtype=np.int64)
-    r = z.copy()
     for c, cb in enumerate(coder.codebooks):
-        residuals[c] = r
-        ids = _nearest(cb.entries.astype(np.float64), r)
-        idx[c] = ids
-        selected[c] = cb.entries[ids]
-        r = r - selected[c]
+        entries = cb.entries.astype(np.float64)
+        idx[c] = _nearest(entries, residuals[c])
+        np.take(entries, idx[c], axis=0, out=selected[c])
+        np.subtract(residuals[c], selected[c], out=residuals[c + 1])
     codes = CodecCodes(idx, coder.codebook_size, coder.dim)
-    return codes, z - r, residuals, selected
+    return codes, z - residuals[-1], residuals[:-1], selected
 
 
 def encode(coder: RvqCoder, z: np.ndarray) -> CodecCodes:
@@ -271,32 +275,35 @@ def ema_update(
     if bad.any():
         c, f = np.argwhere(bad)[0]
         raise ValueError(f"stage {c}: id {ids[c, f]} at frame {f} is outside [0, {k})")
-    # every stage's counts and sums in one scatter over stage-offset ids; a
-    # bincount adds each entry's frames in frame order, as np.add.at would
-    starts = np.arange(coder.n_quantizers + 1) * k
-    flat = (ids + starts[:-1, None]).ravel()
-    all_counts = np.bincount(flat, minlength=starts[-1]).astype(np.float64)
-    all_sums = np.stack([np.bincount(flat, weights=col, minlength=starts[-1])
-                         for col in residuals.reshape(-1, coder.dim).T], axis=1)
-    for cb, r, lo, hi in zip(coder.codebooks, residuals, starts, starts[1:]):
-        counts, sums = all_counts[lo:hi], all_sums[lo:hi]
-        cb.ema_counts = (decay * cb.ema_counts + (1.0 - decay) * counts).astype(np.float32)
-        cb.ema_sums = (decay * cb.ema_sums + (1.0 - decay) * sums).astype(np.float32)
-        new_entries = cb.ema_sums / np.maximum(cb.ema_counts, COUNT_EPS)[:, None]
-        if rng is not None:
-            dead = (counts == 0) & (cb.ema_counts < DEAD_CODE_THRESHOLD)
-            if coder.pin_zero:
-                dead[0] = False
-            n_dead = int(dead.sum())
-            if n_dead:
-                picks = rng.integers(0, r.shape[0], size=n_dead)
-                new_entries[dead] = r[picks]
-                cb.ema_counts[dead] = 1.0
-                cb.ema_sums[dead] = new_entries[dead]
-        cb.entries = new_entries.astype(np.float32)
+    # every (stage, entry) count and every (stage, entry, dim) sum in one
+    # bincount each over stage-offset ids; a bincount adds each bin's frames
+    # in frame order, as np.add.at would
+    c_total, dim = coder.n_quantizers, coder.dim
+    flat = (ids + np.arange(c_total)[:, None] * k).ravel()
+    counts = np.bincount(flat, minlength=c_total * k).astype(np.float64).reshape(c_total, k)
+    sums = np.bincount((flat[:, None] * dim + np.arange(dim)).ravel(), weights=residuals.ravel(),
+                       minlength=c_total * k * dim).reshape(c_total, k, dim)
+    books = coder.codebooks
+    ema_counts = (decay * np.stack([cb.ema_counts for cb in books])
+                  + (1.0 - decay) * counts).astype(np.float32)
+    ema_sums = (decay * np.stack([cb.ema_sums for cb in books])
+                + (1.0 - decay) * sums).astype(np.float32)
+    entries = ema_sums / np.maximum(ema_counts, COUNT_EPS)[..., None]
+    if rng is not None:
+        dead = (counts == 0) & (ema_counts < DEAD_CODE_THRESHOLD)
         if coder.pin_zero:
-            cb.entries[0] = 0.0
-            cb.ema_sums[0] = 0.0
+            dead[:, 0] = False
+        # stage by stage, so the rng draws come in stage order
+        for c in np.flatnonzero(dead.any(axis=1)):
+            picks = rng.integers(0, residuals.shape[1], size=int(dead[c].sum()))
+            entries[c, dead[c]] = residuals[c, picks]
+            ema_counts[c, dead[c]] = 1.0
+            ema_sums[c, dead[c]] = entries[c, dead[c]]
+    if coder.pin_zero:
+        entries[:, 0] = 0.0
+        ema_sums[:, 0] = 0.0
+    for cb, cb_entries, cb_counts, cb_sums in zip(books, entries, ema_counts, ema_sums):
+        cb.entries, cb.ema_counts, cb.ema_sums = cb_entries, cb_counts, cb_sums
     return coder
 
 

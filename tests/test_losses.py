@@ -168,16 +168,20 @@ def _reference_alpha_beta(logp, labels):
 
 
 def _reference_loss_and_grad(logp, targets):
-    """Summed per-window CTC and its gradient, minus the state posterior."""
-    total = 0.0
-    grad = np.zeros_like(logp)
+    """Summed per-window CTC and its gradient, minus the state posterior.
+
+    Each window runs in float64; its loss is cast to logp's dtype and the
+    windows add up in order in that dtype, and the gradient is cast once.
+    """
+    total = logp.dtype.type(0.0)
+    grad = np.zeros(logp.shape)
     for b, target in enumerate(targets):
-        ext, alpha, beta, log_z = _reference_alpha_beta(logp[b], target.labels)
-        total += -log_z
+        ext, alpha, beta, log_z = _reference_alpha_beta(logp[b].astype(np.float64), target.labels)
+        total += logp.dtype.type(-log_z)
         with np.errstate(invalid="ignore"):
             posterior = np.exp(alpha + beta - log_z)
         np.add.at(grad[b].T, ext, -posterior.T)
-    return total, grad
+    return total, grad.astype(logp.dtype)
 
 
 def _log_softmax_np(logits):
@@ -191,11 +195,17 @@ BATCH_LABELS = {
 }
 
 
+# batches whose shapes stress the lattice's row slicing: every target empty
+# (one state, so no state has a skip), and a single window
+EDGE_BATCHES = {"all_empty": (14, [(), (), ()]), "one_window": (127, [(60, 62, 62, 64)])}
+
+
 class TestBatchedCtc:
-    @pytest.mark.parametrize("alphabet", sorted(BATCH_LABELS))
-    def test_lattice_bit_identical_to_per_window_reference(self, alphabet):
+    @pytest.mark.parametrize("batch", sorted(BATCH_LABELS) + sorted(EDGE_BATCHES))
+    def test_lattice_bit_identical_to_per_window_reference(self, batch):
+        alphabet, labels = EDGE_BATCHES.get(batch) or (batch, BATCH_LABELS[batch])
         rng = np.random.default_rng(alphabet)
-        targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
+        targets = [losses.CtcTarget(window, alphabet) for window in labels]
         logp = _log_softmax_np(rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0)
         ext, lengths = losses._pad_targets(targets, 128)
         alpha, beta, log_z = losses._ctc_lattice(losses._emissions(logp, ext), ext, lengths)
@@ -208,18 +218,24 @@ class TestBatchedCtc:
             assert np.all(np.isneginf(beta[b, :, s_len:]))
             assert log_z[b] == ref_log_z
 
-    @pytest.mark.parametrize("alphabet", sorted(BATCH_LABELS))
-    def test_loss_and_gradient_match_reference(self, alphabet):
+    # the codec feeds float32 log-probabilities; float64 cases keep alphabet-only ids
+    @pytest.mark.parametrize("alphabet, dtype", [
+        pytest.param(alphabet, dtype, id=f"{alphabet}{suffix}")
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+        for alphabet in sorted(BATCH_LABELS)
+    ])
+    def test_loss_and_gradient_match_reference(self, alphabet, dtype):
         rng = np.random.default_rng(alphabet + 1)
         targets = [losses.CtcTarget(labels, alphabet) for labels in BATCH_LABELS[alphabet]]
-        logp = _log_softmax_np(rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0)
+        logits = rng.standard_normal((len(targets), 128, alphabet + 1)) * 2.0
+        logp = _log_softmax_np(logits).astype(dtype)
         lp = Tensor(logp.copy(), requires_grad=True)
         loss = losses.ctc_loss_graph([(lp, targets)])[0]
         loss.backward()
         ref_loss, ref_grad = _reference_loss_and_grad(logp, targets)
-        assert abs(float(loss.data) - ref_loss) < 1e-12
-        assert lp.grad.shape == logp.shape
-        assert np.abs(lp.grad - ref_grad).max() < 1e-12
+        assert loss.data.dtype == dtype and loss.data == ref_loss
+        assert lp.grad.dtype == dtype and lp.grad.shape == logp.shape
+        assert np.array_equal(lp.grad, ref_grad)
 
     @pytest.mark.parametrize("order", [(14, 127), (127, 14)])
     def test_one_lattice_for_two_heads_gives_the_bits_of_one_call_per_head(

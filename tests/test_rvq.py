@@ -120,6 +120,47 @@ class TestEncodeDecode:
             z2 = z + delta * (0.49 * margin)[:, None]
             assert np.array_equal(rvq.encode(coder, z2).indices, base)
 
+    def test_bit_identical_to_a_per_stage_reference(self):
+        # a codec-step batch: 512 float32 latents of 16 dims, 8 pin-zero
+        # codebooks of 64, each stage finer than the last
+        rng = np.random.default_rng(4)
+        sets = [rng.standard_normal((64, 16)).astype(np.float32) * 0.5**c for c in range(8)]
+        # exact ties: a duplicated entry, and two entries that are
+        # coordinate swaps of each other, equidistant from a frame on the
+        # diagonal; each must break to the lower index
+        sets[0][20] = sets[0][10]
+        sets[0][3, :2], sets[0][7, :2], sets[0][[3, 7], 2:] = (1.0, 2.0), (2.0, 1.0), 0.0
+        coder = _coder_from_entries(*sets, pin_zero=True)
+        z = rng.standard_normal((512, 16)).astype(np.float32)
+        z[5] = sets[0][10]
+        z[6] = 0.0
+        z[6, :2] = 1.5
+        codes, zq, residuals, selected = rvq.encode_detailed(coder, z)
+        ref_codes, ref_zq, ref_residuals, ref_selected = _reference_encode(coder, z)
+        assert codes.indices[0, 5] == 10 and codes.indices[0, 6] == 3
+        assert np.array_equal(codes.indices, ref_codes)
+        for got, want in ((zq, ref_zq), (residuals, ref_residuals), (selected, ref_selected)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _reference_encode(coder, z):
+    """Encoding stage by stage: the squared-distance expansion, entries
+    chosen by fancy indexing and a fresh residual array per stage."""
+    z = np.asarray(z, dtype=np.float64)
+    r = z.copy()
+    codes, residuals, selected = [], [], []
+    for cb in coder.codebooks:
+        entries = cb.entries.astype(np.float64)
+        d = ((r * r).sum(axis=1, keepdims=True) - 2.0 * (r @ entries.T)
+             + (entries * entries).sum(axis=1))
+        ids = np.argmin(d, axis=1)
+        codes.append(ids)
+        residuals.append(r)
+        selected.append(cb.entries[ids].astype(np.float64))
+        r = r - selected[-1]
+    return np.array(codes), z - r, np.array(residuals), np.array(selected)
+
 
 class TestCommitment:
     def test_exact_quantization_zero(self):
