@@ -253,14 +253,24 @@ class Tensor:
         return custom(self.data.reshape(*shape), (self,), grad_fn, "reshape")
 
 
-def custom(data: np.ndarray, parents: tuple, grad_fn, op: str) -> Tensor:
+def custom(data: np.ndarray, parents: tuple, grad_fn, op: str, diagnose=None) -> Tensor:
     """Build the output Tensor of op `op`; the one way an op joins the tape.
 
     grad_fn(out_grad) must return one gradient (or None) per parent. If some
     parent requires grad, the output keeps `parents` and `grad_fn`; if none
     does, the closure is dropped and the output is a constant.
+
+    A fused op passes diagnose, called only when `data` is not finite: it
+    recomputes the op's layer composition and raises NumericalError naming
+    the first of its ops that made a non-finite value, so a fused output is
+    reduced for finiteness once and still names what the composition named.
     """
-    out = Tensor(data, op=op)
+    try:
+        out = Tensor(data, op=op)
+    except NumericalError:
+        if diagnose is not None:
+            diagnose()
+        raise
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -278,6 +288,62 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 # -- primitives with non-trivial backward rules ----------------------------
+
+
+def _add_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, written into the fresh array a when the sum has a's shape and
+    dtype; an in-place add rounds as the out-of-place one does."""
+    if np.promote_types(a.dtype, b.dtype) == a.dtype and np.broadcast(a, b).shape == a.shape:
+        a += b
+        return a
+    return a + b
+
+
+def linear(*triples) -> Tensor:
+    """The sum of x @ w + b over one or more (x, w, b) Tensor triples, w 2-D, as one op.
+
+    It adds in the order of the taped composition x0 @ w0 + b0 + (x1 @ w1 +
+    b1) + ...: y = x0 @ w0, y += b0, then t = xi @ wi, t += bi, y += t for
+    each later triple. The backward makes the calls of that composition's
+    matmul and add closures, so the output and every gradient have its bits.
+    A non-finite output names the composition's first non-finite op,
+    "matmul" or "add".
+    """
+    y = None
+    shapes = []  # per triple: its product's, its term's and the running sum's before it
+    for x, w, b in triples:
+        m = x.data @ w.data
+        t = _add_into(m, b.data)
+        shapes.append((m.shape, t.shape, None if y is None else y.shape))
+        y = t if y is None else _add_into(y, t)
+
+    def diagnose():
+        y = None
+        for x, w, b in triples:
+            t = x.data @ w.data
+            _check_finite("matmul", t)
+            t = t + b.data
+            _check_finite("add", t)
+            if y is None:
+                y = t
+            else:
+                y = y + t
+                _check_finite("add", y)
+
+    def grad_fn(g):
+        grads = []
+        for (x, w, b), (m_shape, t_shape, y_shape) in zip(reversed(triples), reversed(shapes)):
+            gt = g
+            if y_shape is not None:
+                gt, g = _unbroadcast(g, t_shape), _unbroadcast(g, y_shape)
+            gm = _unbroadcast(gt, m_shape)
+            grads += [
+                _unbroadcast(gt, b.data.shape) if b.requires_grad else None,
+                matmul_weight_grad(x.data, gm) if w.requires_grad else None,
+                gm @ w.data.T if x.requires_grad else None,
+            ]
+        return grads[::-1]
+    return custom(y, tuple(p for triple in triples for p in triple), grad_fn, "linear", diagnose)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

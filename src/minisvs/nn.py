@@ -21,6 +21,7 @@ from .autodiff import (
     conv1d3,
     custom,
     embedding,
+    linear,
     matmul_weight_grad,
 )
 
@@ -78,7 +79,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
-        return as_tensor(x, self.w.dtype) @ self.w + self.b
+        return linear((as_tensor(x, self.w.dtype), self.w, self.b))
 
 
 class Conv3(Module):
@@ -179,8 +180,9 @@ class GatedConvBlock(Module):
         out += x.data
         # tanh and sigmoid bound their outputs, so every intermediate is
         # finite when h and out are; otherwise name the first non-finite one
-        # by the op of the layer composition above that made it, in its order
-        if not (np.isfinite(h.sum()) and np.isfinite(out.sum())):
+        # by the op of the layer composition above that made it, in its order.
+        # out is checked once, as the op's output, in custom
+        def diagnose():
             hc = _im2col3(x.data).reshape(-1, 3 * c) @ w.data.reshape(3 * c, 2 * c) + b.data
             steps = [("conv1d3", hc[:, :c]), ("conv1d3", hc[:, c:])]
             if te is not None:
@@ -193,6 +195,8 @@ class GatedConvBlock(Module):
                       ("matmul", pm), ("add", pm + bp.data), ("add", out)]
             for op, arr in steps:
                 _check_finite(op, arr)
+        if not np.isfinite(h.sum()):
+            diagnose()
 
         def grad_fn(gout):
             gs = gout.reshape(-1, c) @ wp.data.T
@@ -229,7 +233,7 @@ class GatedConvBlock(Module):
                 matmul_weight_grad(te.data, gt) if wt.requires_grad else None,
                 _unbroadcast(gt, bt.data.shape) if bt.requires_grad else None,
             )
-        return custom(out, parents, grad_fn, "gated_block")
+        return custom(out, parents, grad_fn, "gated_block", diagnose)
 
 
 def time_embedding(t, dim: int, dtype=np.float32) -> np.ndarray:
@@ -270,7 +274,9 @@ class ScoreNet(Module):
                 f"frame counts differ: z_t {z_t.shape}, mu {mu_hat.shape}, cond {h_cond.shape}"
             )
         t_emb = Tensor(time_embedding(t, self.time_dim, self.dtype))
-        h = self.z_in(z_t) + self.mu_in(mu_hat) + self.cond_in(h_cond)
+        # z_in(z_t) + mu_in(mu_hat) + cond_in(h_cond) as one op, in that order
+        h = linear((z_t, self.z_in.w, self.z_in.b), (mu_hat, self.mu_in.w, self.mu_in.b),
+                   (h_cond, self.cond_in.w, self.cond_in.b))
         for blk in self.block:
             h = blk(h, t_emb)
         return self.out(h)

@@ -670,9 +670,10 @@ def sample_score(
 ):
     """Score JSON -> condition -> reverse diffusion -> decoded mel + report.
 
-    target_kind defaults to the latent checkpoint's training target.
+    target_kind defaults to the latent checkpoint's training target. out_dir
+    is made only once every input has been read and checked, so a refused
+    run leaves no directory behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
     codec_models, codec_cfg, _ = load_codec_checkpoint(codec_ckpt)
     latent_models, cfg, meta, (mean, std) = load_latent_checkpoint(latent_ckpt)
     _check_config(codec_ckpt, codec_cfg.to_dict(), cfg, CODEC_GEOMETRY)
@@ -688,6 +689,8 @@ def sample_score(
     tau = cfg.tau if tau is None else tau
     if target_kind is None:
         target_kind = _recorded(latent_ckpt, meta, "target_kind")
+    sched = diffusion.NoiseSchedule(cfg.beta0, cfg.betaT)
+    sampler_cfg = diffusion.SamplerConfig(steps=steps, tau=tau, seed=seed)
 
     fc = latent_models.cond.condition(grid, _recorded(latent_ckpt, meta, "enhanced"))
     h_cond = fc.h_cond.data
@@ -695,9 +698,6 @@ def sample_score(
         mu = np.zeros((grid.frames, cfg.latent_dim))
     else:
         mu = fc.mu_hat.data.astype(np.float64)
-
-    sched = diffusion.NoiseSchedule(cfg.beta0, cfg.betaT)
-    sampler_cfg = diffusion.SamplerConfig(steps=steps, tau=tau, seed=seed)
 
     def score_fn(z, m, h, t):
         return latent_models.score(z, m, h, t).data
@@ -707,6 +707,7 @@ def sample_score(
     z_dec = rvq.quantize(codec_models.coder, z0) if target_kind == "zq" else z0
     mel_hat = codec_models.decode(z_dec)
 
+    os.makedirs(out_dir, exist_ok=True)
     latent_path = os.path.join(out_dir, "latent.f32")
     mel_path = os.path.join(out_dir, "mel.f32")
     save_matrix(latent_path, z0, kind="latent")

@@ -253,3 +253,88 @@ def test_conv1d3_matches_the_np_pad_reference_bit_for_bit(shape, dtype):
     for got, want in zip((out.data, x.grad, w.grad, b.grad), ref):
         assert got.dtype == dtype
         assert np.array_equal(got, want)
+
+
+_LINEAR_LEADS = {
+    "one-2d": [(37,)], "one-stacked": [(3, 29)],
+    "three-2d": [(37,)] * 3, "three-stacked": [(3, 29)] * 3,
+    "three-broadcast": [(29,), (3, 29), (29,)],
+}
+
+
+def _linear_triples(rng, dtype, leads, needs_grad):
+    """(x, w, b) triples of 7 outputs; needs_grad names the leaves that require grad."""
+    return [
+        (ad.Tensor(rng.standard_normal(lead + (n,)).astype(dtype), requires_grad="x" in needs_grad),
+         ad.Tensor(rng.standard_normal((n, 7)).astype(dtype), requires_grad="w" in needs_grad),
+         ad.Tensor(rng.standard_normal(7).astype(dtype), requires_grad="w" in needs_grad))
+        for lead, n in zip(leads, (5, 4, 6))
+    ]
+
+
+def _taped_sum_of_linears(triples):
+    out = None
+    for x, w, b in triples:
+        term = x @ w + b
+        out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("needs_grad", ["xw", "w", "x", ""], ids=["all", "const-x", "const-params",
+                                                                 "none"])
+@pytest.mark.parametrize("leads", list(_LINEAR_LEADS.values()), ids=list(_LINEAR_LEADS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_has_the_bits_of_the_taped_composition(dtype, leads, needs_grad):
+    rng = np.random.default_rng(len(leads) + len(leads[-1]))
+    triples = _linear_triples(rng, dtype, leads, needs_grad)
+    leaves = [leaf for triple in triples for leaf in triple]
+    runs = []
+    for build in (lambda: ad.linear(*triples), lambda: _taped_sum_of_linears(triples)):
+        for leaf in leaves:
+            leaf.grad = None
+        out = build()
+        if out.requires_grad:
+            probe = np.random.default_rng(1).standard_normal(out.shape).astype(dtype)
+            (out * probe).sum().backward()
+        runs.append((out, [out.data] + [leaf.grad for leaf in leaves]))
+    (fused, got), (_, want) = runs
+    assert fused.requires_grad == bool(needs_grad)
+    assert fused._parents == (tuple(leaves) if needs_grad else ())
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == w.dtype == dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case,op", [
+    ("product", "matmul"), ("bias", "add"), ("second-product", "matmul"),
+    ("second-bias", "add"), ("running-sum", "add"),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_names_the_op_of_the_composition_on_overflow(dtype, case, op):
+    # only the part the case names overflows: one triple's product, its bias
+    # add, or the sum of two finite terms; each term is one row, so no finite
+    # array sums past the float range
+    big = np.finfo(dtype).max
+    n_terms = 1 if case in ("product", "bias") else 2
+    triples = _linear_triples(np.random.default_rng(2), dtype, [(1,)] * n_terms, "xw")
+    x, w, b = triples[-1]
+    if case.endswith("product"):
+        x.data[:] = 1.0
+        w.data[:] = big
+    elif case.endswith("bias"):
+        x.data[:] = 0.0
+        x.data[0, 0] = big / 2
+        w.data[:] = 0.0
+        w.data[0, 0] = 1.0
+        b.data[0] = big
+    else:
+        for x, w, b in triples:
+            x.data[:] = 0.0
+            b.data[0] = big * 0.75
+    with np.errstate(all="ignore"):
+        with pytest.raises(ad.NumericalError) as fused:
+            ad.linear(*triples)
+        with pytest.raises(ad.NumericalError) as reference:
+            _taped_sum_of_linears(triples)
+    assert str(fused.value) == str(reference.value) == f"non-finite values in op '{op}'"

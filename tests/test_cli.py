@@ -378,7 +378,28 @@ class TestCorruptInputExits2:
             assert f"{ckpt}: checkpoint has no array '{name}'" in err
         else:
             assert f"{ckpt}: checkpoint array '{name}' has shape (1,), the model's is (" in err
-        assert not out.exists() or not any(out.iterdir())
+        if command == "sample":
+            assert not out.exists()
+        else:
+            assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("case", ["steps-0", "tau-0.5", "missing-score", "bad-meta"])
+    def test_refused_sample_leaves_no_out_dir(self, workdir, tmp_path, capsys, case):
+        score = workdir / "corpus" / "song000.score.json"
+        latent = workdir / "latent" / "latent.ckpt"
+        flags = {"steps-0": ["--steps", "0"], "tau-0.5": ["--steps", "2", "--tau", "0.5"]}.get(
+            case, ["--steps", "2"])
+        if case == "missing-score":
+            score = tmp_path / "absent.score.json"
+        elif case == "bad-meta":
+            latent = _edited_checkpoint(workdir, tmp_path,
+                                        lambda m: m["meta"].update(prior_mode="xyz"), "latent")
+        out = tmp_path / "samp"
+        assert cli.main(["sample", "--score", str(score),
+                         "--codec", str(workdir / "codec" / "codec.ckpt"), "--latent", str(latent),
+                         "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("phoneme_table", []),

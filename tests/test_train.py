@@ -838,6 +838,17 @@ class TestInferenceBuildsNoTape:
         assert len(scores) == 6 and len(decoded) == 1
         assert _untaped(scores) and _untaped(decoded)
 
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_each_sampler_step_is_one_score_net_call(
+        self, monkeypatch, corpus_dir, codec_ckpt, latent_ckpt, tmp_path, steps
+    ):
+        # the benchmark times a sampler step as one ScoreNet.__call__; a step
+        # that reached the score net by another route would go unclocked
+        scores = _record_outputs(monkeypatch, nn.ScoreNet)
+        train.sample_score(str(corpus_dir / "song000.score.json"), codec_ckpt, latent_ckpt,
+                           tmp_path, steps=steps, seed=0)
+        assert len(scores) == steps
+
     def test_codec_file_commands_build_no_tape(
         self, monkeypatch, corpus_dir, codec_ckpt, tmp_path
     ):
