@@ -20,9 +20,10 @@ class NumericalError(RuntimeError):
 
 def _check_finite(op: str, arr: np.ndarray) -> None:
     # a sum propagates NaN, and +inf/-inf either survive or cancel to NaN,
-    # so one reduction flags every non-finite case our ops can produce; the
-    # method skips np.sum's dispatch, which is a sizeable part of small ops
-    if not np.isfinite(arr.sum()):
+    # so a finite sum means finite values; large finite values can also
+    # overflow it, so only a non-finite sum tests each value. The method
+    # skips np.sum's dispatch, which is a sizeable part of small ops
+    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values in op '{op}'")
 
 

@@ -326,11 +326,20 @@ class MelPatchDiscriminator(Module):
 
 
 ADAM_EPS = 1e-8  # added to the bias-corrected sqrt(v) before dividing
+# most elements in a run of params that a step updates with one call per
+# expression: small params share a run, and a run's operands stay in cache
+ADAM_BLOCK = 32768
 
 
 class AdamW:
     """AdamW over (name, param) pairs, with decoupled weight decay applied
-    before the moment update; the names key the moments in a checkpoint."""
+    before the moment update; the names key the moments in a checkpoint.
+
+    The params, m and v live in three flat buffers, in params order; each
+    param's .data and each entry of m and v is a view of its buffer. A step
+    walks runs of consecutive whole params of at most ADAM_BLOCK elements (a
+    larger param alone); the update is elementwise, so runs change no bits.
+    """
 
     def __init__(
         self,
@@ -346,37 +355,91 @@ class AdamW:
             raise ValueError("betas must lie in [0, 1)")
         self.names = [name for name, _ in named_params]
         self.params = [p for _, p in named_params]
+        self._index = {id(p): i for i, p in enumerate(self.params)}
+        if len(self._index) < len(self.params):
+            raise ValueError("a param is listed twice")
+        dtypes = {p.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"params of mixed dtypes: {sorted(map(str, dtypes))}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        starts = [0] + ends[:-1]
+        flat = np.empty(ends[-1] if ends else 0, dtypes.pop() if dtypes else np.float32)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        self.m, self.v = [], []
+        for p, a, b in zip(self.params, starts, ends):
+            flat[a:b] = p.data.reshape(-1)
+            p.data = flat[a:b].reshape(p.shape)
+            self.m.append(m[a:b].reshape(p.shape))
+            self.v.append(v[a:b].reshape(p.shape))
+        self._views = [p.data for p in self.params]
+        # per run: its params' index range, each one's (start, end) in the
+        # run, and the run's slices of the buffers
+        self._runs, i = [], 0
+        for j in range(1, len(ends) + 1):
+            if j == len(ends) or ends[j] - starts[i] > ADAM_BLOCK:
+                segs = [(a - starts[i], b - starts[i]) for a, b in zip(starts[i:j], ends[i:j])]
+                run = slice(starts[i], ends[j - 1])
+                self._runs.append((i, j, segs, flat[run], m[run], v[run]))
+                i = j
+        # scratch for a run's gathered grads and for its float64 squares
+        self._grads = np.empty(min(flat.size, ADAM_BLOCK), flat.dtype)
+        self._squares = np.empty(max((r[3].size for r in self._runs), default=0))
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
-    def step(self):
+    def step(self, groups=()) -> list[float]:
+        """Update every param from its grad (None counts as zeros); return
+        the grad norm of all params, then of each group, a list of params.
+
+        A norm adds its params' float64 squared sums in its list's order, so
+        a group's norm has the bits it would have on its own. A non-finite
+        grad raises NumericalError before any param of its run moves.
+        """
+        for name, p, view in zip(self.names, self.params, self._views):
+            if p.data is not view:
+                raise RuntimeError(f"param '{name}' is no longer the optimizer's array")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(np.sum(g)):
+        sums = []
+        for i, j, segs, data, m, v in self._runs:
+            if j - i == 1:
+                g = self.params[i].grad
+                g = np.zeros(data.size, data.dtype) if g is None else g.reshape(-1)
+            else:
+                g = self._grads[: data.size]
+                for p, (a, b) in zip(self.params[i:j], segs):
+                    g[a:b] = 0.0 if p.grad is None else p.grad.reshape(-1)
+            sq = np.square(g, out=self._squares[: data.size], dtype=np.float64)
+            run_sums = [float(sq[a:b].sum()) for a, b in segs]
+            # float64 squares of finite float64 grads can overflow
+            if not math.isfinite(sum(run_sums)) and not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient at optimizer step {t}")
+            sums += run_sums
             if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            m, v = self.m[i], self.v[i]
+                data *= 1.0 - self.lr * self.weight_decay
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             denom = np.sqrt(v / bc2)
             denom += ADAM_EPS
-            p.data -= (self.lr / bc1) * m / denom
+            data -= (self.lr / bc1) * m / denom
+        norms = []
+        for members in (self.params, *groups):
+            total = 0.0
+            for p in members:
+                total += sums[self._index[id(p)]]
+            norms.append(math.sqrt(total))
+        return norms
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment arrays keyed for checkpointing."""
@@ -387,34 +450,17 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int):
-        """Copy the moments of state_arrays() back; the checkpoint reader has
-        checked that each is present with its moment's shape."""
+        """Copy the moments of state_arrays() back, in place; the checkpoint
+        reader has checked that each is present with its moment's shape."""
         for i, name in enumerate(self.names):
-            self.m[i] = arrays["adam.m." + name].astype(self.m[i].dtype)
-            self.v[i] = arrays["adam.v." + name].astype(self.v[i].dtype)
+            self.m[i][...] = arrays["adam.m." + name]
+            self.v[i][...] = arrays["adam.v." + name]
         self.step_count = int(step)
 
 
 def set_params(named_params, arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into live parameter tensors; the checkpoint
-    reader has checked that each is present with its tensor's shape."""
+    """Copy checkpoint arrays into the live parameter arrays, in place, so a
+    param stays a view of its optimizer's buffer; the checkpoint reader has
+    checked that each is present with its tensor's shape."""
     for name, tensor in named_params:
-        tensor.data = arrays[name].astype(tensor.data.dtype)
-
-
-def grad_norms(params, groups=()) -> list[float]:
-    """The gradient norm of params, then of each group, a subset of params.
-
-    Each gradient's float64 squared sum is taken once; every norm adds its
-    parameters' sums in its own order, so a group's norm has the bits it
-    would have on its own.
-    """
-    squares = {id(p): float((p.grad.astype(np.float64) ** 2).sum())
-               for p in params if p.grad is not None}
-    norms = []
-    for members in (params, *groups):
-        total = 0.0
-        for p in members:
-            total += squares.get(id(p), 0.0)
-        norms.append(math.sqrt(total))
-    return norms
+        tensor.data[...] = arrays[name]

@@ -32,7 +32,6 @@ from .nn import (
     MelPatchDiscriminator,
     Module,
     ScoreNet,
-    grad_norms,
     set_params,
 )
 
@@ -491,8 +490,7 @@ def _codec_step(cfg, models, songs, win, data_rng, step, opt, disc_opt, adversar
     opt.zero_grad()
     disc_opt.zero_grad()
     total.backward()
-    gnorm = grad_norms(opt.params)[0]
-    opt.step()
+    gnorm = opt.step()[0]
 
     if adversarial:
         # the generator step left the disc params alone, so the real batch's
@@ -648,8 +646,7 @@ def _latent_step(cfg, models, songs, z_norm, win, unlabeled, modes, sched, data_
 
     opt.zero_grad()
     total.backward()
-    gnorm, g_sup, g_unsup = grad_norms(opt.params, norm_groups)
-    opt.step()
+    gnorm, g_sup, g_unsup = opt.step(norm_groups)
     prior = float(l_prior.data) if data_prior else 0.0
     cont = [float(c.data) for c in cont_terms] or [0.0, 0.0]
     return [step, float(l_diff.data), prior, *cont, float(total.data), gnorm, g_sup, g_unsup]

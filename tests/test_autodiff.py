@@ -338,3 +338,20 @@ def test_linear_names_the_op_of_the_composition_on_overflow(dtype, case, op):
         with pytest.raises(ad.NumericalError) as reference:
             _taped_sum_of_linears(triples)
     assert str(fused.value) == str(reference.value) == f"non-finite values in op '{op}'"
+
+
+def test_a_leaf_of_finite_values_whose_sum_overflows_is_accepted():
+    big = np.finfo(np.float32).max
+    with np.errstate(over="ignore"):
+        leaf = ad.Tensor(np.array([big, big], dtype=np.float32))
+    assert np.all(leaf.data == big)
+
+
+def test_a_linear_whose_finite_product_sums_past_the_range_is_accepted():
+    big = np.finfo(np.float32).max
+    x = ad.Tensor(np.ones((2, 1), np.float32))
+    w = ad.Tensor(np.array([[big]], np.float32), requires_grad=True)
+    with np.errstate(over="ignore"):
+        y = ad.linear((x, w, ad.Tensor(np.zeros(1, np.float32))))
+    # the product's one column holds float32's max in both rows
+    assert y.data.dtype == np.float32 and np.all(y.data == big)

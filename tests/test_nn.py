@@ -107,10 +107,11 @@ class TestGradNorms:
                     total += float((p.grad.astype(np.float64) ** 2).sum())
             return math.sqrt(total)
 
-        got = nn.grad_norms(params, groups)
+        opt = nn.AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=1e-3)
+        got = opt.step(groups)
         assert got == [reference(params)] + [reference(g) for g in groups]
         assert got[2] == 0.0
-        assert nn.grad_norms(params) == got[:1]
+        assert opt.step() == got[:1]
 
 
 def _reference_block(blk, x, t_emb=None):
@@ -349,7 +350,8 @@ class TestFusedGatedBlock:
             blk.time_w.data[:] = 0.0
             blk.proj.w.data[:] = big
         else:
-            x.data[:] = big / 4
+            # every tanh-gate value sums 16 or 24 terms of at least |w| * big
+            x.data[:] = big
             blk.gate_w.data[..., :c] = np.abs(blk.gate_w.data[..., :c])
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError) as fused:
@@ -470,6 +472,54 @@ class TestAdamW:
             assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
         assert restored.step_count == 1
 
+    def test_set_params_keeps_the_views_that_step_moves(self):
+        # as a resumed run does: optimizer first, then the checkpoint's params
+        named = nn.Linear(3, 4, np.random.default_rng(3)).params()
+        opt = nn.AdamW(named, lr=1e-2)
+        views = [p.data for _, p in named]
+        saved = {name: np.full(p.shape, 0.5) for name, p in named}
+        nn.set_params(named, saved)
+        for (_, p), view in zip(named, views):
+            assert p.data is view and p.dtype == np.float32 and np.all(p.data == 0.5)
+            p.grad = np.ones(p.shape, np.float32)
+        opt.step()
+        assert all(p.data is view and np.all(p.data < 0.5) for (_, p), view in zip(named, views))
+
+    def test_replaced_param_array_is_refused_by_name(self):
+        p, q = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        opt = nn.AdamW([("a.w", p), ("b", q)], lr=1e-3)
+        q.data = q.data.copy()
+        with pytest.raises(RuntimeError, match="'b'"):
+            opt.step()
+        assert opt.step_count == 0
+
+    def test_mixed_dtypes_and_repeated_params_are_refused(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(2, np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="dtypes"):
+            nn.AdamW([("p", p), ("q", q)], lr=1e-3)
+        with pytest.raises(ValueError, match="twice"):
+            nn.AdamW([("p", p), ("again", p)], lr=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_grad_leaves_its_run_unchanged(self, bad):
+        params = [Tensor(np.full(n, 1.0, np.float32), requires_grad=True) for n in (3, 4, 5)]
+        opt = nn.AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=1e-3)
+        for p in params:
+            p.grad = np.ones(p.shape, np.float32)
+        params[1].grad[2] = bad
+        with pytest.raises(NumericalError, match="optimizer step 1"):
+            opt.step()
+        assert all(np.all(p.data == 1.0) for p in params)
+
+    def test_finite_grads_whose_squares_overflow_are_stepped(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        opt = nn.AdamW([("p", p)], lr=1e-3)
+        p.grad = np.full(2, np.finfo(np.float64).max)
+        with np.errstate(over="ignore"):
+            assert opt.step() == [math.inf]
+        assert opt.step_count == 1
+
     def test_bare_params_are_refused(self):
         with pytest.raises(TypeError):
             nn.AdamW([Tensor(np.zeros(2), requires_grad=True)], lr=1e-3)
@@ -480,6 +530,68 @@ class TestAdamW:
             nn.AdamW([("p", p)], lr=0.0)
         with pytest.raises(ValueError):
             nn.AdamW([("p", p)], lr=1e-3, beta1=1.0)
+
+
+class _ReferenceAdamW:
+    """AdamW param by param, each expression over one param's arrays, and
+    each norm from the per-param float64 squared sums."""
+
+    def __init__(self, params, lr, beta1, beta2, weight_decay):
+        self.params = [p.copy() for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.lr, self.beta1, self.beta2, self.wd = lr, beta1, beta2, weight_decay
+        self.t = 0
+
+    def step(self, grads, groups):
+        self.t += 1
+        bc1, bc2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            g = np.zeros_like(p) if g is None else g
+            p *= 1.0 - self.lr * self.wd
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            denom = np.sqrt(v / bc2)
+            denom += nn.ADAM_EPS
+            p -= (self.lr / bc1) * m / denom
+        squares = [0.0 if g is None else float((g.astype(np.float64) ** 2).sum()) for g in grads]
+        norms = []
+        for members in (range(len(grads)), *groups):
+            total = 0.0
+            for i in members:
+                total += squares[i]
+            norms.append(math.sqrt(total))
+        return norms
+
+
+class TestAdamWRuns:
+    # runs: [0-4] share one, [5] is larger than a run, [6-7] share one, and
+    # [8] fills one alone because adding [9] would pass ADAM_BLOCK
+    SHAPES = [(3, 4), (5,), (7, 2, 3), (1,), (64, 65), (nn.ADAM_BLOCK + 17,), (9,), (2, 11),
+              (nn.ADAM_BLOCK - 10,), (40,), (6, 3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_params_moments_and_norms_have_the_per_param_bits(self, dtype):
+        rng = np.random.default_rng(11)
+        params = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                  for s in self.SHAPES]
+        ref = _ReferenceAdamW([p.data for p in params], 3e-3, 0.8, 0.99, 0.01)
+        opt = nn.AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=3e-3)
+        groups = [[7, 0, 5], [3], [8, 9, 1]]
+        for _ in range(6):
+            grads = [(rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 4)).astype(dtype)
+                     for p in params]
+            grads[6] = None
+            for p, g in zip(params, grads):
+                p.grad = g
+            want = ref.step(grads, groups)
+            assert opt.step([[params[i] for i in g] for g in groups]) == want
+        for ours, theirs in (([p.data for p in params], ref.params), (opt.m, ref.m),
+                             (opt.v, ref.v)):
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestToyAutoencoder:

@@ -126,20 +126,21 @@ class TestCodecTraining:
         self, cfg, corpus_dir, tmp_path, monkeypatch
     ):
         built, disc_grads = [], []
-        build, norms = train.build_codec_models, train.grad_norms
+        build, step = train.build_codec_models, nn.AdamW.step
 
         def build_and_keep(*args):
             models = build(*args)
             built.append((models, [p.data.copy() for _, p in models.disc.params()]))
             return models
 
-        def grad_norms(params, groups=()):
-            # runs right after the generator backward
-            disc_grads.append([p.grad for _, p in built[0][0].disc.params()])
-            return norms(params, groups)
+        def step_and_keep(opt, *args):
+            # the generator optimizer's step runs right after the generator backward
+            if not opt.names[0].startswith("disc."):
+                disc_grads.append([p.grad for _, p in built[0][0].disc.params()])
+            return step(opt, *args)
 
         monkeypatch.setattr(train, "build_codec_models", build_and_keep)
-        monkeypatch.setattr(train, "grad_norms", grad_norms)
+        monkeypatch.setattr(nn.AdamW, "step", step_and_keep)
         train.train_codec(cfg, corpus_dir, tmp_path, steps=3, seed=6, adversarial=True)
         assert len(disc_grads) == 3
         assert all(g is None for step in disc_grads for g in step)
@@ -147,6 +148,27 @@ class TestCodecTraining:
         (models, start), = built
         for (_, p), before in zip(models.disc.params(), start):
             assert p.grad is not None and not np.array_equal(p.data, before)
+
+    @pytest.mark.parametrize("kind,per_step", [("plain", 1), ("adversarial", 2), ("latent", 1)])
+    def test_a_step_calls_the_optimizers_a_fixed_number_of_times(
+        self, cfg, corpus_dir, codec_ckpt, tmp_path, monkeypatch, kind, per_step
+    ):
+        # a training step's clock in perfbench ends at its last AdamW.step,
+        # found by counting per_step calls
+        calls, step = [], nn.AdamW.step
+
+        def counted(opt, *args):
+            calls.append(opt)
+            return step(opt, *args)
+
+        monkeypatch.setattr(nn.AdamW, "step", counted)
+        if kind == "latent":
+            train.train_latent(cfg, corpus_dir, codec_ckpt, tmp_path, steps=3, seed=2,
+                               unlabeled_ratio=0.5)
+        else:
+            train.train_codec(cfg, corpus_dir, tmp_path, steps=3, seed=2,
+                              adversarial=kind == "adversarial")
+        assert len(calls) == 3 * per_step
 
     def test_resume_follows_the_checkpoint_adversarial_flag(self, cfg, corpus_dir, tmp_path):
         _, log_full = train.train_codec(
