@@ -300,51 +300,47 @@ def _add_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def linear(*triples) -> Tensor:
-    """The sum of x @ w + b over one or more (x, w, b) Tensor triples, w 2-D, as one op.
+def linear(x: Tensor, w: Tensor, b: Tensor, terms=()) -> Tensor:
+    """x @ w + b for a 2-D w, plus already-formed Tensor terms, as one op.
 
-    It adds in the order of the taped composition x0 @ w0 + b0 + (x1 @ w1 +
-    b1) + ...: y = x0 @ w0, y += b0, then t = xi @ wi, t += bi, y += t for
-    each later triple. The backward makes the calls of that composition's
-    matmul and add closures, so the output and every gradient have its bits.
-    A non-finite output names the composition's first non-finite op,
-    "matmul" or "add".
+    It adds in the order of the taped composition x @ w + b + terms[0] + ...:
+    y = x @ w, y += b, then y += term for each term. A term formed by
+    linear(xi, wi, bi) is xi @ wi then += bi, so a sum of several products
+    keeps the bits of x0 @ w0 + b0 + (x1 @ w1 + b1) + .... The backward makes
+    the calls of the composition's matmul and add closures, so the output and
+    every gradient have its bits. A non-finite output names the
+    composition's first non-finite op, "matmul" or "add".
     """
-    y = None
-    shapes = []  # per triple: its product's, its term's and the running sum's before it
-    for x, w, b in triples:
-        m = x.data @ w.data
-        t = _add_into(m, b.data)
-        shapes.append((m.shape, t.shape, None if y is None else y.shape))
-        y = t if y is None else _add_into(y, t)
+    m = x.data @ w.data
+    m_shape = m.shape
+    y = _add_into(m, b.data)
+    sum_shapes = []  # per term: the running sum's shape before it
+    for term in terms:
+        sum_shapes.append(y.shape)
+        y = _add_into(y, term.data)
 
     def diagnose():
-        y = None
-        for x, w, b in triples:
-            t = x.data @ w.data
-            _check_finite("matmul", t)
-            t = t + b.data
-            _check_finite("add", t)
-            if y is None:
-                y = t
-            else:
-                y = y + t
-                _check_finite("add", y)
+        y = x.data @ w.data
+        _check_finite("matmul", y)
+        y = y + b.data
+        _check_finite("add", y)
+        for term in terms:
+            y = y + term.data
+            _check_finite("add", y)
 
     def grad_fn(g):
-        grads = []
-        for (x, w, b), (m_shape, t_shape, y_shape) in zip(reversed(triples), reversed(shapes)):
-            gt = g
-            if y_shape is not None:
-                gt, g = _unbroadcast(g, t_shape), _unbroadcast(g, y_shape)
-            gm = _unbroadcast(gt, m_shape)
-            grads += [
-                _unbroadcast(gt, b.data.shape) if b.requires_grad else None,
-                matmul_weight_grad(x.data, gm) if w.requires_grad else None,
-                gm @ w.data.T if x.requires_grad else None,
-            ]
-        return grads[::-1]
-    return custom(y, tuple(p for triple in triples for p in triple), grad_fn, "linear", diagnose)
+        term_grads = []
+        for term, shape in zip(reversed(terms), reversed(sum_shapes)):
+            term_grads.append(_unbroadcast(g, term.data.shape) if term.requires_grad else None)
+            g = _unbroadcast(g, shape)
+        gm = _unbroadcast(g, m_shape)
+        return (
+            gm @ w.data.T if x.requires_grad else None,
+            matmul_weight_grad(x.data, gm) if w.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            *term_grads[::-1],
+        )
+    return custom(y, (x, w, b, *terms), grad_fn, "linear", diagnose)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

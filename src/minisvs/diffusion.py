@@ -133,6 +133,12 @@ def reverse_sample(score_fn, mu_hat, h_cond, sched: NoiseSchedule, cfg: SamplerC
     draw. For t = T, T-h, ..., h:
         z <- z + h beta_t (1/2 (z - mu) + score(z, mu, h_cond, t)) + sqrt(h beta_t) xi
     Deterministic given cfg.seed.
+
+    score_fn(z, mu_hat, h_cond, t) is called once per step, always with the
+    same mu_hat and h_cond, so it may form what depends only on them once
+    per sample: `train.sample_score` forms the score net's mu_in(mu_hat) and
+    cond_in(h_cond) before the loop and adds them at every step in the
+    order the four-argument call does, with the same bytes.
     """
     mu_hat = np.asarray(mu_hat, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
@@ -146,7 +152,9 @@ def reverse_sample(score_fn, mu_hat, h_cond, sched: NoiseSchedule, cfg: SamplerC
         t = HORIZON - i * h
         beta = beta_at(sched, t)
         s = np.asarray(score_fn(z, mu_hat, h_cond, t), dtype=np.float64)
-        if not np.all(np.isfinite(s)):
+        # one reduction; only a non-finite sum, which finite values can also
+        # give, tests each value (as autodiff._check_finite does)
+        if not np.isfinite(s.sum()) and not np.isfinite(s).all():
             raise NumericalError(f"score produced non-finite values at sampler step {i} (t={t:.4f})")
         z = z + h * beta * (0.5 * (z - mu_hat) + s)
         if i < n - 1:

@@ -79,7 +79,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
-        return linear((as_tensor(x, self.w.dtype), self.w, self.b))
+        return linear(as_tensor(x, self.w.dtype), self.w, self.b)
 
 
 class Conv3(Module):
@@ -265,18 +265,34 @@ class ScoreNet(Module):
         self.block = [GatedConvBlock(width, rng, time_dim, dtype) for _ in range(blocks)]
         self.out = Linear(width, latent_dim, rng, dtype)
 
-    def __call__(self, z_t, mu_hat, h_cond, t):
-        z_t = as_tensor(z_t, self.dtype)
+    def input_terms(self, mu_hat, h_cond) -> tuple[Tensor, Tensor]:
+        """mu_in(mu_hat) and cond_in(h_cond), the input terms that do not vary with z_t or t.
+
+        Each is formed as `linear` forms a term, x @ w then += b, and checked
+        for finiteness here. A sampler forms them once and passes them to
+        every step's call; the output has the bits of the four-argument call.
+        """
         mu_hat = as_tensor(mu_hat, self.dtype)
         h_cond = as_tensor(h_cond, self.dtype)
-        if not (z_t.shape[-2] == mu_hat.shape[-2] == h_cond.shape[-2]):
+        if mu_hat.shape[-2] != h_cond.shape[-2]:
+            raise ValueError(f"frame counts differ: mu {mu_hat.shape}, cond {h_cond.shape}")
+        return self.mu_in(mu_hat), self.cond_in(h_cond)
+
+    def __call__(self, z_t, mu_hat, h_cond, t, terms=None):
+        """The score at z_t; terms = input_terms(mu_hat, h_cond) replaces mu_hat and
+        h_cond, which are then passed as None."""
+        z_t = as_tensor(z_t, self.dtype)
+        if terms is None:
+            terms = self.input_terms(mu_hat, h_cond)
+        elif mu_hat is not None or h_cond is not None:
+            raise ValueError("pass mu_hat and h_cond, or their input terms, not both")
+        if z_t.shape[-2] != terms[0].shape[-2]:
             raise ValueError(
-                f"frame counts differ: z_t {z_t.shape}, mu {mu_hat.shape}, cond {h_cond.shape}"
+                f"frame counts differ: z_t {z_t.shape}, input terms {terms[0].shape}"
             )
         t_emb = Tensor(time_embedding(t, self.time_dim, self.dtype))
         # z_in(z_t) + mu_in(mu_hat) + cond_in(h_cond) as one op, in that order
-        h = linear((z_t, self.z_in.w, self.z_in.b), (mu_hat, self.mu_in.w, self.mu_in.b),
-                   (h_cond, self.cond_in.w, self.cond_in.b))
+        h = linear(z_t, self.z_in.w, self.z_in.b, terms)
         for blk in self.block:
             h = blk(h, t_emb)
         return self.out(h)

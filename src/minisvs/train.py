@@ -669,7 +669,10 @@ def sample_score(
 
     target_kind defaults to the latent checkpoint's training target. out_dir
     is made only once every input has been read and checked, so a refused
-    run leaves no directory behind.
+    run leaves no directory behind. The score net's mu_in(mu) and
+    cond_in(h_cond) are formed once per sample, not once per reverse step;
+    each step's score_fn is one ScoreNet call that adds them in the
+    four-argument call's order, so the sample has the same bytes.
     """
     codec_models, codec_cfg, _ = load_codec_checkpoint(codec_ckpt)
     latent_models, cfg, meta, (mean, std) = load_latent_checkpoint(latent_ckpt)
@@ -696,8 +699,10 @@ def sample_score(
     else:
         mu = fc.mu_hat.data.astype(np.float64)
 
+    terms = latent_models.score.input_terms(mu, h_cond)
+
     def score_fn(z, m, h, t):
-        return latent_models.score(z, m, h, t).data
+        return latent_models.score(z, None, None, t, terms=terms).data
 
     z_prime = diffusion.reverse_sample(score_fn, mu, h_cond, sched, sampler_cfg)
     z0 = diffusion.denormalize_latent(z_prime, mean, std)

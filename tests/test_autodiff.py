@@ -272,6 +272,16 @@ def _linear_triples(rng, dtype, leads, needs_grad):
     ]
 
 
+def _linear_of_triples(triples):
+    """The first triple's linear, with each later triple's linear as a term."""
+    (x, w, b), *rest = triples
+    return ad.linear(x, w, b, [ad.linear(*triple) for triple in rest])
+
+
+def _leaves(out):
+    return [leaf for p in out._parents for leaf in (p._parents if p._op == "linear" else (p,))]
+
+
 def _taped_sum_of_linears(triples):
     out = None
     for x, w, b in triples:
@@ -289,7 +299,7 @@ def test_linear_has_the_bits_of_the_taped_composition(dtype, leads, needs_grad):
     triples = _linear_triples(rng, dtype, leads, needs_grad)
     leaves = [leaf for triple in triples for leaf in triple]
     runs = []
-    for build in (lambda: ad.linear(*triples), lambda: _taped_sum_of_linears(triples)):
+    for build in (lambda: _linear_of_triples(triples), lambda: _taped_sum_of_linears(triples)):
         for leaf in leaves:
             leaf.grad = None
         out = build()
@@ -299,7 +309,7 @@ def test_linear_has_the_bits_of_the_taped_composition(dtype, leads, needs_grad):
         runs.append((out, [out.data] + [leaf.grad for leaf in leaves]))
     (fused, got), (_, want) = runs
     assert fused.requires_grad == bool(needs_grad)
-    assert fused._parents == (tuple(leaves) if needs_grad else ())
+    assert _leaves(fused) == (leaves if needs_grad else [])
     for g, w in zip(got, want):
         assert (g is None) == (w is None)
         if w is not None:
@@ -334,10 +344,62 @@ def test_linear_names_the_op_of_the_composition_on_overflow(dtype, case, op):
             b.data[0] = big * 0.75
     with np.errstate(all="ignore"):
         with pytest.raises(ad.NumericalError) as fused:
-            ad.linear(*triples)
+            _linear_of_triples(triples)
         with pytest.raises(ad.NumericalError) as reference:
             _taped_sum_of_linears(triples)
     assert str(fused.value) == str(reference.value) == f"non-finite values in op '{op}'"
+
+
+_TERM_LEADS = {"same": ((3, 29), [(3, 29), (3, 29)]), "broadcast-term": ((3, 29), [(29,), (3, 29)]),
+               "broadcast-sum": ((29,), [(3, 29), (29,)])}
+
+
+@pytest.mark.parametrize("needs_grad", ["xwt", "xw", "t", ""], ids=["all", "const-terms",
+                                                                  "const-product", "none"])
+@pytest.mark.parametrize("leads", list(_TERM_LEADS.values()), ids=list(_TERM_LEADS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_adds_its_terms_after_its_product_in_order(dtype, leads, needs_grad):
+    x_lead, term_leads = leads
+    rng = np.random.default_rng(len(term_leads[0]) + len(x_lead))
+    (x, w, b), = _linear_triples(rng, dtype, [x_lead], needs_grad)
+    terms = [ad.Tensor(rng.standard_normal(lead + (7,)).astype(dtype), requires_grad="t" in needs_grad)
+             for lead in term_leads]
+    leaves = [x, w, b] + terms
+    # the forward is y = x @ w; y += b; y += t1; y += t2, with no other association
+    want = x.data @ w.data
+    want = want + b.data
+    for t in terms:
+        want = want + t.data
+    runs = []
+    for build in (lambda: ad.linear(x, w, b, terms),
+                  lambda: x @ w + b + terms[0] + terms[1]):
+        for leaf in leaves:
+            leaf.grad = None
+        out = build()
+        if out.requires_grad:
+            probe = np.random.default_rng(1).standard_normal(out.shape).astype(dtype)
+            (out * probe).sum().backward()
+        runs.append((out, [out.data] + [leaf.grad for leaf in leaves]))
+    (fused, got), (_, composed) = runs
+    assert fused.data.dtype == dtype and np.array_equal(fused.data, want)
+    assert fused.requires_grad == bool(needs_grad)
+    assert _leaves(fused) == (leaves if needs_grad else [])
+    for g, c in zip(got, composed):
+        assert (g is None) == (c is None)
+        if c is not None:
+            assert g.dtype == c.dtype == dtype and np.array_equal(g, c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_names_add_when_a_term_overflows_the_sum(dtype):
+    big = np.finfo(dtype).max
+    (x, w, b), = _linear_triples(np.random.default_rng(2), dtype, [(1,)], "xw")
+    x.data[:] = 0.0
+    b.data[0] = big * 0.75
+    with np.errstate(all="ignore"):
+        terms = [ad.Tensor(np.zeros((1, 7), dtype)), ad.Tensor(np.full((1, 7), big * 0.75, dtype))]
+        with pytest.raises(ad.NumericalError, match="'add'"):
+            ad.linear(x, w, b, terms)
 
 
 def test_a_leaf_of_finite_values_whose_sum_overflows_is_accepted():
@@ -352,6 +414,6 @@ def test_a_linear_whose_finite_product_sums_past_the_range_is_accepted():
     x = ad.Tensor(np.ones((2, 1), np.float32))
     w = ad.Tensor(np.array([[big]], np.float32), requires_grad=True)
     with np.errstate(over="ignore"):
-        y = ad.linear((x, w, ad.Tensor(np.zeros(1, np.float32))))
+        y = ad.linear(x, w, ad.Tensor(np.zeros(1, np.float32)))
     # the product's one column holds float32's max in both rows
     assert y.data.dtype == np.float32 and np.all(y.data == big)

@@ -287,6 +287,18 @@ class TestReverseSampler:
         with pytest.raises(ValueError):
             df.SamplerConfig(steps=10, tau=0.5, seed=0)
 
+    def test_finite_score_whose_sum_overflows_is_accepted(self):
+        # 200 values of 1e306 sum past float64's range; one noiseless step
+        # from mu moves z by 20e306, which is finite
+        def huge(z, m, h, t):
+            return np.full_like(z, 1e306)
+
+        mu = np.zeros((50, 4))
+        with np.errstate(over="ignore"):
+            out = df.reverse_sample(huge, mu, None, SCHED,
+                                    df.SamplerConfig(steps=1, tau=math.inf, seed=0))
+        assert np.all(out == 20e306)
+
 
 class TestNormalize:
     def test_identity_stats(self):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from minisvs import nn
-from minisvs.autodiff import NumericalError, Tensor, conv1d3, gradient_check
+from minisvs import diffusion, nn
+from minisvs.autodiff import NumericalError, Tensor, as_tensor, conv1d3, gradient_check
 
 
 def _zero_params(named):
@@ -399,6 +399,126 @@ class TestScoreNet:
         net = self._net()
         with pytest.raises(ValueError):
             net(np.zeros((5, 4)), np.zeros((4, 4)), np.zeros((5, 6)), 0.5)
+
+    def _f32_net(self):
+        # random biases too, so a reordered bias add would show as well
+        net = self._net(np.float32)
+        rng = np.random.default_rng(8)
+        for _, p in net.params():
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+        return net
+
+    @staticmethod
+    def _taped_call(net, z, mu, h, t):
+        """The score with its input sum as the taped composition
+        z_in(z) + mu_in(mu) + cond_in(h), each x @ w + b, added in that order."""
+        z, mu, h = (as_tensor(a, np.float32) for a in (z, mu, h))
+        x = (z @ net.z_in.w + net.z_in.b + (mu @ net.mu_in.w + net.mu_in.b)
+             + (h @ net.cond_in.w + net.cond_in.b))
+        t_emb = Tensor(nn.time_embedding(t, net.time_dim, np.float32))
+        for blk in net.block:
+            x = blk(x, t_emb)
+        return net.out(x)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["window", "stacked"])
+    def test_input_terms_give_the_bits_of_the_taped_input_sum(self, lead):
+        net = self._f32_net()
+        rng = np.random.default_rng(9)
+        z, mu = (rng.standard_normal(lead + (37, 4)) for _ in range(2))
+        h = rng.standard_normal(lead + (37, 6)).astype(np.float32)
+        terms = net.input_terms(mu, h)
+        for t in (1.0, 0.37):
+            want = self._taped_call(net, z, mu, h, t).data
+            assert np.array_equal(net(z, mu, h, t).data, want)
+            assert np.array_equal(net(z, None, None, t, terms=terms).data, want)
+
+    def test_four_argument_call_keeps_the_taped_input_sum_gradients(self):
+        net = self._f32_net()
+        rng = np.random.default_rng(11)
+        inputs = [Tensor(rng.standard_normal((3, 37, n)).astype(np.float32), requires_grad=True)
+                  for n in (4, 4, 6)]
+        leaves = inputs + [p for _, p in net.params()]
+        probe = rng.standard_normal((3, 37, 4)).astype(np.float32)
+        runs = []
+        for call in (net, lambda *a: self._taped_call(net, *a)):
+            for leaf in leaves:
+                leaf.grad = None
+            (call(*inputs, np.array([0.2, 0.5, 0.9])) * probe).sum().backward()
+            runs.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("prior", ["data", "standard"])
+    def test_sampler_with_terms_formed_once_keeps_the_per_step_bits(self, prior):
+        net = self._f32_net()
+        rng = np.random.default_rng(4)
+        mu = rng.standard_normal((37, 4)) if prior == "data" else np.zeros((37, 4))
+        h = rng.standard_normal((37, 6)).astype(np.float32)
+        terms = net.input_terms(mu, h)
+        score_fns = {
+            "taped": lambda z, m, h, t: self._taped_call(net, z, m, h, t).data,
+            "four-argument": lambda z, m, h, t: net(z, m, h, t).data,
+            "hoisted": lambda z, m, h, t: net(z, None, None, t, terms=terms).data,
+        }
+        sched = diffusion.NoiseSchedule()
+        cfg = diffusion.SamplerConfig(steps=6, tau=1.5, seed=2)
+        want, *got = (diffusion.reverse_sample(fn, mu, h, sched, cfg) for fn in score_fns.values())
+        for out in got:
+            assert np.array_equal(out, want)
+
+    def test_input_terms_are_formed_as_linear_forms_a_term(self):
+        net = self._f32_net()
+        rng = np.random.default_rng(10)
+        mu = rng.standard_normal((37, 4))
+        h = rng.standard_normal((37, 6)).astype(np.float32)
+        mu_term, cond_term = net.input_terms(mu, h)
+        want = mu.astype(np.float32) @ net.mu_in.w.data
+        want += net.mu_in.b.data
+        assert np.array_equal(mu_term.data, want)
+        want = h @ net.cond_in.w.data
+        want += net.cond_in.b.data
+        assert np.array_equal(cond_term.data, want)
+
+    def test_z_frames_other_than_the_terms_frames_rejected(self):
+        net = self._net()
+        terms = net.input_terms(np.zeros((5, 4)), np.zeros((5, 6)))
+        with pytest.raises(ValueError, match=r"frame counts differ: z_t \(4, 4\), input terms \(5, 8\)"):
+            net(np.zeros((4, 4)), None, None, 0.5, terms=terms)
+
+    def test_terms_of_mu_and_cond_with_other_frame_counts_rejected(self):
+        with pytest.raises(ValueError, match=r"frame counts differ: mu \(4, 4\), cond \(5, 6\)"):
+            self._net().input_terms(np.zeros((4, 4)), np.zeros((5, 6)))
+
+    def test_terms_and_their_inputs_together_rejected(self):
+        net = self._net()
+        terms = net.input_terms(np.zeros((5, 4)), np.zeros((5, 6)))
+        with pytest.raises(ValueError, match="not both"):
+            net(np.zeros((5, 4)), np.zeros((5, 4)), None, 0.5, terms=terms)
+
+    @pytest.mark.parametrize("layer", ["mu_in", "cond_in"])
+    @pytest.mark.parametrize("op", ["matmul", "add"])
+    def test_overflowing_input_projection_names_the_op_of_the_taped_sum(self, layer, op):
+        # the op the taped input sum z_in + mu_in + cond_in names for the
+        # same inputs; the terms raise it before any score is computed
+        net = self._net(np.float32)
+        big = np.finfo(np.float32).max
+        x = {"mu_in": np.zeros((5, 4), np.float32), "cond_in": np.zeros((5, 6), np.float32)}
+        lin = getattr(net, layer)
+        if op == "matmul":
+            x[layer][:] = 1.0
+            lin.w.data[:] = big
+        else:
+            x[layer][0, 0] = big / 2
+            lin.w.data[:] = 0.0
+            lin.w.data[0, 0] = 1.0
+            lin.b.data[0] = big
+        mu, h = as_tensor(x["mu_in"]), as_tensor(x["cond_in"])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError) as hoisted:
+                net.input_terms(mu, h)
+            with pytest.raises(NumericalError) as per_step:
+                self._taped_call(net, np.zeros((5, 4), np.float32), mu, h, 0.5)
+        assert str(hoisted.value) == str(per_step.value) == f"non-finite values in op '{op}'"
 
 
 class TestAdamW:

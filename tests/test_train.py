@@ -871,6 +871,24 @@ class TestInferenceBuildsNoTape:
                            tmp_path, steps=steps, seed=0)
         assert len(scores) == steps
 
+    def test_overflowing_input_terms_fail_before_the_first_step(
+        self, monkeypatch, corpus_dir, codec_ckpt, latent_ckpt, tmp_path
+    ):
+        # the terms are formed once, before the loop: a mu_in product that
+        # overflows raises what the per-step call raised, and no step runs
+        original = nn.ScoreNet.input_terms
+
+        def overflowing(self, mu_hat, h_cond):
+            self.mu_in.w.data[:] = np.finfo(np.float32).max
+            return original(self, np.ones_like(mu_hat), h_cond)
+
+        monkeypatch.setattr(nn.ScoreNet, "input_terms", overflowing)
+        scores = _record_outputs(monkeypatch, nn.ScoreNet)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="'matmul'"):
+            train.sample_score(str(corpus_dir / "song000.score.json"), codec_ckpt, latent_ckpt,
+                               tmp_path / "out", steps=3, seed=0)
+        assert scores == [] and not (tmp_path / "out").exists()
+
     def test_codec_file_commands_build_no_tape(
         self, monkeypatch, corpus_dir, codec_ckpt, tmp_path
     ):
