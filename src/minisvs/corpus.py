@@ -111,11 +111,15 @@ class LoadedSong:
         return self.logmel.shape[0]
 
 
-def log_mel(audio: dsp.AudioBuffer, cfg: RunConfig) -> np.ndarray:
+def mel(audio: dsp.AudioBuffer, cfg: RunConfig) -> np.ndarray:
+    """The mel magnitudes (frames, mel_bins) of audio under cfg's STFT and filterbank."""
     stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
-    spec = dsp.stft(audio, stft_cfg)
-    mel = dsp.mel_project(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
-    return np.log1p(mel.data).astype(np.float32)
+    return dsp.mel_project(dsp.stft(audio, stft_cfg), stft_cfg, cfg.mel_bins, cfg.fmin, cfg.fmax,
+                           audio.sample_rate)
+
+
+def log_mel(audio: dsp.AudioBuffer, cfg: RunConfig) -> np.ndarray:
+    return np.log1p(mel(audio, cfg)).astype(np.float32)
 
 
 def feature_projection(cfg: RunConfig):

@@ -75,29 +75,6 @@ class AudioBuffer:
 
 
 @dataclass
-class Spectrogram:
-    data: np.ndarray
-    kind: str  # "linear" | "mel"
-    config: StftConfig
-    sample_rate: int = 24000
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError("spectrogram must be frames x bins")
-        if self.kind not in ("linear", "mel"):
-            raise ValueError(f"unknown spectrogram kind '{self.kind}'")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("spectrogram contains non-finite entries")
-        if self.data.size and self.data.min() < 0:
-            raise ValueError("spectrogram entries must be non-negative")
-        if self.kind == "linear" and self.data.shape[1] != self.config.bins:
-            raise ValueError(
-                f"linear spectrogram has {self.data.shape[1]} bins, config says {self.config.bins}"
-            )
-
-
-@dataclass
 class PitchTrack:
     f0: np.ndarray  # Hz; 0 marks an unvoiced frame
     periodicity: np.ndarray
@@ -139,8 +116,8 @@ def _blocks(n: int):
         yield slice(start, min(start + ANALYSIS_BLOCK_FRAMES, n))
 
 
-def stft(audio: AudioBuffer, cfg: StftConfig) -> Spectrogram:
-    """Magnitude STFT with reflect-centered framing and a Hann window."""
+def stft(audio: AudioBuffer, cfg: StftConfig) -> np.ndarray:
+    """Magnitude STFT (frames, cfg.bins) with reflect-centered framing and a Hann window."""
     if len(audio) == 0:
         raise ValueError("cannot compute the STFT of empty audio")
     frames = _frame_signal(audio.samples, cfg)
@@ -148,7 +125,7 @@ def stft(audio: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     mag = np.empty((frames.shape[0], cfg.bins))
     for rows in _blocks(frames.shape[0]):
         mag[rows] = np.abs(np.fft.rfft(frames[rows] * window, n=cfg.fft_size, axis=1))
-    return Spectrogram(mag, "linear", cfg, audio.sample_rate)
+    return mag
 
 
 def hz_to_mel(f):
@@ -179,11 +156,11 @@ def mel_center_freqs(mel_bins: int, fmin: float, fmax: float) -> np.ndarray:
     return mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), mel_bins + 2))[1:-1]
 
 
-def mel_project(spec: Spectrogram, mel_bins: int, fmin: float, fmax: float) -> Spectrogram:
-    if spec.kind != "linear":
-        raise ValueError("mel_project expects a linear spectrogram")
-    fb = mel_filterbank(spec.config, mel_bins, fmin, fmax, spec.sample_rate)
-    return Spectrogram(spec.data @ fb.T, "mel", spec.config, spec.sample_rate)
+def mel_project(
+    mag: np.ndarray, cfg: StftConfig, mel_bins: int, fmin: float, fmax: float, sample_rate: int
+) -> np.ndarray:
+    """Mel magnitudes (frames, mel_bins) of STFT magnitudes (frames, cfg.bins)."""
+    return mag @ mel_filterbank(cfg, mel_bins, fmin, fmax, sample_rate).T
 
 
 # -- pitch ------------------------------------------------------------------
@@ -311,13 +288,8 @@ def midi_to_hz(midi: int) -> float:
 # -- mel-domain pitch reading -------------------------------------------------
 
 
-def mel_peak_pitch(
-    mel: Spectrogram,
-    mel_bins: int,
-    fmin: float,
-    fmax: float,
-) -> PitchTrack:
-    """Pitch track from a mel spectrogram of quasi-pure tones.
+def mel_peak_pitch(mel: np.ndarray, fmin: float, fmax: float) -> PitchTrack:
+    """Pitch track from float64 mel magnitudes (frames, mel_bins) of quasi-pure tones.
 
     Dominant filter below PEAK_SEARCH_FMAX_HZ plus a 3-point centroid over
     the triangular filterbank centers, which inverts a pure tone's position
@@ -325,16 +297,12 @@ def mel_peak_pitch(
     the track maximum are unvoiced. Intended for codec/diffusion outputs,
     where only mel features exist.
     """
-    if mel.kind != "mel":
-        raise ValueError("mel_peak_pitch expects a mel spectrogram")
-    if mel.data.shape[1] != mel_bins:
-        raise ValueError(f"spectrogram has {mel.data.shape[1]} bins, caller says {mel_bins}")
-    centers = mel_center_freqs(mel_bins, fmin, fmax)
+    centers = mel_center_freqs(mel.shape[1], fmin, fmax)
     searchable = centers <= PEAK_SEARCH_FMAX_HZ
     if not searchable.any():
         raise ValueError(f"no mel filters below {PEAK_SEARCH_FMAX_HZ} Hz")
     hi = int(np.flatnonzero(searchable)[-1]) + 1
-    data = mel.data[:, :hi]
+    data = mel[:, :hi]
     peak_all = data.max() if data.size else 0.0
     floor = PEAK_ENERGY_FLOOR_RATIO * max(peak_all, 1e-12)
     p = np.argmax(data, axis=1)

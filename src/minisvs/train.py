@@ -82,9 +82,14 @@ class CodecModels:
         return self.encoder(logmel).data.astype(np.float64)
 
     def decode(self, z) -> np.ndarray:
-        """The mel magnitudes that latent frames decode to."""
+        """The mel magnitudes that latent frames decode to; NumericalError if one overflows."""
         logmel = self.decoder(z.astype(np.float32)).data
-        return np.clip(np.expm1(logmel.astype(np.float64)), 0.0, None)
+        with np.errstate(over="ignore"):
+            mel = np.expm1(logmel.astype(np.float64))
+        # autodiff._check_finite's test: a finite sum means finite values
+        if not np.isfinite(mel.sum()) and not np.isfinite(mel).all():
+            raise NumericalError("decoded mel overflows: a log-mel value is past expm1's range")
+        return np.clip(mel, 0.0, None)
 
 
 def build_codec_models(cfg: RunConfig, alphabet_size: int, rng) -> CodecModels:
@@ -715,7 +720,7 @@ def sample_score(
     save_matrix(latent_path, z0, kind="latent")
     save_matrix(mel_path, mel_hat, kind="mel", sample_rate=cfg.sample_rate, hop=cfg.hop_size)
 
-    track = _mel_pitch(mel_hat, cfg)
+    track = dsp.mel_peak_pitch(mel_hat, cfg.fmin, cfg.fmax)
     notes = []
     within = 0
     scored = 0
@@ -754,6 +759,8 @@ def sample_score(
 def encode_wav(codec_ckpt, wav_path, out_path) -> None:
     models, cfg, _ = load_codec_checkpoint(codec_ckpt)
     audio = dsp.load_wav(wav_path)
+    if audio.samples.size == 0:
+        raise ConfigError(f"{wav_path}: WAV file has no samples to encode")
     if audio.sample_rate != cfg.sample_rate:
         raise ConfigError(
             f"{wav_path}: sample rate {audio.sample_rate} != codec's {cfg.sample_rate}"
@@ -779,17 +786,10 @@ def decode_bitstream(codec_ckpt, bitstream_path, out_path, n_quantizers: int | N
 # -- evaluation ----------------------------------------------------------------
 
 
-def _mel_pitch(mel: np.ndarray, cfg: RunConfig) -> dsp.PitchTrack:
-    """The pitch track of mel magnitudes (T, mel_bins), from their peak bins."""
-    stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
-    spec = dsp.Spectrogram(mel, "mel", stft_cfg, cfg.sample_rate)
-    return dsp.mel_peak_pitch(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
-
-
 def _load_eval_input(path, cfg: RunConfig):
     """Returns (mel magnitudes (T, mel_bins), PitchTrack)."""
     path = str(path)
-    if path.endswith(".wav"):
+    if path.lower().endswith(".wav"):
         audio = dsp.load_wav(path)
         if audio.samples.size == 0:
             raise ConfigError(f"{path}: WAV file has no samples to evaluate")
@@ -797,11 +797,8 @@ def _load_eval_input(path, cfg: RunConfig):
             raise ConfigError(
                 f"{path}: sample rate {audio.sample_rate} != config's {cfg.sample_rate}"
             )
-        stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
-        spec = dsp.stft(audio, stft_cfg)
-        mel = dsp.mel_project(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
-        track = dsp.estimate_f0(audio, stft_cfg)
-        return mel.data, track
+        track = dsp.estimate_f0(audio, dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size))
+        return corpus_mod.mel(audio, cfg), track
     data, meta = load_matrix(path)
     if meta.get("kind") != "mel":
         raise ConfigError(f"{path}: expected a WAV file or a mel feature file")
@@ -810,8 +807,16 @@ def _load_eval_input(path, cfg: RunConfig):
     for key, want in (("sample_rate", cfg.sample_rate), ("hop", cfg.hop_size)):
         if meta.get(key, want) != want:
             raise ConfigError(f"{path}: mel feature file's {key} {meta[key]} != config's {want}")
+    if data.shape[1] != cfg.mel_bins:
+        raise ConfigError(
+            f"{path}: mel feature file has {data.shape[1]} bins, mel_bins is {cfg.mel_bins}"
+        )
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}: mel feature file holds a non-finite value")
+    if data.min() < 0:
+        raise ConfigError(f"{path}: mel feature file holds a negative value")
     mel = data.astype(np.float64)
-    return mel, _mel_pitch(mel, cfg)
+    return mel, dsp.mel_peak_pitch(mel, cfg.fmin, cfg.fmax)
 
 
 def evaluate_files(

@@ -256,8 +256,7 @@ def _pitch_track_via_estimate_f0(mel_path, cfg):
     the autocorrelation estimator, the stated oracle."""
     mel, _ = fileio.load_matrix(mel_path)
     stft_cfg = dsp.StftConfig(cfg.fft_size, cfg.win_size, cfg.hop_size)
-    spec = dsp.Spectrogram(mel.astype(np.float64), "mel", stft_cfg, cfg.sample_rate)
-    peak = dsp.mel_peak_pitch(spec, cfg.mel_bins, cfg.fmin, cfg.fmax)
+    peak = dsp.mel_peak_pitch(mel.astype(np.float64), cfg.fmin, cfg.fmax)
     f0 = np.repeat(peak.f0, cfg.hop_size)
     voiced = np.repeat(peak.voiced, cfg.hop_size)
     phase = np.cumsum(2.0 * np.pi * f0 / cfg.sample_rate)

@@ -201,6 +201,17 @@ def _edited_checkpoint(workdir, tmp_path, edit, kind="codec"):
     return ckpt
 
 
+def _overflowing_codec(workdir, tmp_path):
+    """A copy of the workdir codec whose decoder output bias is raised by 1000, so
+    every decoded log-mel is past expm1's float64 range."""
+    arrays, meta = fileio.load_checkpoint(workdir / "codec" / "codec.ckpt")
+    arrays["dec.lin_out.b"] = arrays["dec.lin_out.b"] + 1000.0
+    ckpt = tmp_path / "overflow" / "codec.ckpt"
+    ckpt.parent.mkdir()
+    fileio.save_checkpoint(ckpt, arrays, meta)
+    return ckpt
+
+
 def _syllable(**fields):
     return [{"nucleus": "a", "midi": 60, "dur_s": 0.5, **fields}]
 
@@ -567,6 +578,37 @@ class TestCorruptInputExits2:
         assert f"{wav}: WAV file has no samples to evaluate" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_codec_encode_wav_with_no_samples(self, workdir, tmp_path, capsys):
+        wav = tmp_path / "empty.wav"
+        dsp.save_wav(wav, dsp.AudioBuffer(np.zeros(0), 24000))
+        bits = tmp_path / "e.hsc"
+        assert cli.main(["codec", "encode", "--checkpoint", str(workdir / "codec" / "codec.ckpt"),
+                         "--wav", str(wav), "--out", str(bits)]) == 2
+        assert f"{wav}: WAV file has no samples to encode" in capsys.readouterr().err
+        assert not bits.exists()
+
+    @pytest.mark.parametrize("defect,named", [
+        ("nan", "holds a non-finite value"),
+        ("inf", "holds a non-finite value"),
+        ("negative", "holds a negative value"),
+        ("80-bins", "has 80 bins, mel_bins is 48"),
+    ], ids=["nan", "inf", "negative", "80-bins"])
+    def test_evaluate_mel_file_with_bad_values(self, workdir, tmp_path, capsys, defect, named):
+        data = np.ones((20, 80 if defect == "80-bins" else FAST["mel_bins"]))
+        data[7, 3] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}.get(defect, 1.0)
+        mel = tmp_path / "m.f32"
+        fileio.save_matrix(mel, data, kind="mel")
+        good = tmp_path / "good.f32"
+        fileio.save_matrix(good, np.ones((20, FAST["mel_bins"])), kind="mel")
+        for gt, pred in ((mel, good), (good, mel)):
+            assert cli.main(["evaluate", "--gt", str(gt), "--pred", str(pred),
+                             "--out", str(tmp_path / "r.json"),
+                             "--config", str(workdir / "cfg.json")]) == 2
+            err = capsys.readouterr().err
+            assert f"{mel}: mel feature file {named}" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("rate", [16000, 48000])
     def test_evaluate_wav_at_another_sample_rate(self, workdir, tmp_path, capsys, rate):
         wav = tmp_path / f"tone{rate}.wav"
@@ -619,6 +661,29 @@ class TestCorruptInputExits2:
         (corpus / "phonemes.json").write_text(json.dumps(table))
         assert cli.main(["train-codec", "--corpus", str(corpus), "--out", str(tmp_path / "c"),
                          "--steps", "1", "--config", str(workdir / "cfg.json")]) == 2
+
+
+class TestDecodedMelOverflowExits3:
+    def test_sample_writes_nothing(self, workdir, tmp_path, capsys):
+        out = tmp_path / "samp"
+        assert cli.main(["sample", "--score", str(workdir / "corpus" / "song000.score.json"),
+                         "--codec", str(_overflowing_codec(workdir, tmp_path)),
+                         "--latent", str(workdir / "latent" / "latent.ckpt"),
+                         "--out", str(out), "--steps", "2"]) == 3
+        assert "decoded mel overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_codec_decode_writes_nothing(self, workdir, tmp_path, capsys):
+        bits = tmp_path / "s.hsc"
+        assert cli.main(["codec", "encode", "--checkpoint", str(workdir / "codec" / "codec.ckpt"),
+                         "--wav", str(workdir / "corpus" / "song000.wav"),
+                         "--out", str(bits)]) == 0
+        mel = tmp_path / "s.mel.f32"
+        assert cli.main(["codec", "decode",
+                         "--checkpoint", str(_overflowing_codec(workdir, tmp_path)),
+                         "--bitstream", str(bits), "--out", str(mel)]) == 3
+        assert "decoded mel overflows" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow", "s.hsc"]
 
 
 class TestCodecRoundtrip:
@@ -700,6 +765,18 @@ class TestSampleAndEvaluate:
         payload = json.loads(out.read_text())
         assert payload["mae"] == 0.0
         assert payload["vuv_f1"] == 1.0
+
+    def test_evaluate_reads_an_upper_case_wav_suffix_as_a_wav(self, workdir, tmp_path):
+        wav = tmp_path / "SONG000.WAV"
+        shutil.copy(workdir / "corpus" / "song000.wav", wav)
+        out = tmp_path / "report.json"
+        assert cli.main(["evaluate", "--gt", str(wav), "--pred", str(wav),
+                         "--out", str(out), "--config", str(workdir / "cfg.json")]) == 0
+        lower = tmp_path / "lower.json"
+        assert cli.main(["evaluate", "--gt", str(workdir / "corpus" / "song000.wav"),
+                         "--pred", str(workdir / "corpus" / "song000.wav"),
+                         "--out", str(lower), "--config", str(workdir / "cfg.json")]) == 0
+        assert out.read_bytes() == lower.read_bytes()
 
     def test_evaluate_length_mismatch_is_2(self, workdir, tmp_path):
         code = cli.main(["evaluate",

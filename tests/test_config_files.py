@@ -247,7 +247,7 @@ class TestCorpus:
         for i, song in enumerate(songs):
             cfg = dsp.StftConfig()
             audio = dsp.load_wav(corpus_dir / f"song{i:03d}.wav")
-            assert dsp.stft(audio, cfg).data.shape[0] == song.grid.frames
+            assert dsp.stft(audio, cfg).shape[0] == song.grid.frames
 
     def test_song0_carries_midi_69_at_440(self, corpus_dir):
         songs, _ = corpus.load_corpus(corpus_dir, RunConfig())

@@ -792,8 +792,8 @@ class TestSampling:
         self, monkeypatch, corpus_dir, codec_ckpt, latent_ckpt, tmp_path
     ):
         monkeypatch.setattr(train.dsp, "mel_peak_pitch",
-                            lambda mel, *args: dsp.PitchTrack(np.zeros(len(mel.data)),
-                                                              np.zeros(len(mel.data))))
+                            lambda mel, *args: dsp.PitchTrack(np.zeros(len(mel)),
+                                                              np.zeros(len(mel))))
         _, _, rep = train.sample_score(str(corpus_dir / "song000.score.json"), codec_ckpt,
                                        latent_ckpt, tmp_path, steps=2, seed=0)
         report = json.loads(open(rep).read(), parse_constant=_refuse_constant)
